@@ -8,9 +8,10 @@ Configuration comes from an optional JSON file (--config) merged with
 command-line flags; flags win.  Identical resolved configurations produce
 byte-identical output files: floats are formatted with 17 significant
 digits and every JSON artifact embeds the hash of the resolved
-configuration.  Exit status is 1 for configuration errors and 2 when the
+configuration.  Exit status is 1 for configuration errors, 2 when the
 fixed-point solver fails to converge (diagnostics are then written next to
-the requested output).
+the requested output), and 3 when ``validate`` finishes but its check
+fails (the report is still written).
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ import sys
 
 import numpy as np
 
-from .density import (density_curve, sv_density_correction, write_density_csv)
+from .density import (density_curve, sv_density_correction, write_density_csv,
+                      write_density_metadata)
 from .dilation import RectangularModel, RectangularSpikes, dilate_model
 from .dyson import DysonDivergenceError, SolverConfig, SpectralParameter
 from .outliers import (HermitianModel, SpikeSet, det_beta_curve, locate_outliers)
 from .profiles import (VarianceProfile, bernoulli_profile, constant_profile,
                        doubly_stochastic_profile, normalize_profile,
                        piecewise_profile, read_profile_csv, write_profile_csv)
-from .sampling import (SampleBatch, check_master_equality, sample_gue_profile,
-                       sample_rect_gaussian, validate_concentration)
+from .sampling import (SampleBatch, _deformation_matrix, check_master_equality,
+                       sample_gue_profile, sample_rect_gaussian,
+                       validate_concentration)
 
 __all__ = ["main", "ConfigError"]
 
@@ -87,6 +90,15 @@ def _require(cfg: dict, field: str):
     return cfg[field]
 
 
+def _get(cfg: dict, field: str, default):
+    """The resolved value, or ``default`` only when the field is unset.
+
+    A given 0 stays 0 and meets the same range checks as any other value.
+    """
+    value = cfg.get(field)
+    return default if value is None else value
+
+
 def _parse_profile_spec(spec: str) -> VarianceProfile:
     """Either a profile CSV path or 'kind:key=value,...'."""
     if os.path.exists(spec) or spec.endswith(".csv"):
@@ -107,41 +119,56 @@ def _parse_profile_spec(spec: str) -> VarianceProfile:
         opts[key.strip()] = value.strip()
     try:
         return _build_profile(kind.strip(), opts)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"profile: {exc}")
 
 
 def _build_profile(kind: str, opts: dict) -> VarianceProfile:
+    """Profile from spec options (strings or typed values); ``opts`` is consumed.
+
+    An option the kind does not use is an error, not silently ignored.
+    """
+    def take(key, default=None):
+        value = opts.pop(key, default)
+        if value is None:
+            raise ConfigError(f"{key}: required field is missing")
+        return value
+
     kind = kind.replace("_", "-")
-    hermitian = opts.pop("hermitian", "false").lower() in ("1", "true", "yes")
+    hermitian = str(opts.pop("hermitian", "false")).lower() in ("1", "true", "yes")
     if kind == "constant":
-        n, m = int(opts.pop("n")), int(opts.pop("m"))
-        value = float(opts.pop("value", "1.0"))
-        prof = constant_profile(n, m, value, hermitian=hermitian)
+        n, m = int(take("n")), int(take("m"))
+        prof = constant_profile(n, m, float(take("value", 1.0)), hermitian=hermitian)
     elif kind == "piecewise":
-        n, m = int(opts.pop("n")), int(opts.pop("m"))
-        ratio = float(opts.pop("ratio", "200.0"))
+        n, m = int(take("n")), int(take("m"))
         prof = normalize_profile(
-            piecewise_profile(n, m, 1.0, ratio, hermitian=hermitian))
+            piecewise_profile(n, m, 1.0, float(take("ratio", 200.0)),
+                              hermitian=hermitian))
     elif kind == "bernoulli":
-        n, m = int(opts.pop("n")), int(opts.pop("m"))
-        prof = bernoulli_profile(n, m, float(opts.pop("p")), int(opts.pop("seed")))
+        n, m = int(take("n")), int(take("m"))
+        prof = bernoulli_profile(n, m, float(take("p")), int(take("seed")))
     elif kind == "doubly-stochastic":
-        n = int(opts.pop("n"))
-        prof = doubly_stochastic_profile(n, int(opts.pop("k", "1")),
-                                         int(opts.pop("seed")))
+        prof = doubly_stochastic_profile(int(take("n")), int(take("k", 1)),
+                                         int(take("seed")))
     else:
-        raise ConfigError(f"profile: unknown kind '{kind}'")
+        raise ConfigError(f"unknown profile kind '{kind}'")
     if opts:
-        raise ConfigError(f"profile: unknown option '{next(iter(opts))}'")
+        raise ConfigError(f"option '{next(iter(opts))}' does not apply to "
+                          f"profile kind '{kind}'")
     return prof
 
 
 def _parse_y_spec(spec: str | None, rows: int, cols: int | None = None):
-    """'zero', 'diag:v1,v2,...' (a single value broadcasts) or 'csv:path'."""
+    """'zero', 'diag:v1,v2,...' (a single value broadcasts) or 'csv:path'.
+
+    ``cols`` marks a rectangular model, whose Y must be 'zero' or a csv
+    matrix.
+    """
     if spec is None or spec == "zero":
         return None
     if spec.startswith("diag:"):
+        if cols is not None:
+            raise ConfigError("y: rectangular models need 'zero' or a csv matrix")
         values = [float(v) for v in spec[5:].split(",") if v]
         if len(values) == 1:
             return np.full(rows, values[0])
@@ -190,8 +217,8 @@ def _parse_window(spec: str | None):
 
 def _solver_config(cfg: dict) -> SolverConfig:
     try:
-        return SolverConfig(tolerance=float(cfg.get("tolerance") or 1e-12),
-                            max_iterations=int(cfg.get("max_iterations") or 10000))
+        return SolverConfig(tolerance=float(_get(cfg, "tolerance", 1e-12)),
+                            max_iterations=int(_get(cfg, "max_iterations", 10000)))
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}")
 
@@ -223,32 +250,19 @@ def _load_vector_csv(path: str, n: int, m: int | None):
 
 _PROFILE_FIELDS = ("kind", "n", "m", "p", "k", "seed", "value", "gamma_ratio",
                    "hermitian", "normalize", "out")
+# profile command field -> option of a 'kind:key=value,...' profile spec
+_PROFILE_OPTIONS = {"n": "n", "m": "m", "p": "p", "k": "k", "seed": "seed",
+                    "value": "value", "gamma_ratio": "ratio",
+                    "hermitian": "hermitian"}
 
 
 def _cmd_profile(args) -> int:
     cfg = _merge_config(args, _PROFILE_FIELDS)
-    kind = str(_require(cfg, "kind")).replace("_", "-")
+    kind = str(_require(cfg, "kind"))
     out = _require(cfg, "out")
-    n = int(_require(cfg, "n"))
-    hermitian = bool(cfg["hermitian"])
-    if kind == "constant":
-        m = int(_require(cfg, "m"))
-        profile = constant_profile(n, m, float(cfg["value"] or 1.0),
-                                   hermitian=hermitian)
-    elif kind == "piecewise":
-        m = int(_require(cfg, "m"))
-        ratio = float(cfg["gamma_ratio"] or 200.0)
-        profile = normalize_profile(
-            piecewise_profile(n, m, 1.0, ratio, hermitian=hermitian))
-    elif kind == "bernoulli":
-        m = int(_require(cfg, "m"))
-        profile = bernoulli_profile(n, m, float(_require(cfg, "p")),
-                                    int(_require(cfg, "seed")))
-    elif kind == "doubly-stochastic":
-        profile = doubly_stochastic_profile(n, int(cfg["k"] or 1),
-                                            int(_require(cfg, "seed")))
-    else:
-        raise ConfigError(f"kind: unknown profile kind '{kind}'")
+    opts = {key: cfg[field] for field, key in _PROFILE_OPTIONS.items()
+            if cfg[field] is not None}
+    profile = _build_profile(kind, opts)
     if cfg["normalize"] is not None:
         profile = normalize_profile(profile, float(cfg["normalize"]))
 
@@ -275,20 +289,18 @@ def _cmd_density(args) -> int:
     cfg = _merge_config(args, _DENSITY_FIELDS)
     profile = _parse_profile_spec(str(_require(cfg, "profile")))
     out = _require(cfg, "out")
-    eta = float(cfg["eta"] or 0.01)
+    eta = float(_get(cfg, "eta", 0.01))
     if eta <= 0.0:
         raise ConfigError("eta: must be > 0")
     grid = _parse_grid(str(_require(cfg, "grid")), eta)
     solver = _solver_config(cfg)
-    workers = int(cfg["workers"] or os.environ.get("DETEQ_THREADS", "1"))
+    workers = int(_get(cfg, "workers", os.environ.get("DETEQ_THREADS", "1")))
 
     dilated = profile.mode == "rectangular"
     if dilated:
         if np.any(grid < 0.0):
             raise ConfigError("grid: singular-value grids need min >= 0")
         y_rect = _parse_y_spec(cfg["y"], profile.rows, profile.cols)
-        if y_rect is not None and y_rect.ndim == 1:
-            raise ConfigError("y: rectangular models need 'zero' or a csv matrix")
         model = dilate_model(RectangularModel(profile=profile, y=y_rect))
         curve = density_curve(model.profile, model.y, grid, eta=eta,
                               config=solver, workers=workers)
@@ -299,18 +311,14 @@ def _cmd_density(args) -> int:
                               workers=workers)
 
     write_density_csv(curve, out)
-    meta = {
+    write_density_metadata(curve, out + ".meta.json", extra={
         "command": "density",
         "config": cfg,
         "config_hash": _config_hash(cfg),
-        "eta": curve.eta,
-        "tolerance": curve.tolerance,
         "dilated": dilated,
         "rows": profile.rows,
         "cols": profile.cols,
-        "converged": [bool(f) for f in curve.converged],
-    }
-    _write_json(out + ".meta.json", meta)
+    })
     failed = int(np.sum(~curve.converged))
     if failed:
         diag_path = out + ".diagnostics.json"
@@ -341,16 +349,18 @@ def _cmd_outliers(args) -> int:
     thetas = [float(v) for v in str(_require(cfg, "theta_list")).split(",") if v]
     if not thetas:
         raise ConfigError("theta_list: needs at least one spike strength")
-    vectors = str(cfg["vectors"] or "constant")
-    use_tilde = bool(cfg["use_tilde"])
-    threshold = float(cfg["threshold"] or 1e-3)
+    vectors = str(_get(cfg, "vectors", "constant"))
+    threshold = float(_get(cfg, "threshold", 1e-3))
     window = _parse_window(cfg["window"])
-    scan_points = int(cfg["scan_points"] or 50)
-    eta_eval = float(cfg["eta_eval"] or 1e-3)
+    scan_points = int(_get(cfg, "scan_points", 50))
+    eta_eval = float(_get(cfg, "eta_eval", 1e-3))
     solver = _solver_config(cfg)
 
     rectangular = profile.mode == "rectangular"
     n, m = profile.rows, profile.cols
+    if rectangular and min(thetas) <= 0.0:
+        raise ConfigError("theta_list: rectangular spikes need theta > 0")
+    y = _parse_y_spec(cfg["y"], n, m if rectangular else None)
     if vectors.startswith("csv:"):
         u, v = _load_vector_csv(vectors[4:], n, m if rectangular else None)
     else:
@@ -362,20 +372,14 @@ def _cmd_outliers(args) -> int:
     try:
         for theta in thetas:
             if rectangular:
-                if theta <= 0.0:
-                    raise ConfigError("theta_list: rectangular spikes need theta > 0")
-                y_rect = _parse_y_spec(cfg["y"], n, m)
-                if y_rect is not None and y_rect.ndim == 1:
-                    raise ConfigError("y: rectangular models need 'zero' or a csv matrix")
                 spikes = RectangularSpikes(u=u, theta=[theta], v=v)
                 model = HermitianModel.from_dilated(dilate_model(
-                    RectangularModel(profile=profile, y=y_rect, spikes=spikes)))
+                    RectangularModel(profile=profile, y=y, spikes=spikes)))
             else:
-                y = _parse_y_spec(cfg["y"], n)
                 model = HermitianModel(profile=profile, y=y,
                                        spikes=SpikeSet(u=u, theta=[theta]))
             reports.append(locate_outliers(
-                model, window=window, config=solver, use_tilde=use_tilde,
+                model, window=window, config=solver,
                 threshold=threshold, scan_points=scan_points,
                 eta_eval=eta_eval, cache=cache))
     except (RuntimeError, DysonDivergenceError) as exc:
@@ -394,7 +398,6 @@ def _cmd_outliers(args) -> int:
         "command": "outliers",
         "config": cfg,
         "config_hash": _config_hash(cfg),
-        "use_tilde": use_tilde,
         "dilated": rectangular,
         "theta": thetas,
         "reports": [r.to_json_dict() for r in reports],
@@ -405,10 +408,8 @@ def _cmd_outliers(args) -> int:
     if len(thetas) == 1:
         lo, hi = reports[0].window
         lams = np.linspace(lo, hi, max(scan_points, 200))
-        dets, _ = det_beta_curve(_last_model(profile, cfg, u, v, thetas[0],
-                                             rectangular),
-                                 lams, use_tilde=use_tilde, config=solver,
-                                 eta_eval=eta_eval, cache=cache)
+        dets, _ = det_beta_curve(model, lams, config=solver, eta_eval=eta_eval,
+                                 cache=cache)
         lines = ["lambda,det_abs"]
         lines += [f"{t:.17g},{abs(d):.17g}" for t, d in zip(lams, dets)]
     else:
@@ -429,16 +430,6 @@ def _cmd_outliers(args) -> int:
     return 0
 
 
-def _last_model(profile, cfg, u, v, theta, rectangular):
-    if rectangular:
-        y_rect = _parse_y_spec(cfg["y"], profile.rows, profile.cols)
-        spikes = RectangularSpikes(u=u, theta=[theta], v=v)
-        return HermitianModel.from_dilated(dilate_model(
-            RectangularModel(profile=profile, y=y_rect, spikes=spikes)))
-    y = _parse_y_spec(cfg["y"], profile.rows)
-    return HermitianModel(profile=profile, y=y, spikes=SpikeSet(u=u, theta=[theta]))
-
-
 _SAMPLE_FIELDS = ("profile", "y", "count", "seed", "out")
 
 
@@ -446,7 +437,7 @@ def _cmd_sample(args) -> int:
     cfg = _merge_config(args, _SAMPLE_FIELDS)
     profile = _parse_profile_spec(str(_require(cfg, "profile")))
     out = _require(cfg, "out")
-    count = int(cfg["count"] or 1)
+    count = int(_get(cfg, "count", 1))
     if count < 1:
         raise ConfigError("count: must be >= 1")
     seed = int(_require(cfg, "seed"))
@@ -454,15 +445,13 @@ def _cmd_sample(args) -> int:
     batch = SampleBatch(seed=seed, count=count, n=profile.rows)
     values = []
     if profile.mode == "hermitian":
-        y = _parse_y_spec(cfg["y"], profile.rows)
-        y_add = 0.0 if y is None else (np.diag(y) if y.ndim == 1 else y)
+        y_add = _deformation_matrix(_parse_y_spec(cfg["y"], profile.rows),
+                                    profile.rows)
         for child in batch.child_seeds():
             h = sample_gue_profile(profile, child) + y_add
             values.append(np.linalg.eigvalsh(h))
     else:
         y = _parse_y_spec(cfg["y"], profile.rows, profile.cols)
-        if y is not None and y.ndim == 1:
-            raise ConfigError("y: rectangular models need 'zero' or a csv matrix")
         for child in batch.child_seeds():
             x = sample_rect_gaussian(profile, child)
             if y is not None:
@@ -492,9 +481,9 @@ def _cmd_validate(args) -> int:
     cfg = _merge_config(args, _VALIDATE_FIELDS)
     what = str(_require(cfg, "what"))
     out = _require(cfg, "out")
-    n = int(cfg["n"] or 50)
-    samples = int(cfg["samples"] or 100)
-    seed = int(cfg["seed"] or 0)
+    n = int(_get(cfg, "n", 50))
+    samples = int(_get(cfg, "samples", 100))
+    seed = int(_get(cfg, "seed", 0))
     if cfg["profile"] is not None:
         profile = _parse_profile_spec(str(cfg["profile"]))
         if profile.mode != "hermitian":
@@ -504,28 +493,28 @@ def _cmd_validate(args) -> int:
         profile = constant_profile(n, n, 1.0, hermitian=True)
 
     if what == "master":
-        lam_c = complex(float(cfg["lambda_re"] or 0.0),
-                        float(cfg["lambda_im"] or 1.0))
+        lam_c = complex(float(_get(cfg, "lambda_re", 0.0)),
+                        float(_get(cfg, "lambda_im", 1.0)))
         if lam_c.imag <= 0.0:
             raise ConfigError("lambda_im: must be > 0")
         lam = SpectralParameter.scalar(lam_c, n)
         deviation = check_master_equality(
             profile, None, lam, SampleBatch(seed=seed, count=samples, n=n))
-        bound = float(cfg["bound_factor"] or 5.0) / np.sqrt(samples)
+        bound = float(_get(cfg, "bound_factor", 5.0)) / np.sqrt(samples)
         result = {
             "deviation": deviation,
             "bound": bound,
             "passed": bool(deviation <= bound),
         }
     elif what == "concentration":
-        lam_c = complex(float(cfg["lambda_re"] or 0.0),
-                        float(cfg["lambda_im"] or 0.5))
+        lam_c = complex(float(_get(cfg, "lambda_re", 0.0)),
+                        float(_get(cfg, "lambda_im", 0.5)))
         if lam_c.imag <= 0.0:
             raise ConfigError("lambda_im: must be > 0")
         summary = validate_concentration(
-            profile, None, lam_c, d=float(cfg["d"] or 2.0),
-            delta=float(cfg["delta"] or 0.5), draws=samples, seed=seed)
-        min_rate = float(cfg["min_pass_rate"] or 0.95)
+            profile, None, lam_c, d=float(_get(cfg, "d", 2.0)),
+            delta=float(_get(cfg, "delta", 0.5)), draws=samples, seed=seed)
+        min_rate = float(_get(cfg, "min_pass_rate", 0.95))
         result = dict(summary)
         result["min_pass_rate"] = min_rate
         result["passed"] = bool(summary["pass_rate"] >= min_rate)
@@ -544,7 +533,7 @@ def _cmd_validate(args) -> int:
     _write_json(out, payload)
     status = "PASS" if result["passed"] else "FAIL"
     print(f"{what}: {status} ({out})")
-    return 0
+    return 0 if result["passed"] else 3
 
 
 # ---------------------------------------------------------------- parser
@@ -596,7 +585,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--y", help="zero | diag:v1,... | csv:path")
     p.add_argument("--theta-list", help="comma-separated spike strengths")
     p.add_argument("--vectors", help="constant | e1 | csv:path")
-    p.add_argument("--use-tilde", action="store_const", const=True)
+    p.add_argument("--use-tilde", action="store_const", const=True,
+                   help="accepted and recorded; the determinant form follows "
+                        "from --y")
     p.add_argument("--threshold", type=float)
     p.add_argument("--window", help="lo:hi search window")
     p.add_argument("--scan-points", type=int)

@@ -99,13 +99,13 @@ class DilatedModel:
     """Hermitian image of a rectangular model.
 
     ``profile`` is the (N + M)-dimensional hermitian-mode profile
-    (N + M) / M * D(Gamma), ``y`` the dilated deformation, ``w`` the
-    orthonormal dilated spike frame and ``theta_signed`` the signed spike
-    strengths (+theta, -theta).
+    (N + M) / M * D(Gamma), ``y`` the dilated deformation (None when the
+    rectangular model has none), ``w`` the orthonormal dilated spike frame
+    and ``theta_signed`` the signed spike strengths (+theta, -theta).
     """
 
     profile: VarianceProfile
-    y: np.ndarray
+    y: np.ndarray | None
     w: np.ndarray
     theta_signed: np.ndarray
     n: int
@@ -115,21 +115,23 @@ class DilatedModel:
         size = self.n + self.m
         if self.profile.mode != "hermitian" or self.profile.rows != size:
             raise ValueError("dilated profile must be hermitian of dimension n + m")
-        y = np.asarray(self.y, dtype=np.complex128)
-        if y.shape != (size, size):
-            raise ValueError("dilated deformation must be (n + m) square")
-        if not np.allclose(y, y.conj().T, atol=1e-12, rtol=0.0):
-            raise ValueError("dilated deformation must be Hermitian")
-        if np.any(y[: self.n, : self.n] != 0.0) or np.any(y[self.n:, self.n:] != 0.0):
-            raise ValueError("dilated deformation must have zero diagonal blocks")
+        if self.y is not None:
+            y = np.asarray(self.y, dtype=np.complex128)
+            if y.shape != (size, size):
+                raise ValueError("dilated deformation must be (n + m) square")
+            if not np.allclose(y, y.conj().T, atol=1e-12, rtol=0.0):
+                raise ValueError("dilated deformation must be Hermitian")
+            if np.any(y[: self.n, : self.n] != 0.0) or np.any(y[self.n:, self.n:] != 0.0):
+                raise ValueError("dilated deformation must have zero diagonal blocks")
+            y.setflags(write=False)
+            object.__setattr__(self, "y", y)
         w = _check_frame(self.w, "dilated spikes") if self.w.size else \
             np.zeros((size, 0), dtype=np.complex128)
         theta = np.asarray(self.theta_signed, dtype=np.float64).reshape(-1)
         if w.shape[0] != size or w.shape[1] != theta.size:
             raise ValueError("dilated spike frame does not match theta_signed")
-        for arr in (y, w, theta):
+        for arr in (w, theta):
             arr.setflags(write=False)
-        object.__setattr__(self, "y", y)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "theta_signed", theta)
 
@@ -158,10 +160,7 @@ def dilate_model(model: RectangularModel) -> DilatedModel:
     entries = hermitian_dilation(model.profile.entries).real * (size / m)
     profile = VarianceProfile(entries, "hermitian")
 
-    if model.y is not None:
-        y = hermitian_dilation(model.y)
-    else:
-        y = np.zeros((size, size), dtype=np.complex128)
+    y = None if model.y is None else hermitian_dilation(model.y)
 
     if model.spikes is not None:
         k = model.spikes.k

@@ -153,32 +153,38 @@ def _apply_r(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _classify_deformation(y, n: int):
-    """Return (diagonal vector or None, dense matrix or None)."""
+    """The one reading of a deformation Y on an n-dimensional space.
+
+    Returns None when Y is absent, a real float64 vector when Y is diagonal
+    (given as a vector or as a matrix with zero off-diagonal part), and the
+    n x n Hermitian matrix otherwise.  Raises ValueError for a wrong shape,
+    a complex diagonal or a non-Hermitian matrix.
+    """
     if y is None:
-        return np.zeros(n), None
+        return None
     y = np.asarray(y)
     if y.ndim == 1:
         if y.shape != (n,):
             raise ValueError(f"diagonal deformation has length {y.shape[0]}, expected {n}")
         if np.iscomplexobj(y) and np.any(y.imag != 0.0):
             raise ValueError("diagonal deformation must be real")
-        return y.real.astype(np.float64), None
+        return y.real.astype(np.float64)
     if y.shape != (n, n):
         raise ValueError(f"deformation has shape {y.shape}, expected ({n}, {n})")
     if not np.allclose(y, np.conj(y.T), rtol=0.0, atol=1e-12):
         raise ValueError("deformation matrix must be Hermitian")
-    off = y - np.diag(np.diag(y))
-    if not np.any(off):
-        return np.diag(y).real.astype(np.float64), None
-    return None, y
+    if not np.any(y - np.diag(np.diag(y))):
+        return np.diag(y).real.astype(np.float64)
+    return y
 
 
-def _psi_raw(w, lam_diag, g, y_diag, y_dense):
+def _psi_raw(w, lam_diag, g, y):
     shift = lam_diag - _apply_r(w, g)
-    if y_dense is None:
-        return 1.0 / (shift - y_diag)
-    a = np.diag(shift) - y_dense
-    return np.linalg.inv(a).diagonal().copy()
+    if y is None:
+        return 1.0 / shift
+    if y.ndim == 1:
+        return 1.0 / (shift - y)
+    return np.linalg.inv(np.diag(shift) - y).diagonal().copy()
 
 
 def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,
@@ -190,9 +196,8 @@ def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,
     n = profile.rows
     if lam.dim != n or g.dim != n:
         raise ValueError("dimension mismatch between profile, Lambda and g")
-    y_diag, y_dense = _classify_deformation(y, n)
     w = profile.entries / n
-    out = _psi_raw(w, lam.diag, g.diag, y_diag, y_dense)
+    out = _psi_raw(w, lam.diag, g.diag, _classify_deformation(y, n))
     return OperatorStieltjes(out)
 
 
@@ -214,15 +219,14 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
         raise ValueError("solve_dyson needs a hermitian-mode profile")
     if lam.dim != n:
         raise ValueError(f"Lambda has dimension {lam.dim}, expected {n}")
-    y_diag, y_dense = _classify_deformation(y, n)
+    y = _classify_deformation(y, n)
 
     lam_diag = lam.diag
     certified = profile.gamma_max_sq * lam.inv_im_norm() ** 2 < 1.0
 
     if profile.gamma_max_sq == 0.0:
         # Noise-free model: the equation degenerates to G = diag[(Lambda - Y)^(-1)].
-        g = _psi_raw(np.zeros((n, n)), lam_diag, np.zeros(n, dtype=np.complex128),
-                     y_diag, y_dense)
+        g = _psi_raw(np.zeros((n, n)), lam_diag, np.zeros(n, dtype=np.complex128), y)
         return DysonSolution(OperatorStieltjes(g), iterations=1, residual=0.0,
                              converged=True, contraction_certified=True,
                              residual_history=np.zeros(1))
@@ -241,7 +245,7 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
     converged = False
     res = math.inf
     for _ in range(config.max_iterations):
-        psi_g = _psi_raw(w, lam_diag, g, y_diag, y_dense)
+        psi_g = _psi_raw(w, lam_diag, g, y)
         if not np.all(np.isfinite(psi_g)):
             raise DysonDivergenceError(
                 f"fixed-point iterate became non-finite at iteration "

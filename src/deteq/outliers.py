@@ -5,13 +5,14 @@ eigenvalue outliers at the real zeros of
 
     det beta(lambda) = det(I_k - U* G(lambda I) U Theta),
 
-where G is the Dyson fixed point of the unspiked model.  When the
-deformation Y is not diagonal the right object is
+where G is the Dyson fixed point of the unspiked model.  For a dense
+deformation Y the same determinant reads
 
-    det beta_tilde(lambda) = det(I_k - U* (Omega(lambda I) - Y)^(-1) U Theta),
+    det(I_k - U* (Omega(lambda I) - Y)^(-1) U Theta),
 
-with Omega(Lambda) = Lambda - R(G(Lambda)); for diagonal Y the two
-coincide.  ``locate_outliers`` scans a window for local minima of
+with Omega(Lambda) = Lambda - R(G(Lambda)); for diagonal Y the two forms
+coincide, so the code picks the cheaper one from the kind of Y.
+``locate_outliers`` scans a window for local minima of
 |det beta| and polishes them with Nelder-Mead, evaluating the real-axis
 limit by Richardson extrapolation in the regularization eta.
 """
@@ -25,7 +26,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dilation import DilatedModel, _check_frame
-from .dyson import SolverConfig, SpectralParameter, r_map, solve_dyson
+from .dyson import (SolverConfig, SpectralParameter, _classify_deformation, r_map,
+                    solve_dyson)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "OutlierCandidate",
     "OutlierReport",
     "beta_square",
-    "beta_tilde_square",
     "det_beta_curve",
     "locate_outliers",
     "closed_form_outlier",
@@ -72,7 +73,11 @@ class SpikeSet:
 
 @dataclass(frozen=True, eq=False)
 class HermitianModel:
-    """Hermitian ensemble (profile noise + deformation Y) with a spike set."""
+    """Hermitian ensemble (profile noise + deformation Y) with a spike set.
+
+    ``y`` is stored classified: None, a real diagonal vector, or a dense
+    Hermitian matrix.
+    """
 
     profile: VarianceProfile
     y: np.ndarray | None
@@ -83,6 +88,7 @@ class HermitianModel:
             raise ValueError("outlier models need a hermitian-mode profile")
         if self.spikes.u.shape[0] != self.profile.rows:
             raise ValueError("spike vectors do not match the profile dimension")
+        object.__setattr__(self, "y", _classify_deformation(self.y, self.profile.rows))
 
     @classmethod
     def from_dilated(cls, dilated: DilatedModel) -> "HermitianModel":
@@ -119,40 +125,18 @@ class OutlierReport:
         }
 
 
-def _require_diagonal(y, n: int):
-    if y is None:
-        return None
-    y = np.asarray(y)
-    if y.ndim == 1:
-        return y
-    if y.ndim == 2 and not np.any(y - np.diag(np.diag(y))):
-        return np.diag(y).real
-    raise ValueError("beta_square needs a diagonal deformation; "
-                     "use beta_tilde_square for dense Y")
+def _beta_from_g(spikes: SpikeSet, profile: VarianceProfile, y, lam_value: complex,
+                 g: np.ndarray) -> np.ndarray:
+    """I - U* diag(G) U Theta, or I - U* (Omega - Y)^(-1) U Theta for dense Y.
 
-
-def _beta_matrix(u, theta, core):
-    return np.eye(theta.size, dtype=np.complex128) - core * theta[np.newaxis, :]
-
-
-def _beta_from_g(spikes: SpikeSet, g: np.ndarray) -> np.ndarray:
-    core = (spikes.u.conj().T * g[np.newaxis, :]) @ spikes.u
-    return _beta_matrix(spikes.u, spikes.theta, core)
-
-
-def _beta_tilde_from_g(spikes: SpikeSet, profile: VarianceProfile, y,
-                       lam_value: complex, g: np.ndarray) -> np.ndarray:
-    omega = lam_value - r_map(profile, g)
-    y_arr = None if y is None else np.asarray(y)
-    if y_arr is None:
-        z = spikes.u / omega[:, np.newaxis]
-    elif y_arr.ndim == 1:
-        z = spikes.u / (omega - y_arr)[:, np.newaxis]
+    ``y`` must already be classified.
+    """
+    if y is None or y.ndim == 1:
+        core = (spikes.u.conj().T * g[np.newaxis, :]) @ spikes.u
     else:
-        a = np.diag(omega) - y_arr
-        z = np.linalg.solve(a, spikes.u)
-    core = spikes.u.conj().T @ z
-    return _beta_matrix(spikes.u, spikes.theta, core)
+        omega = lam_value - r_map(profile, g)
+        core = spikes.u.conj().T @ np.linalg.solve(np.diag(omega) - y, spikes.u)
+    return np.eye(spikes.k, dtype=np.complex128) - core * spikes.theta[np.newaxis, :]
 
 
 def _regularize(lam, eta_eval: float) -> complex:
@@ -164,37 +148,22 @@ def _regularize(lam, eta_eval: float) -> complex:
     return lam_c
 
 
-def beta_square(lam, spikes: SpikeSet, profile: VarianceProfile, y_diag=None,
+def beta_square(lam, spikes: SpikeSet, profile: VarianceProfile, y=None,
                 config: SolverConfig | None = None, eta_eval: float = 1e-3) -> np.ndarray:
-    """k x k matrix I - U* G(lambda I) U Theta for a diagonal deformation.
+    """k x k determinant matrix at lambda for any Hermitian deformation Y.
 
-    Real ``lam`` is evaluated just above the axis at lam + i eta_eval.
+    Absent or diagonal Y gives I - U* G(lambda I) U Theta; dense Y gives
+    I - U* (Omega(lambda I) - Y)^(-1) U Theta.  Real ``lam`` is evaluated
+    just above the axis at lam + i eta_eval.
     """
-    y = _require_diagonal(y_diag, profile.rows)
+    y = _classify_deformation(y, profile.rows)
     lam_c = _regularize(lam, eta_eval)
     sol = solve_dyson(profile, y, SpectralParameter.scalar(lam_c, profile.rows), config)
     if not sol.converged:
         raise RuntimeError(
             f"Dyson solve did not converge at lambda = {lam_c} "
             f"(residual {sol.residual:.3e} after {sol.iterations} iterations)")
-    return _beta_from_g(spikes, sol.g_square.diag)
-
-
-def beta_tilde_square(lam, spikes: SpikeSet, profile: VarianceProfile, y=None,
-                      config: SolverConfig | None = None,
-                      eta_eval: float = 1e-3) -> np.ndarray:
-    """k x k matrix I - U* (Omega(lambda I) - Y)^(-1) U Theta.
-
-    Valid for any Hermitian deformation Y; coincides with ``beta_square``
-    when Y is diagonal.
-    """
-    lam_c = _regularize(lam, eta_eval)
-    sol = solve_dyson(profile, y, SpectralParameter.scalar(lam_c, profile.rows), config)
-    if not sol.converged:
-        raise RuntimeError(
-            f"Dyson solve did not converge at lambda = {lam_c} "
-            f"(residual {sol.residual:.3e} after {sol.iterations} iterations)")
-    return _beta_tilde_from_g(spikes, profile, y, lam_c, sol.g_square.diag)
+    return _beta_from_g(spikes, profile, y, lam_c, sol.g_square.diag)
 
 
 class _DetEvaluator:
@@ -206,16 +175,13 @@ class _DetEvaluator:
     on the model only, not on the spikes.
     """
 
-    def __init__(self, model: HermitianModel, config: SolverConfig, use_tilde: bool,
-                 eta_eval: float, cache: dict):
+    def __init__(self, model: HermitianModel, config: SolverConfig, eta_eval: float,
+                 cache: dict):
         self.model = model
         self.config = config
-        self.use_tilde = use_tilde
         self.eta = eta_eval
         self.cache = cache
         self.warm = None
-        if not use_tilde:
-            _require_diagonal(model.y, model.profile.rows)
 
     def _solve(self, lam_c: complex):
         key = (round(lam_c.real / _SNAP) * _SNAP, lam_c.imag)
@@ -232,13 +198,8 @@ class _DetEvaluator:
     def det_at(self, lam_c: complex):
         """Determinant at one complex point; returns (det, converged)."""
         lam_snapped, sol = self._solve(lam_c)
-        g = sol.g_square.diag
-        point = complex(lam_snapped, lam_c.imag)
-        if self.use_tilde:
-            beta = _beta_tilde_from_g(self.model.spikes, self.model.profile,
-                                      self.model.y, point, g)
-        else:
-            beta = _beta_from_g(self.model.spikes, g)
+        beta = _beta_from_g(self.model.spikes, self.model.profile, self.model.y,
+                            complex(lam_snapped, lam_c.imag), sol.g_square.diag)
         return complex(np.linalg.det(beta)), sol.converged
 
     def boundary_det(self, lam: float):
@@ -255,17 +216,15 @@ class _DetEvaluator:
         return det, (c1 and c2 and c4)
 
 
-def det_beta_curve(model: HermitianModel, lambdas, use_tilde: bool = False,
-                   config: SolverConfig | None = None, eta_eval: float = 1e-3,
-                   cache: dict | None = None):
+def det_beta_curve(model: HermitianModel, lambdas, config: SolverConfig | None = None,
+                   eta_eval: float = 1e-3, cache: dict | None = None):
     """det beta(lambda + i eta_eval) over a real grid.
 
     Returns (complex determinants, per-point convergence flags).
     """
     if config is None:
         config = SolverConfig()
-    ev = _DetEvaluator(model, config, use_tilde, eta_eval,
-                       cache if cache is not None else {})
+    ev = _DetEvaluator(model, config, eta_eval, cache if cache is not None else {})
     lambdas = np.asarray(lambdas, dtype=np.float64)
     dets = np.empty(lambdas.shape, dtype=np.complex128)
     flags = np.empty(lambdas.shape, dtype=bool)
@@ -298,8 +257,8 @@ def _estimate_bulk_edge(model: HermitianModel, config: SolverConfig) -> float:
     profile = model.profile
     row_mean = profile.entries.sum(axis=1) / profile.rows
     reach = 2.0 * math.sqrt(float(row_mean.max()))
-    if model.y is not None:
-        y = np.asarray(model.y)
+    y = model.y
+    if y is not None:
         reach += float(np.abs(y).max() if y.ndim == 1 else np.linalg.norm(y, 2))
     eta = 0.002
     step = 0.02
@@ -318,7 +277,7 @@ def _estimate_bulk_edge(model: HermitianModel, config: SolverConfig) -> float:
 
 
 def locate_outliers(model: HermitianModel, window=None,
-                    config: SolverConfig | None = None, use_tilde: bool = False,
+                    config: SolverConfig | None = None,
                     threshold: float = 1e-3, scan_points: int = 50,
                     eta_eval: float = 1e-3, cache: dict | None = None) -> OutlierReport:
     """Locate real zeros of det beta inside a search window.
@@ -345,7 +304,7 @@ def locate_outliers(model: HermitianModel, window=None,
     # eta and only seed the minima detection, so the scan runs on a capped
     # iteration budget; refinement uses the full configuration.
     scan_config = replace(config, max_iterations=min(config.max_iterations, 2500))
-    scan_ev = _DetEvaluator(model, scan_config, use_tilde, eta_eval, shared_cache)
+    scan_ev = _DetEvaluator(model, scan_config, eta_eval, shared_cache)
     lams = np.linspace(lo, hi, scan_points)
     scan = np.empty(scan_points)
     any_converged = False
@@ -353,7 +312,7 @@ def locate_outliers(model: HermitianModel, window=None,
         det, conv = scan_ev.det_at(complex(lam, eta_eval))
         scan[i] = abs(det)
         any_converged = any_converged or conv
-    ev = _DetEvaluator(model, config, use_tilde, eta_eval, shared_cache)
+    ev = _DetEvaluator(model, config, eta_eval, shared_cache)
     ev.warm = scan_ev.warm
     if not any_converged:
         raise RuntimeError("no scan point converged; widen the window, raise "

@@ -9,7 +9,6 @@ numpy's PCG64 generator, so profiles are reproducible across platforms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,10 +190,6 @@ def read_profile_csv(path) -> VarianceProfile:
     if entries.shape != (rows, cols):
         raise ValueError(f"{path}: data block does not match declared shape")
     return VarianceProfile(entries, mode)
-
-
-def profile_to_json(profile: VarianceProfile) -> str:
-    return json.dumps(profile.to_json_dict(), sort_keys=True)
 
 
 def _check_shape(n: int, m: int) -> None:

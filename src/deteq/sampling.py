@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter,
-                    concentration_bound, r_map, solve_dyson)
+                    _classify_deformation, concentration_bound, r_map, solve_dyson)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -45,6 +45,14 @@ class SampleBatch:
 
     def child_seeds(self):
         return np.random.SeedSequence(self.seed).spawn(self.count)
+
+
+def _deformation_matrix(y, n: int):
+    """Y as a term to add to an n x n draw: 0.0 when absent, else a matrix."""
+    y = _classify_deformation(y, n)
+    if y is None:
+        return 0.0
+    return np.diag(y) if y.ndim == 1 else y
 
 
 def _rng(seed) -> np.random.Generator:
@@ -115,9 +123,7 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
     n = profile.rows
     if batch.n != n or lam.dim != n:
         raise ValueError("batch, profile and Lambda dimensions disagree")
-    y_mat = np.zeros((n, n)) if y is None else np.asarray(y)
-    if y_mat.ndim == 1:
-        y_mat = np.diag(y_mat)
+    y_mat = _deformation_matrix(y, n)
     lam_mat = np.diag(lam.diag)
     lhs = np.zeros((n, n), dtype=np.complex128)
     rhs = np.zeros((n, n), dtype=np.complex128)
@@ -139,9 +145,8 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
     deviation stays within epsilon_tilde.
     """
     n = profile.rows
-    y_arr = None if y is None else np.asarray(y)
-    diagonal = y_arr is None or y_arr.ndim == 1 or not np.any(
-        y_arr - np.diag(np.diag(y_arr)))
+    y = _classify_deformation(y, n)
+    diagonal = y is None or y.ndim == 1
     params = ConcentrationBound(gamma_max=np.sqrt(profile.gamma_max_sq),
                                 delta=delta, d=d, n=n,
                                 im_lambda=complex(lam).imag, diagonal_y=diagonal)
@@ -151,7 +156,7 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
         raise RuntimeError("Dyson solve did not converge; cannot validate")
     g_det = complex(sol.g_square.diag.mean())
 
-    y_add = 0.0 if y is None else (np.diag(y_arr) if y_arr.ndim == 1 else y_arr)
+    y_add = _deformation_matrix(y, n)
     batch = SampleBatch(seed=seed, count=draws, n=n)
     deviations = np.empty(draws)
     for j, child in enumerate(batch.child_seeds()):

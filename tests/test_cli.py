@@ -152,7 +152,9 @@ def test_outliers_hermitian_profile_with_e1_vectors(tmp_path):
                 "--window", "2.05:3.0", "--out", str(out))
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["use_tilde"] is True
+    # --use-tilde is still accepted and recorded, but selects nothing
+    assert report["config"]["use_tilde"] is True
+    assert "use_tilde" not in report
 
 
 def test_outliers_failure_exits_two(tmp_path, capsys):
@@ -232,6 +234,15 @@ def test_validate_concentration(tmp_path):
     assert result["pass_rate"] >= result["min_pass_rate"]
 
 
+def test_validate_failure_exits_three(tmp_path, capsys):
+    out = tmp_path / "master.json"
+    code = _run("validate", "--what", "master", "--n", "20", "--samples",
+                "200", "--seed", "5", "--bound-factor", "1e-6", "--out", str(out))
+    assert code == 3
+    assert json.loads(out.read_text())["result"]["passed"] is False
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_validate_rejects_bad_arguments(tmp_path):
     out = tmp_path / "v.json"
     assert _run("validate", "--what", "master", "--lambda-im", "-1.0",
@@ -261,3 +272,44 @@ def test_profile_spec_parse_errors(tmp_path):
     missing = tmp_path / "missing.csv"
     assert _run("density", "--profile", str(missing), "--grid", "0:1:0.5",
                 "--out", str(out)) == 1
+
+
+_HERM4 = "constant:n=4,m=4,hermitian=true"
+
+
+@pytest.mark.parametrize("argv", [
+    ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--eta", "0"),
+    ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--tolerance", "0"),
+    ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--max-iterations", "0"),
+    ("outliers", "--model", "constant:n=4,m=6", "--theta-list", "2.0",
+     "--window", "1.5:3.0", "--scan-points", "0"),
+    ("outliers", "--model", "constant:n=4,m=6", "--theta-list", "2.0",
+     "--window", "1.5:3.0", "--eta-eval", "0"),
+    ("sample", "--profile", _HERM4, "--seed", "1", "--count", "0"),
+    ("validate", "--what", "master", "--lambda-im", "0"),
+    ("validate", "--what", "concentration", "--lambda-im", "0"),
+    ("validate", "--what", "master", "--n", "0"),
+    ("validate", "--what", "master", "--samples", "0"),
+    ("validate", "--what", "concentration", "--d", "0"),
+    ("validate", "--what", "concentration", "--delta", "0"),
+    ("profile", "--kind", "doubly-stochastic", "--n", "4", "--k", "0", "--seed", "1"),
+    ("profile", "--kind", "constant", "--n", "4", "--m", "4", "--seed", "3"),
+])
+def test_zero_and_unused_flags_are_validated_not_defaulted(tmp_path, argv):
+    assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+
+
+def test_zero_flag_values_are_kept(tmp_path):
+    out = tmp_path / "p.csv"
+    assert _run("profile", "--kind", "constant", "--n", "4", "--m", "4",
+                "--value", "0", "--out", str(out)) == 0
+    assert not read_profile_csv(out).entries.any()
+    assert _run("profile", "--kind", "piecewise", "--n", "8", "--m", "8",
+                "--gamma-ratio", "0", "--out", str(out)) == 0
+    entries = read_profile_csv(out).entries
+    assert not entries[:2, 2:].any() and entries[:2, :2].all()
+    report = tmp_path / "o.json"
+    assert _run("outliers", "--model", "constant:n=16,m=20", "--theta-list",
+                "2.0", "--window", "1.5:4.0", "--threshold", "0",
+                "--out", str(report)) == 0
+    assert json.loads(report.read_text())["reports"][0]["threshold"] == 0.0

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from deteq.dyson import (ConcentrationBound, OperatorStieltjes, SolverConfig,
                          SpectralParameter, concentration_bound, omega_square,
@@ -77,6 +80,25 @@ def test_solve_matches_semicircle_closed_form():
     assert abs(complex(sol.g_square.diag.mean()) - oracle) <= 1e-10
     # the constant-profile fixed point is uniform across coordinates
     assert np.max(np.abs(sol.g_square.diag - sol.g_square.diag[0])) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_solution_stays_in_the_stieltjes_domain(data, n):
+    """Im G <= 0 and |G_i| <= 1 / Im lambda_i on any symmetric profile.
+
+    Both hold for every damped iterate, so they must hold whether or not
+    the capped solve converges.
+    """
+    a = data.draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 4.0)))
+    prof = VarianceProfile((a + a.T) / 2.0, "hermitian")
+    re = data.draw(arrays(np.float64, n, elements=st.floats(-4.0, 4.0)))
+    im = data.draw(arrays(np.float64, n, elements=st.floats(0.05, 3.0)))
+    sol = solve_dyson(prof, None, SpectralParameter(re + 1j * im),
+                      SolverConfig(max_iterations=200))
+    g = sol.g_square.diag
+    assert np.all(g.imag <= 0.0)
+    assert np.all(np.abs(g) <= (1.0 + 1e-12) / im)
 
 
 def test_diagonal_shift_translates_the_argument():

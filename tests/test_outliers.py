@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from deteq.dilation import RectangularModel, RectangularSpikes, dilate_model
-from deteq.dyson import SolverConfig
+from deteq.dyson import (SolverConfig, SpectralParameter, omega_square,
+                         solve_dyson)
 from deteq.outliers import (HermitianModel, OutlierCandidate, OutlierReport,
-                            SpikeSet, beta_square, beta_tilde_square,
-                            closed_form_outlier, det_beta_curve,
-                            locate_outliers)
+                            SpikeSet, beta_square, closed_form_outlier,
+                            det_beta_curve, locate_outliers)
 from deteq.profiles import (VarianceProfile, constant_profile,
                             doubly_stochastic_profile)
 
@@ -35,6 +35,15 @@ def _dilated_constant_model(n: int, m: int, theta: float) -> HermitianModel:
     return HermitianModel.from_dilated(
         dilate_model(RectangularModel(profile=constant_profile(n, m, 1.0),
                                       spikes=spikes)))
+
+
+def _resolvent_side_det(prof: VarianceProfile, y: np.ndarray, spikes: SpikeSet,
+                        lam_value: complex) -> complex:
+    """det(I - U* (Omega(lambda I) - Y)^(-1) U Theta) with a dense solve."""
+    lam = SpectralParameter.scalar(lam_value, prof.rows)
+    omega = omega_square(prof, solve_dyson(prof, y, lam), lam)
+    core = spikes.u.conj().T @ np.linalg.solve(np.diag(omega) - y, spikes.u)
+    return complex(np.linalg.det(np.eye(spikes.k) - core * spikes.theta))
 
 
 def test_closed_form_constant_profile():
@@ -96,21 +105,32 @@ def test_beta_and_beta_tilde_coincide_for_diagonal_y():
     q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
     spikes = SpikeSet(u=q, theta=[1.2, 0.6])
     for lam in (0.5, 2.0, complex(1.0, 0.8)):
-        a = np.linalg.det(beta_square(lam, spikes, prof, y_diag=y))
-        b = np.linalg.det(beta_tilde_square(lam, spikes, prof, y=np.diag(y)))
+        a = np.linalg.det(beta_square(lam, spikes, prof, y=y))
+        # a diagonal matrix is read as its diagonal
+        assert np.linalg.det(beta_square(lam, spikes, prof, y=np.diag(y))) == a
+        lam_c = complex(lam) if complex(lam).imag > 0.0 else complex(lam, 1e-3)
+        b = _resolvent_side_det(prof, np.diag(y), spikes, lam_c)
         assert abs(a - b) <= 1e-10
 
 
-def test_beta_square_rejects_dense_deformation():
-    prof = constant_profile(6, 6, 1.0, hermitian=True)
-    spikes = SpikeSet(u=np.eye(6)[:, :1], theta=[1.0])
-    y = np.zeros((6, 6))
-    y[0, 1] = y[1, 0] = 0.3
-    with pytest.raises(ValueError):
-        beta_square(2.5, spikes, prof, y_diag=y)
-    # beta_tilde handles the same deformation
-    out = beta_tilde_square(2.5, spikes, prof, y=y)
-    assert out.shape == (1, 1)
+def test_beta_square_dense_deformation_matches_rotated_diagonal():
+    # A constant profile makes Omega a multiple of the identity, so the
+    # dense Y = Q D Q* with spikes U gives the determinant of the diagonal
+    # deformation D with spikes Q* U.
+    rng = np.random.default_rng(31)
+    n = 30
+    prof = constant_profile(n, n, 1.0, hermitian=True)
+    d = rng.uniform(-1.0, 1.0, n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    u, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+    y = (q * d) @ q.T
+    y = (y + y.T) / 2.0
+    theta = [1.3, -0.7]
+    for lam in (3.5, complex(0.4, 0.9)):
+        dense = np.linalg.det(beta_square(lam, SpikeSet(u=u, theta=theta), prof, y=y))
+        diag = np.linalg.det(beta_square(lam, SpikeSet(u=q.T @ u, theta=theta),
+                                         prof, y=d))
+        assert abs(dense - diag) <= 1e-9
 
 
 def test_beta_rejects_lower_half_plane():
@@ -165,15 +185,16 @@ def test_locate_raises_when_nothing_converges():
 
 
 def test_det_curve_tilde_matches_plain_on_dilated_models():
-    # The dilated deformation is the zero matrix, hence diagonal, and the
-    # two determinant definitions must agree pointwise.
+    # The dilated model carries no deformation, so the curve must agree
+    # pointwise with det(I - U* Omega^(-1) U Theta).
     model = _dilated_constant_model(24, 30, 1.5)
+    assert model.y is None
     lams = np.linspace(2.0, 3.0, 9)
-    cache: dict = {}
-    plain, conv_a = det_beta_curve(model, lams, cache=cache)
-    tilde, conv_b = det_beta_curve(model, lams, use_tilde=True, cache=cache)
-    assert conv_a.all() and conv_b.all()
-    assert np.max(np.abs(plain - tilde)) <= 1e-9
+    dets, conv = det_beta_curve(model, lams)
+    assert conv.all()
+    ref = [_resolvent_side_det(model.profile, np.zeros((54, 54)), model.spikes,
+                               complex(t, 1e-3)) for t in lams]
+    assert np.max(np.abs(dets - np.array(ref))) <= 1e-9
 
 
 def test_det_curve_dips_at_the_root():
@@ -226,6 +247,18 @@ def test_hermitian_model_validation():
     bare = dilate_model(RectangularModel(profile=rect))
     with pytest.raises(ValueError):
         HermitianModel.from_dilated(bare)
+    spikes6 = SpikeSet(u=np.eye(6)[:, :1], theta=[1.0])
+    with pytest.raises(ValueError):
+        HermitianModel(profile=herm, y=np.zeros(5), spikes=spikes6)
+    with pytest.raises(ValueError):
+        HermitianModel(profile=herm, y=np.zeros((6, 5)), spikes=spikes6)
+    skew = np.zeros((6, 6))
+    skew[0, 1], skew[1, 0] = 0.3, -0.3
+    with pytest.raises(ValueError):
+        HermitianModel(profile=herm, y=skew, spikes=spikes6)
+    # Y is classified once: a diagonal matrix is stored as its diagonal
+    model = HermitianModel(profile=herm, y=np.diag(np.arange(6.0)), spikes=spikes6)
+    assert np.array_equal(model.y, np.arange(6.0))
 
 
 def test_outlier_report_serialization():
