@@ -295,6 +295,8 @@ def _cmd_density(args) -> int:
     grid = _parse_grid(str(_require(cfg, "grid")), eta)
     solver = _solver_config(cfg)
     workers = int(_get(cfg, "workers", os.environ.get("DETEQ_THREADS", "1")))
+    if workers < 1:
+        raise ConfigError("workers: must be >= 1")
 
     dilated = profile.mode == "rectangular"
     if dilated:
@@ -408,8 +410,7 @@ def _cmd_outliers(args) -> int:
     if len(thetas) == 1:
         lo, hi = reports[0].window
         lams = np.linspace(lo, hi, max(scan_points, 200))
-        dets, _ = det_beta_curve(model, lams, config=solver, eta_eval=eta_eval,
-                                 cache=cache)
+        dets, _ = det_beta_curve(model, lams, config=solver, eta_eval=eta_eval)
         lines = ["lambda,det_abs"]
         lines += [f"{t:.17g},{abs(d):.17g}" for t, d in zip(lams, dets)]
     else:

@@ -77,6 +77,8 @@ def density_curve(profile: VarianceProfile, y, grid, eta: float = 0.01,
         raise ValueError("density grid must be a non-empty vector")
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     n = profile.rows
     values = np.empty(grid.shape)
     flags = np.empty(grid.shape, dtype=bool)

@@ -187,6 +187,27 @@ def _psi_raw(w, lam_diag, g, y):
     return np.linalg.inv(np.diag(shift) - y).diagonal().copy()
 
 
+def _solve_real(w, y, lam: float, g0, tolerance, max_iterations) -> np.ndarray | None:
+    """Plain iteration of psi at a real lambda from the real start ``g0``.
+
+    Outside the support G(lambda) is real and psi contracts near it, so the
+    iteration stays on the branch ``g0`` lies on.  Returns None, placing
+    lambda in the support, when it hits ``max_iterations`` or goes
+    non-finite.  ``w`` is the profile over N; ``y`` is classified.
+    """
+    g = np.asarray(g0, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(max_iterations):
+            # a Hermitian Y leaves only rounding in the imaginary part
+            psi_g = _psi_raw(w, lam, g, y).real
+            if not np.all(np.isfinite(psi_g)):
+                return None
+            if np.abs(g - psi_g).max() <= tolerance:
+                return g
+            g = psi_g
+    return None
+
+
 def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,
              g: OperatorStieltjes) -> OperatorStieltjes:
     """One fixed-point map application: diag[(Lambda - R(g) - Y)^(-1)].

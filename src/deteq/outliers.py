@@ -1,7 +1,7 @@
-"""Outlier localization for spiked models via determinant zero-crossings.
+"""Outlier localization for spiked models by eigenvalue counting.
 
 A rank-k Hermitian spike U Theta U* added to a profile ensemble creates
-eigenvalue outliers at the real zeros of
+eigenvalue outliers at the real zeros, outside the support, of
 
     det beta(lambda) = det(I_k - U* G(lambda I) U Theta),
 
@@ -12,9 +12,12 @@ deformation Y the same determinant reads
 
 with Omega(Lambda) = Lambda - R(G(Lambda)); for diagonal Y the two forms
 coincide, so the code picks the cheaper one from the kind of Y.
-``locate_outliers`` scans a window for local minima of
-|det beta| and polishes them with Nelder-Mead, evaluating the real-axis
-limit by Richardson extrapolation in the regularization eta.
+
+Outside the support G(lambda) is real and decreasing, so the eigenvalues of
+the Hermitian k x k matrix Theta^(-1) - U* G U increase with lambda and, by
+Sylvester inertia, each one that crosses zero marks one outlier
+(Benaych-Georges & Nadakuditi, Adv. Math. 2011).  ``locate_outliers``
+counts and polishes those crossings along the real axis.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq
 
 from .dilation import DilatedModel, _check_frame
-from .dyson import (SolverConfig, SpectralParameter, _classify_deformation, r_map,
-                    solve_dyson)
+from .dyson import (SolverConfig, SpectralParameter, _classify_deformation, _solve_real,
+                    r_map, solve_dyson)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -40,10 +43,6 @@ __all__ = [
     "locate_outliers",
     "closed_form_outlier",
 ]
-
-_SNAP = 1e-5          # lambda quantization for cached determinant evaluations
-_MAX_REFINEMENTS = 8  # refine at most this many scan minima
-
 
 @dataclass(frozen=True, eq=False)
 class SpikeSet:
@@ -125,17 +124,19 @@ class OutlierReport:
         }
 
 
+def _core(spikes: SpikeSet, profile: VarianceProfile, y, lam_value,
+          g: np.ndarray) -> np.ndarray:
+    """U* diag(G) U, or U* (Omega - Y)^(-1) U for dense Y; ``y`` is classified."""
+    if y is None or y.ndim == 1:
+        return (spikes.u.conj().T * g[np.newaxis, :]) @ spikes.u
+    omega = lam_value - r_map(profile, g)
+    return spikes.u.conj().T @ np.linalg.solve(np.diag(omega) - y, spikes.u)
+
+
 def _beta_from_g(spikes: SpikeSet, profile: VarianceProfile, y, lam_value: complex,
                  g: np.ndarray) -> np.ndarray:
-    """I - U* diag(G) U Theta, or I - U* (Omega - Y)^(-1) U Theta for dense Y.
-
-    ``y`` must already be classified.
-    """
-    if y is None or y.ndim == 1:
-        core = (spikes.u.conj().T * g[np.newaxis, :]) @ spikes.u
-    else:
-        omega = lam_value - r_map(profile, g)
-        core = spikes.u.conj().T @ np.linalg.solve(np.diag(omega) - y, spikes.u)
+    """I - core Theta; ``y`` must already be classified."""
+    core = _core(spikes, profile, y, lam_value, g)
     return np.eye(spikes.k, dtype=np.complex128) - core * spikes.theta[np.newaxis, :]
 
 
@@ -166,83 +167,28 @@ def beta_square(lam, spikes: SpikeSet, profile: VarianceProfile, y=None,
     return _beta_from_g(spikes, profile, y, lam_c, sol.g_square.diag)
 
 
-class _DetEvaluator:
-    """Cached determinant evaluations for one model.
-
-    Dyson solutions are memoized per (snapped lambda, eta) in ``cache``,
-    which callers may share across invocations to reuse solves, e.g. when
-    sweeping spike strengths over a fixed window: the fixed point depends
-    on the model only, not on the spikes.
-    """
-
-    def __init__(self, model: HermitianModel, config: SolverConfig, eta_eval: float,
-                 cache: dict):
-        self.model = model
-        self.config = config
-        self.eta = eta_eval
-        self.cache = cache
-        self.warm = None
-
-    def _solve(self, lam_c: complex):
-        key = (round(lam_c.real / _SNAP) * _SNAP, lam_c.imag)
-        sol = self.cache.get(key)
-        if sol is None:
-            cfg = self.config if self.warm is None else replace(self.config, initial=self.warm)
-            lam = SpectralParameter.scalar(complex(key[0], key[1]),
-                                           self.model.profile.rows)
-            sol = solve_dyson(self.model.profile, self.model.y, lam, cfg)
-            self.cache[key] = sol
-        self.warm = sol.g_square
-        return key[0], sol
-
-    def det_at(self, lam_c: complex):
-        """Determinant at one complex point; returns (det, converged)."""
-        lam_snapped, sol = self._solve(lam_c)
-        beta = _beta_from_g(self.model.spikes, self.model.profile, self.model.y,
-                            complex(lam_snapped, lam_c.imag), sol.g_square.diag)
-        return complex(np.linalg.det(beta)), sol.converged
-
-    def boundary_det(self, lam: float):
-        """Richardson limit eta -> 0 of det(lambda + i eta).
-
-        Three geometrically spaced evaluations cancel the first and second
-        order terms in eta; the remainder is O(eta^3) away from branch
-        points of the deterministic determinant.
-        """
-        d1, c1 = self.det_at(complex(lam, self.eta))
-        d2, c2 = self.det_at(complex(lam, self.eta / 2.0))
-        d4, c4 = self.det_at(complex(lam, self.eta / 4.0))
-        det = (8.0 * d4 - 6.0 * d2 + d1) / 3.0
-        return det, (c1 and c2 and c4)
-
-
 def det_beta_curve(model: HermitianModel, lambdas, config: SolverConfig | None = None,
-                   eta_eval: float = 1e-3, cache: dict | None = None):
+                   eta_eval: float = 1e-3):
     """det beta(lambda + i eta_eval) over a real grid.
 
-    Returns (complex determinants, per-point convergence flags).
+    Each solve is warm-started from the previous grid point.  Returns
+    (complex determinants, per-point convergence flags).
     """
     if config is None:
         config = SolverConfig()
-    ev = _DetEvaluator(model, config, eta_eval, cache if cache is not None else {})
+    profile = model.profile
     lambdas = np.asarray(lambdas, dtype=np.float64)
     dets = np.empty(lambdas.shape, dtype=np.complex128)
     flags = np.empty(lambdas.shape, dtype=bool)
+    point_config = config
     for i, lam in enumerate(lambdas):
-        dets[i], flags[i] = ev.det_at(complex(lam, eta_eval))
+        lam_c = complex(lam, eta_eval)
+        sol = solve_dyson(profile, model.y, SpectralParameter.scalar(lam_c, profile.rows),
+                          point_config)
+        beta = _beta_from_g(model.spikes, profile, model.y, lam_c, sol.g_square.diag)
+        dets[i], flags[i] = np.linalg.det(beta), sol.converged
+        point_config = replace(config, initial=sol.g_square)
     return dets, flags
-
-
-def _local_minima(values: np.ndarray) -> list:
-    idx = []
-    last = len(values) - 1
-    for i, v in enumerate(values):
-        left = values[i - 1] if i > 0 else math.inf
-        right = values[i + 1] if i < last else math.inf
-        if v <= left and v <= right:
-            idx.append(i)
-    idx.sort(key=lambda i: values[i])
-    return idx[:_MAX_REFINEMENTS]
 
 
 def _estimate_bulk_edge(model: HermitianModel, config: SolverConfig) -> float:
@@ -280,13 +226,28 @@ def locate_outliers(model: HermitianModel, window=None,
                     config: SolverConfig | None = None,
                     threshold: float = 1e-3, scan_points: int = 50,
                     eta_eval: float = 1e-3, cache: dict | None = None) -> OutlierReport:
-    """Locate real zeros of det beta inside a search window.
+    """Locate the real zeros of det beta inside a search window by counting.
 
-    Scans ``scan_points`` equispaced points, refines each local minimum of
-    |det| with Nelder-Mead, and accepts a candidate when the extrapolated
-    boundary determinant falls at or below ``threshold`` and the solves
-    behind it converged.  When ``window`` is None it defaults to
-    [edge - 0.5, edge + max theta + 2] around the estimated bulk edge.
+    Walks ``scan_points`` equispaced points down from the top of the window,
+    solving the Dyson equation on the real axis.  Each solve is warm-started
+    from the last point that converged, the first from Re G(hi + i eta_eval).
+    A point whose solve fails within min(max_iterations, 2500) iterations
+    lies in the support, and each boundary between a converged and a failed
+    point is bisected down to a width of 1e-4.  Between two adjacent
+    converged points, every eigenvalue of Theta^(-1) - U* G U that turns
+    from negative to nonnegative marks one root, which brentq polishes with
+    solves at the full ``config``.
+
+    Each root is a candidate with det_abs = |det beta(root)|, accepted when
+    det_abs <= ``threshold``.  A window without roots reports one candidate,
+    never accepted: the converged point with the smallest |det beta|.  When
+    ``window`` is None it defaults to [edge - 0.5, edge + max |theta| + 2]
+    around the estimated bulk edge.
+
+    ``cache`` maps each real lambda solved to its G, or to None where the
+    solve failed.  It depends on the profile and Y only, so callers may
+    share it across spike strengths.  Raises RuntimeError when no point of
+    the walk converges, or when a solve between two converged points fails.
     """
     if config is None:
         config = SolverConfig()
@@ -299,67 +260,73 @@ def locate_outliers(model: HermitianModel, window=None,
     if not hi > lo:
         raise ValueError("search window is empty")
 
-    shared_cache = cache if cache is not None else {}
-    # Scan points that land inside the bulk cannot reach tolerance at small
-    # eta and only seed the minima detection, so the scan runs on a capped
-    # iteration budget; refinement uses the full configuration.
-    scan_config = replace(config, max_iterations=min(config.max_iterations, 2500))
-    scan_ev = _DetEvaluator(model, scan_config, eta_eval, shared_cache)
-    lams = np.linspace(lo, hi, scan_points)
-    scan = np.empty(scan_points)
-    any_converged = False
-    for i, lam in enumerate(lams):
-        det, conv = scan_ev.det_at(complex(lam, eta_eval))
-        scan[i] = abs(det)
-        any_converged = any_converged or conv
-    ev = _DetEvaluator(model, config, eta_eval, shared_cache)
-    ev.warm = scan_ev.warm
-    if not any_converged:
+    profile, y, spikes = model.profile, model.y, model.spikes
+    w = profile.entries / profile.rows
+    cache = cache if cache is not None else {}
+    # Points inside the support never converge, so the walk and the
+    # bisection run on a capped budget; brentq uses the full configuration.
+    probe = min(config.max_iterations, 2500)
+    warm = None
+
+    def solve(lam: float, max_iterations: int):
+        nonlocal warm
+        if lam not in cache:
+            if warm is None:
+                top = SpectralParameter.scalar(complex(hi, eta_eval), profile.rows)
+                seed = solve_dyson(profile, y, top, replace(config, max_iterations=probe))
+                warm = seed.g_square.diag.real
+            cache[lam] = _solve_real(w, y, lam, warm, config.tolerance, max_iterations)
+        if cache[lam] is not None:
+            warm = cache[lam]
+        return cache[lam]
+
+    walk = [float(t) for t in np.linspace(hi, lo, scan_points)]
+    points = {}
+    for i, lam in enumerate(walk):
+        points[lam] = solve(lam, probe)
+        if i and (points[lam] is None) != (points[walk[i - 1]] is None):
+            a, b = lam, walk[i - 1]
+            while b - a > 1e-4:
+                mid = 0.5 * (a + b)
+                points[mid] = solve(mid, probe)
+                if (points[mid] is None) == (points[a] is None):
+                    a = mid
+                else:
+                    b = mid
+
+    inv_theta = np.diag(1.0 / spikes.theta)
+
+    def spectrum(lam: float) -> np.ndarray:
+        g = solve(lam, config.max_iterations)
+        if g is None:
+            raise RuntimeError(f"real-axis Dyson solve failed at lambda = {lam} "
+                               "between two converged points")
+        return np.linalg.eigvalsh(inv_theta - _core(spikes, profile, y, lam, g))
+
+    def det_abs(eigenvalues: np.ndarray) -> float:
+        # det beta = det(Theta^(-1) - core) det Theta
+        return abs(float(np.prod(eigenvalues) * np.prod(spikes.theta)))
+
+    lams = sorted(points)
+    spectra = {lam: spectrum(lam) for lam in lams if points[lam] is not None}
+    if not spectra:
         raise RuntimeError("no scan point converged; widen the window, raise "
                            "max_iterations or loosen the tolerance")
-
-    refined = {}
-
-    def objective(x) -> float:
-        lam = float(x[0])
-        if lam < lo or lam > hi:
-            return 1e6 + abs(lam - 0.5 * (lo + hi))
-        lam = round(lam / _SNAP) * _SNAP
-        hit = refined.get(lam)
-        if hit is None:
-            det, conv = ev.boundary_det(lam)
-            hit = (abs(det), conv)
-            refined[lam] = hit
-        return hit[0]
-
-    step = (hi - lo) / (scan_points - 1)
     candidates = []
-    for i in _local_minima(scan):
-        x0 = lams[i]
-        res = minimize(objective, x0=[x0], method="Nelder-Mead",
-                       options={"xatol": 1e-4, "fatol": 1e-15, "maxfev": 80,
-                                "initial_simplex": [[x0], [x0 + step / 4.0]]})
-        lam = round(float(res.x[0]) / _SNAP) * _SNAP
-        lam = min(max(lam, lo), hi)
-        det_abs, conv = refined.get(lam, (None, None))
-        if det_abs is None:
-            det, conv = ev.boundary_det(lam)
-            det_abs = abs(det)
-        candidates.append((lam, det_abs, conv))
-
-    candidates.sort()
-    merged = []
-    for lam, det_abs, conv in candidates:
-        if merged and abs(lam - merged[-1][0]) < 5e-4:
-            if det_abs < merged[-1][1]:
-                merged[-1] = (lam, det_abs, conv)
+    for a, b in zip(lams, lams[1:]):
+        if a not in spectra or b not in spectra:
             continue
-        merged.append((lam, det_abs, conv))
-
-    out = [OutlierCandidate(lam=lam, det_abs=det_abs,
-                            accepted=bool(conv and det_abs <= threshold))
-           for lam, det_abs, conv in merged]
-    return OutlierReport(candidates=out, threshold=threshold, window=(lo, hi))
+        for j in np.flatnonzero((spectra[a] < 0.0) & (spectra[b] >= 0.0)):
+            root = brentq(lambda t: spectrum(t)[j], a, b)
+            value = det_abs(spectrum(root))
+            candidates.append(OutlierCandidate(lam=root, det_abs=value,
+                                               accepted=value <= threshold))
+    if not candidates:
+        lam = min(spectra, key=lambda t: det_abs(spectra[t]))
+        candidates.append(OutlierCandidate(lam=lam, det_abs=det_abs(spectra[lam]),
+                                           accepted=False))
+    candidates.sort(key=lambda c: c.lam)
+    return OutlierReport(candidates=candidates, threshold=threshold, window=(lo, hi))
 
 
 def closed_form_outlier(kind: str, theta: float, n: int | None = None,

@@ -294,9 +294,17 @@ _HERM4 = "constant:n=4,m=4,hermitian=true"
     ("validate", "--what", "concentration", "--delta", "0"),
     ("profile", "--kind", "doubly-stochastic", "--n", "4", "--k", "0", "--seed", "1"),
     ("profile", "--kind", "constant", "--n", "4", "--m", "4", "--seed", "3"),
+    ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--workers", "0"),
+    ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--workers", "-2"),
 ])
 def test_zero_and_unused_flags_are_validated_not_defaulted(tmp_path, argv):
     assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+
+
+def test_zero_worker_environment_is_rejected(tmp_path, monkeypatch):
+    monkeypatch.setenv("DETEQ_THREADS", "0")
+    assert _run("density", "--profile", _HERM4, "--grid", "0:1:0.5",
+                "--out", str(tmp_path / "out")) == 1
 
 
 def test_zero_flag_values_are_kept(tmp_path):

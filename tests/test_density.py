@@ -71,6 +71,13 @@ def test_density_curve_validation():
                      eta=0.1, converged=np.array([True]), tolerance=1e-12)
 
 
+def test_density_curve_rejects_fewer_than_one_worker():
+    prof = constant_profile(4, 4, 1.0, hermitian=True)
+    for workers in (0, -5):
+        with pytest.raises(ValueError):
+            density_curve(prof, None, np.linspace(0, 1, 4), eta=0.1, workers=workers)
+
+
 def test_sv_correction_square_case_doubles():
     grid = np.linspace(0.0, 2.0, 11)
     raw = DensityCurve(grid=grid, values=np.full(11, 0.25), eta=0.01,

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from deteq.dyson import (ConcentrationBound, OperatorStieltjes, SolverConfig,
-                         SpectralParameter, concentration_bound, omega_square,
-                         psi_step, r_map, solve_dyson)
-from deteq.profiles import VarianceProfile, constant_profile
+                         SpectralParameter, _solve_real, concentration_bound,
+                         omega_square, psi_step, r_map, solve_dyson)
+from deteq.profiles import (VarianceProfile, constant_profile, normalize_profile,
+                            piecewise_profile)
 
 # Semicircle Stieltjes transform with the branch cut on [-2, 2].
 def _g_semicircle(lam: complex) -> complex:
@@ -99,6 +100,43 @@ def test_solution_stays_in_the_stieltjes_domain(data, n):
     g = sol.g_square.diag
     assert np.all(g.imag <= 0.0)
     assert np.all(np.abs(g) <= (1.0 + 1e-12) / im)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), scale=st.floats(1.0, 20.0))
+def test_trace_behaves_as_a_stieltjes_transform(data, n, scale):
+    """g = tr G / N on the imaginary axis, for Y = 0 and y >= 2 gamma_max.
+
+    g is the transform of a symmetric probability measure with second moment
+    at most gamma_max^2, so iy g(iy) - 1 = -int x^2 / (x^2 + y^2) is real and
+    at most gamma_max^2 / y^2 <= gamma_max / (2y) in size, and Re g(iy) = 0.
+    """
+    a = data.draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 4.0)))
+    prof = VarianceProfile((a + a.T) / 2.0, "hermitian")
+    gamma_max = np.sqrt(prof.gamma_max_sq)
+    y = scale * max(2.0 * gamma_max, 0.1)
+    sol = solve_dyson(prof, None, SpectralParameter.scalar(1j * y, n))
+    assert sol.converged
+    g = complex(sol.g_square.diag.mean())
+    # the slack covers rounding when gamma_max = 0 and iy g(iy) = 1 exactly
+    assert abs(1j * y * g - 1.0) <= gamma_max / y + 1e-12
+    assert abs(g.real) <= 1e-10
+
+
+def test_real_axis_solve_reaches_a_lower_gap_on_the_right_branch():
+    # The two-level profile has a gap at (0.2, 0.55) between the central
+    # bump and the upper bulk.  Walking from above the bulk across it must
+    # land on the branch that solve_dyson finds just above the axis.
+    prof = normalize_profile(piecewise_profile(40, 40, 1.0, 200.0, hermitian=True))
+    w = prof.entries / 40
+    top = solve_dyson(prof, None, SpectralParameter.scalar(4.0 + 1e-3j, 40))
+    g_top = _solve_real(w, None, 4.0, top.g_square.diag.real, 1e-12, 2500)
+    assert g_top is not None
+    assert _solve_real(w, None, 1.2, g_top, 1e-12, 2500) is None  # in the bulk
+    g = _solve_real(w, None, 0.3, g_top, 1e-12, 10000)
+    ref = solve_dyson(prof, None, SpectralParameter.scalar(0.3 + 1e-7j, 40))
+    assert g is not None and ref.converged
+    assert np.max(np.abs(g - ref.g_square.diag.real)) <= 5e-10
 
 
 def test_diagonal_shift_translates_the_argument():

@@ -153,6 +153,37 @@ def test_locate_doubly_stochastic_root():
     assert report.window == (2.1, 3.2)
 
 
+def test_locate_counts_a_degenerate_spike_twice():
+    # With orthonormal U and a flat G, Theta^-1 - U* G U is a multiple of
+    # the identity, so both of its eigenvalues cross zero at 2.5.
+    prof = _symmetrized_ds(200, 4, seed=13)
+    model = HermitianModel(profile=prof, y=None,
+                           spikes=SpikeSet(u=np.eye(200)[:, :2], theta=[2.0, 2.0]))
+    roots = locate_outliers(model, window=(2.1, 3.2)).accepted()
+    assert len(roots) == 2
+    assert all(abs(c.lam - 2.5) <= 1e-6 for c in roots)
+
+
+def test_locate_crosses_the_bulk_into_the_lower_gap():
+    prof = _symmetrized_ds(200, 4, seed=13)
+    model = HermitianModel(profile=prof, y=None,
+                           spikes=SpikeSet(u=np.eye(200)[:, :2], theta=[2.0, -2.0]))
+    roots = locate_outliers(model, window=(-3.2, 3.2)).accepted()
+    assert len(roots) == 2
+    assert abs(roots[0].lam + 2.5) <= 1e-6
+    assert abs(roots[1].lam - 2.5) <= 1e-6
+
+
+def test_locate_below_the_critical_strength_reports_the_edge():
+    prof = _symmetrized_ds(200, 4, seed=13)
+    model = HermitianModel(profile=prof, y=None,
+                           spikes=SpikeSet(u=_flat_vector(200), theta=[0.8]))
+    report = locate_outliers(model, window=(1.6, 3.2))
+    assert len(report.candidates) == 1
+    assert not report.candidates[0].accepted
+    assert abs(report.candidates[0].lam - 2.0) <= 0.02
+
+
 def test_locate_uses_default_window_when_none_given():
     model = _dilated_constant_model(36, 40, 2.0)
     report = locate_outliers(model)
