@@ -8,8 +8,16 @@ the deterministic equivalent of the diagonal of the resolvent solves
 
 with the variance map R(G)(i) = sum_j gamma^2(i, j) G(j, j) / N.  The map
 psi(G) = diag[(Lambda - R(G) - Y)^(-1)] is a contraction with constant
-gamma_max^2 ||(Im Lambda)^(-1)||^2, so plain damped iteration converges
-whenever that constant is below one and, empirically, far beyond.
+gamma_max^2 ||(Im Lambda)^(-1)||^2, and its fixed point is the only one in
+the Stieltjes domain Im G <= 0, |G_i| <= 1 / Im Lambda_i.
+
+``solve_dyson`` accelerates damped iteration with type-II Anderson
+extrapolation (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  Close to the
+real axis, where psi contracts slowly, that cuts the iteration count by one
+to two orders of magnitude.  An extrapolation that leaves the Stieltjes
+domain or raises the residual gives way to the damped step; with damping
+1/2 that step is the averaged iteration whose convergence Helton, Rashidi
+Far & Speicher prove (IMRN 2007).
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ __all__ = [
     "omega_square",
     "concentration_bound",
 ]
+
+# How many differences of past iterates the Anderson step in solve_dyson
+# extrapolates from.
+_ANDERSON_DEPTH = 6
 
 
 class DysonDivergenceError(RuntimeError):
@@ -118,9 +130,11 @@ class SolverConfig:
 class DysonSolution:
     """Fixed-point result plus iteration diagnostics.
 
-    ``residual`` is the sup norm of G - psi(G) at the returned iterate, and
-    ``residual_history`` records that norm at every iteration, which doubles
-    as the step-size sequence while the damping factor is 1.
+    ``residual`` is the sup norm of G - psi(G) at the last iterate the solver
+    evaluated, which is the returned one when the solve converged.
+    ``residual_history`` records that norm at every iteration, one per
+    evaluation of psi, including iterates that were dropped because an
+    extrapolation overshot.
     """
 
     g_square: OperatorStieltjes
@@ -224,14 +238,27 @@ def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,
 
 def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
                 config: SolverConfig | None = None) -> DysonSolution:
-    """Solve G = diag[(Lambda - R(G) - Y)^(-1)] by damped iteration.
+    """Solve G = diag[(Lambda - R(G) - Y)^(-1)] by Anderson-accelerated iteration.
 
     Starts from G0 = -i / Im(Lambda) unless ``config.initial`` supplies a
-    warm start.  The damping factor starts at ``config.damping`` and is
-    halved (down to 1/16) whenever the residual grows five times in a row,
-    which tames the oscillations that appear for spectral parameters close
-    to the real axis.  Diagonal deformations use the entrywise reciprocal
-    update; dense ones pay for a full resolvent per step.
+    warm start, and stops once sup |g - psi(g)| <= ``config.tolerance``.
+    Each step takes the damped step (1 - alpha) g + alpha psi(g) and
+    corrects it by a type-II Anderson extrapolation over the last six
+    differences of accepted iterates and of their residuals
+    f = psi(g) - g: with gamma minimising |f - dF gamma|, the candidate is
+    (1 - alpha) g + alpha psi(g) - (dG + alpha dF) gamma.
+
+    Guard: the candidate is taken only when it is finite, has Im <= 0 and
+    |g_i| <= 1 / Im lambda_i.  That is the Stieltjes domain, where the
+    fixed point is unique, so the iteration cannot move to another branch.
+    Fallback: a candidate outside it is replaced by the damped step, and an
+    extrapolated iterate whose residual exceeds that of the iterate it
+    started from is dropped for the damped step from that iterate.  The
+    damping factor alpha starts at ``config.damping`` and is halved (down to
+    1/16) whenever the residual of the accepted iterates grows five times in
+    a row, which tames the oscillations close to the real axis.  Diagonal
+    deformations use the entrywise reciprocal update; dense ones pay for a
+    full resolvent per step.
     """
     if config is None:
         config = SolverConfig()
@@ -261,29 +288,57 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
         g = -1j / lam_diag.imag
 
     alpha = config.damping
+    bound = 1.0 / lam_diag.imag
     residuals = []
     increase_run = 0
     converged = False
     res = math.inf
+    # The last accepted iterate, its image and its residual, and the
+    # differences between consecutive accepted iterates and residuals.
+    g_base = psi_base = f_base = None
+    res_base = math.inf
+    d_g, d_f = [], []
+    extrapolated = False
     for _ in range(config.max_iterations):
         psi_g = _psi_raw(w, lam_diag, g, y)
         if not np.all(np.isfinite(psi_g)):
             raise DysonDivergenceError(
                 f"fixed-point iterate became non-finite at iteration "
                 f"{len(residuals) + 1} (damping {alpha})")
-        res = float(np.abs(g - psi_g).max())
+        f = psi_g - g
+        res = float(np.abs(f).max())
         residuals.append(res)
         if res <= config.tolerance:
             converged = True
             break
-        if len(residuals) >= 2 and res > residuals[-2]:
+        if res > res_base:
+            if extrapolated:
+                # The extrapolation overshot: take the damped step from the
+                # iterate it started at instead.
+                g = (1.0 - alpha) * g_base + alpha * psi_base
+                extrapolated = False
+                continue
             increase_run += 1
             if increase_run >= 5 and alpha > 1.0 / 16.0:
                 alpha = max(alpha / 2.0, 1.0 / 16.0)
                 increase_run = 0
         else:
             increase_run = 0
-        g = (1.0 - alpha) * g + alpha * psi_g
+        if g_base is not None:
+            d_g.append(g - g_base)
+            d_f.append(f - f_base)
+            if len(d_g) > _ANDERSON_DEPTH:
+                del d_g[0], d_f[0]
+        g_base, psi_base, f_base, res_base = g, psi_g, f, res
+        extrapolated = False
+        if d_g:
+            dg, df = np.column_stack(d_g), np.column_stack(d_f)
+            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+            cand = g + alpha * f - (dg + alpha * df) @ gamma
+            # the guard: stay in the Stieltjes domain
+            extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
+                                and np.all(np.abs(cand) <= bound))
+        g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
 
     # Im g can round to exactly 0 only in the gamma_max == 0 branch above;
     # clip defensively so the container invariant Im <= 0 always holds.
