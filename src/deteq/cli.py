@@ -282,7 +282,7 @@ def _cmd_profile(args) -> int:
 
 
 _DENSITY_FIELDS = ("profile", "y", "grid", "eta", "tolerance", "max_iterations",
-                   "workers", "out")
+                   "out")
 
 
 def _cmd_density(args) -> int:
@@ -294,9 +294,6 @@ def _cmd_density(args) -> int:
         raise ConfigError("eta: must be > 0")
     grid = _parse_grid(str(_require(cfg, "grid")), eta)
     solver = _solver_config(cfg)
-    workers = int(_get(cfg, "workers", os.environ.get("DETEQ_THREADS", "1")))
-    if workers < 1:
-        raise ConfigError("workers: must be >= 1")
 
     dilated = profile.mode == "rectangular"
     if dilated:
@@ -305,12 +302,11 @@ def _cmd_density(args) -> int:
         y_rect = _parse_y_spec(cfg["y"], profile.rows, profile.cols)
         model = dilate_model(RectangularModel(profile=profile, y=y_rect))
         curve = density_curve(model.profile, model.y, grid, eta=eta,
-                              config=solver, workers=workers)
+                              config=solver)
         curve = sv_density_correction(curve, profile.rows, profile.cols)
     else:
         y = _parse_y_spec(cfg["y"], profile.rows)
-        curve = density_curve(profile, y, grid, eta=eta, config=solver,
-                              workers=workers)
+        curve = density_curve(profile, y, grid, eta=eta, config=solver)
 
     write_density_csv(curve, out)
     write_density_metadata(curve, out + ".meta.json", extra={
@@ -339,9 +335,8 @@ def _cmd_density(args) -> int:
     return 0
 
 
-_OUTLIER_FIELDS = ("model", "y", "theta_list", "vectors", "use_tilde", "threshold",
-                   "window", "scan_points", "eta_eval", "tolerance",
-                   "max_iterations", "out")
+_OUTLIER_FIELDS = ("model", "y", "theta_list", "vectors", "threshold", "window",
+                   "scan_points", "eta_eval", "tolerance", "max_iterations", "out")
 
 
 def _cmd_outliers(args) -> int:
@@ -576,8 +571,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eta", type=float)
     p.add_argument("--tolerance", type=float)
     p.add_argument("--max-iterations", type=int)
-    p.add_argument("--workers", type=int,
-                   help="grid parallelism (default: DETEQ_THREADS or 1)")
     p.set_defaults(func=_cmd_density)
 
     p = commands.add_parser("outliers", help="locate spike-induced outliers")
@@ -586,9 +579,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--y", help="zero | diag:v1,... | csv:path")
     p.add_argument("--theta-list", help="comma-separated spike strengths")
     p.add_argument("--vectors", help="constant | e1 | csv:path")
-    p.add_argument("--use-tilde", action="store_const", const=True,
-                   help="accepted and recorded; the determinant form follows "
-                        "from --y")
     p.add_argument("--threshold", type=float)
     p.add_argument("--window", help="lo:hi search window")
     p.add_argument("--scan-points", type=int)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,13 +61,11 @@ def stieltjes_trace(g: OperatorStieltjes) -> complex:
 
 
 def density_curve(profile: VarianceProfile, y, grid, eta: float = 0.01,
-                  config: SolverConfig | None = None, workers: int = 1) -> DensityCurve:
+                  config: SolverConfig | None = None) -> DensityCurve:
     """Smoothed density f(t) = -Im g(t + i eta) / pi over a real grid.
 
-    Sequential evaluation (workers == 1) warm-starts each point from its
-    neighbor, which is the fast path.  With workers > 1 the points are
-    solved independently in a thread pool; the results agree within solver
-    tolerance but warm starts are lost.
+    The points are solved in grid order, each warm-started from the
+    solution at its neighbor, so a fine grid costs few iterations per point.
     """
     if config is None:
         config = SolverConfig()
@@ -77,29 +74,16 @@ def density_curve(profile: VarianceProfile, y, grid, eta: float = 0.01,
         raise ValueError("density grid must be a non-empty vector")
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     n = profile.rows
     values = np.empty(grid.shape)
     flags = np.empty(grid.shape, dtype=bool)
-
-    if workers > 1:
-        def solve_one(t: float):
-            lam = SpectralParameter.scalar(t + 1j * eta, n)
-            return solve_dyson(profile, y, lam, config)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, sol in enumerate(pool.map(solve_one, grid)):
-                values[i] = -stieltjes_trace(sol.g_square).imag / math.pi
-                flags[i] = sol.converged
-    else:
-        point_config = config
-        for i, t in enumerate(grid):
-            lam = SpectralParameter.scalar(t + 1j * eta, n)
-            sol = solve_dyson(profile, y, lam, point_config)
-            values[i] = -stieltjes_trace(sol.g_square).imag / math.pi
-            flags[i] = sol.converged
-            point_config = replace(config, initial=sol.g_square)
+    point_config = config
+    for i, t in enumerate(grid):
+        lam = SpectralParameter.scalar(t + 1j * eta, n)
+        sol = solve_dyson(profile, y, lam, point_config)
+        values[i] = -stieltjes_trace(sol.g_square).imag / math.pi
+        flags[i] = sol.converged
+        point_config = replace(config, initial=sol.g_square)
 
     return DensityCurve(grid=grid, values=values, eta=eta, converged=flags,
                         tolerance=config.tolerance)

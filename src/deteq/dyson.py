@@ -114,7 +114,6 @@ class OperatorStieltjes:
 class SolverConfig:
     tolerance: float = 1e-12
     max_iterations: int = 10000
-    damping: float = 1.0
     initial: OperatorStieltjes | None = None
 
     def __post_init__(self) -> None:
@@ -122,16 +121,14 @@ class SolverConfig:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(eq=False)
 class DysonSolution:
     """Fixed-point result plus iteration diagnostics.
 
-    ``residual`` is the sup norm of G - psi(G) at the last iterate the solver
-    evaluated, which is the returned one when the solve converged.
+    ``g_square`` is the last iterate the solver evaluated and ``residual``
+    is the sup norm of G - psi(G) there, whether or not the solve converged.
     ``residual_history`` records that norm at every iteration, one per
     evaluation of psi, including iterates that were dropped because an
     extrapolation overshot.
@@ -254,11 +251,12 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
     Fallback: a candidate outside it is replaced by the damped step, and an
     extrapolated iterate whose residual exceeds that of the iterate it
     started from is dropped for the damped step from that iterate.  The
-    damping factor alpha starts at ``config.damping`` and is halved (down to
-    1/16) whenever the residual of the accepted iterates grows five times in
-    a row, which tames the oscillations close to the real axis.  Diagonal
-    deformations use the entrywise reciprocal update; dense ones pay for a
-    full resolvent per step.
+    damping factor alpha starts at 1 and is halved (down to 1/16) whenever
+    the residual of the accepted iterates grows five times in a row, which
+    tames the oscillations close to the real axis.  Diagonal deformations
+    use the entrywise reciprocal update; dense ones pay for a full resolvent
+    per step.  A solve that stops at ``config.max_iterations`` returns the
+    last iterate it evaluated, with that iterate's residual.
     """
     if config is None:
         config = SolverConfig()
@@ -287,19 +285,17 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
     else:
         g = -1j / lam_diag.imag
 
-    alpha = config.damping
+    alpha = 1.0
     bound = 1.0 / lam_diag.imag
     residuals = []
     increase_run = 0
-    converged = False
-    res = math.inf
     # The last accepted iterate, its image and its residual, and the
     # differences between consecutive accepted iterates and residuals.
     g_base = psi_base = f_base = None
     res_base = math.inf
     d_g, d_f = [], []
     extrapolated = False
-    for _ in range(config.max_iterations):
+    while True:
         psi_g = _psi_raw(w, lam_diag, g, y)
         if not np.all(np.isfinite(psi_g)):
             raise DysonDivergenceError(
@@ -308,8 +304,7 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
         f = psi_g - g
         res = float(np.abs(f).max())
         residuals.append(res)
-        if res <= config.tolerance:
-            converged = True
+        if res <= config.tolerance or len(residuals) == config.max_iterations:
             break
         if res > res_base:
             if extrapolated:
@@ -340,11 +335,8 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
                                 and np.all(np.abs(cand) <= bound))
         g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
 
-    # Im g can round to exactly 0 only in the gamma_max == 0 branch above;
-    # clip defensively so the container invariant Im <= 0 always holds.
-    g = g.real + 1j * np.minimum(g.imag, 0.0)
     return DysonSolution(OperatorStieltjes(g), iterations=len(residuals),
-                         residual=res, converged=converged,
+                         residual=res, converged=res <= config.tolerance,
                          contraction_certified=certified,
                          residual_history=np.asarray(residuals))
 

@@ -148,13 +148,9 @@ def test_outliers_sweep_writes_one_row_per_strength(tmp_path):
 def test_outliers_hermitian_profile_with_e1_vectors(tmp_path):
     out = tmp_path / "e1.json"
     code = _run("outliers", "--model", "constant:n=40,m=40,hermitian=true",
-                "--theta-list", "1.8", "--vectors", "e1", "--use-tilde",
+                "--theta-list", "1.8", "--vectors", "e1",
                 "--window", "2.05:3.0", "--out", str(out))
     assert code == 0
-    report = json.loads(out.read_text())
-    # --use-tilde is still accepted and recorded, but selects nothing
-    assert report["config"]["use_tilde"] is True
-    assert "use_tilde" not in report
 
 
 def test_outliers_failure_exits_two(tmp_path, capsys):
@@ -294,17 +290,21 @@ _HERM4 = "constant:n=4,m=4,hermitian=true"
     ("validate", "--what", "concentration", "--delta", "0"),
     ("profile", "--kind", "doubly-stochastic", "--n", "4", "--k", "0", "--seed", "1"),
     ("profile", "--kind", "constant", "--n", "4", "--m", "4", "--seed", "3"),
-    ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--workers", "0"),
-    ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--workers", "-2"),
 ])
 def test_zero_and_unused_flags_are_validated_not_defaulted(tmp_path, argv):
     assert _run(*argv, "--out", str(tmp_path / "out")) == 1
 
 
-def test_zero_worker_environment_is_rejected(tmp_path, monkeypatch):
-    monkeypatch.setenv("DETEQ_THREADS", "0")
+def test_removed_options_are_unknown(tmp_path):
+    out = str(tmp_path / "out")
     assert _run("density", "--profile", _HERM4, "--grid", "0:1:0.5",
-                "--out", str(tmp_path / "out")) == 1
+                "--workers", "2", "--out", out) == 1
+    assert _run("outliers", "--model", "constant:n=4,m=6", "--theta-list", "2.0",
+                "--window", "1.5:3.0", "--use-tilde", "--out", out) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    assert _run("density", "--profile", _HERM4, "--grid", "0:1:0.5",
+                "--config", str(cfg), "--out", out) == 1
 
 
 def test_zero_flag_values_are_kept(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from deteq.density import (DensityCurve, density_curve, stieltjes_trace,
                            sv_density_correction, write_density_csv,
                            write_density_metadata)
-from deteq.dyson import OperatorStieltjes, SolverConfig
+from deteq.dyson import OperatorStieltjes, SolverConfig, SpectralParameter, solve_dyson
 from deteq.profiles import constant_profile
 
 
@@ -48,13 +48,15 @@ def test_density_matches_smoothed_semicircle():
     assert abs(curve.mass() - 1.0) <= 0.02  # Cauchy tails leak a little mass
 
 
-def test_workers_agree_with_sequential_path():
+def test_warm_started_curve_matches_cold_solves():
     prof = constant_profile(60, 60, 1.0, hermitian=True)
     grid = np.linspace(-2.5, 2.5, 21)
-    seq = density_curve(prof, None, grid, eta=0.1)
-    par = density_curve(prof, None, grid, eta=0.1, workers=3)
-    assert np.array_equal(seq.converged, par.converged)
-    assert np.max(np.abs(seq.values - par.values)) <= 1e-11
+    eta = 0.1
+    curve = density_curve(prof, None, grid, eta=eta)
+    for t, value, flag in zip(grid, curve.values, curve.converged):
+        sol = solve_dyson(prof, None, SpectralParameter.scalar(t + 1j * eta, 60))
+        assert flag == sol.converged
+        assert abs(value + stieltjes_trace(sol.g_square).imag / math.pi) <= 1e-11
 
 
 def test_density_curve_validation():
@@ -69,13 +71,6 @@ def test_density_curve_validation():
     with pytest.raises(ValueError):
         DensityCurve(grid=np.array([0.0, 1.0]), values=np.array([0.0]),
                      eta=0.1, converged=np.array([True]), tolerance=1e-12)
-
-
-def test_density_curve_rejects_fewer_than_one_worker():
-    prof = constant_profile(4, 4, 1.0, hermitian=True)
-    for workers in (0, -5):
-        with pytest.raises(ValueError):
-            density_curve(prof, None, np.linspace(0, 1, 4), eta=0.1, workers=workers)
 
 
 def test_sv_correction_square_case_doubles():

@@ -214,6 +214,17 @@ def test_solves_stopped_mid_extrapolation_stay_in_the_stieltjes_domain(data, n, 
     assert np.all(np.abs(g) <= (1.0 + 1e-12) / lam.diag.imag)
 
 
+def test_in_bulk_solves_stopped_mid_extrapolation_stay_in_the_stieltjes_domain():
+    # Cold solves inside criterion 5's bulk extrapolate to Im G > 0 from the
+    # fourth step on; only the guard keeps those candidates out.
+    prof = _criterion_5_profile()
+    lam = SpectralParameter.scalar(1.9 + 0.01j, 760)
+    for cap in range(3, 7):
+        g = solve_dyson(prof, None, lam, SolverConfig(max_iterations=cap)).g_square.diag
+        assert np.all(g.imag < 0.0)
+        assert np.all(np.abs(g) <= 100.0)
+
+
 def test_criterion_5_grid_iteration_count():
     """Warm-started solves over criterion 5's 61-point grid 0:3:0.05.
 
@@ -336,6 +347,18 @@ def test_iteration_budget_is_respected():
     assert sol.residual_history.shape == (2,)
 
 
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_capped_solve_reports_the_residual_of_the_returned_iterate(cap):
+    prof = constant_profile(50, 50, 1.0, hermitian=True)
+    lam = SpectralParameter.scalar(0.01j, 50)
+    sol = solve_dyson(prof, None, lam, SolverConfig(max_iterations=cap))
+    assert not sol.converged and sol.iterations == cap
+    g = sol.g_square
+    actual = np.abs(g.diag - psi_step(prof, None, lam, g).diag).max()
+    assert sol.residual == pytest.approx(actual, rel=1e-12)
+    assert sol.residual == sol.residual_history[-1]
+
+
 def test_deformation_validation():
     prof = constant_profile(3, 3, 1.0, hermitian=True)
     lam = SpectralParameter.scalar(1j, 3)
@@ -369,10 +392,6 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(damping=1.5)
 
 
 # Frozen reference values for the error radii at gamma_max = 1, delta = 0.5,
