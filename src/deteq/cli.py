@@ -27,7 +27,7 @@ import numpy as np
 from .density import (density_curve, sv_density_correction, write_density_csv,
                       write_density_metadata)
 from .dilation import RectangularModel, RectangularSpikes, dilate_model
-from .dyson import DysonDivergenceError, SolverConfig, SpectralParameter
+from .dyson import DysonDivergenceError, SolverConfig, SpectralParameter, _prepare
 from .outliers import (HermitianModel, SpikeSet, det_beta_curve, locate_outliers)
 from .profiles import (VarianceProfile, bernoulli_profile, constant_profile,
                        doubly_stochastic_profile, normalize_profile,
@@ -63,8 +63,16 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+# Fields whose flags take integers, in every command that has them.
+_INT_FIELDS = ("n", "m", "k", "seed", "count", "samples", "scan_points", "max_iterations")
+
+
 def _merge_config(args: argparse.Namespace, fields: tuple) -> dict:
-    """File values fill in unset flags; explicit flags win."""
+    """File values fill in unset flags; explicit flags win.
+
+    A file value must fit its flag: an integer field takes an integral
+    number, so 3000.0 is accepted and 2.7 is not.
+    """
     file_cfg = {}
     if getattr(args, "config", None):
         try:
@@ -72,9 +80,14 @@ def _merge_config(args: argparse.Namespace, fields: tuple) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}")
-        for key in file_cfg:
-            if key.replace("-", "_") not in fields:
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config: {args.config} must hold a JSON object")
+        for key, value in file_cfg.items():
+            name = key.replace("-", "_")
+            if name not in fields:
                 raise ConfigError(f"config: unknown field '{key}'")
+            if name in _INT_FIELDS and isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"config: field '{key}' needs an integer, got {value!r}")
     resolved = {}
     for name in fields:
         flag = getattr(args, name)
@@ -441,8 +454,8 @@ def _cmd_sample(args) -> int:
     batch = SampleBatch(seed=seed, count=count, n=profile.rows)
     values = []
     if profile.mode == "hermitian":
-        y_add = _deformation_matrix(_parse_y_spec(cfg["y"], profile.rows),
-                                    profile.rows)
+        y = _parse_y_spec(cfg["y"], profile.rows)
+        y_add = _deformation_matrix(_prepare(profile, y).y)
         for child in batch.child_seeds():
             h = sample_gue_profile(profile, child) + y_add
             values.append(np.linalg.eigvalsh(h))
@@ -471,11 +484,21 @@ def _cmd_sample(args) -> int:
 
 _VALIDATE_FIELDS = ("what", "n", "samples", "d", "delta", "seed", "lambda_re",
                     "lambda_im", "profile", "bound_factor", "min_pass_rate", "out")
+# validate --what -> the fields that check does not read
+_VALIDATE_UNUSED = {"master": ("d", "delta", "min_pass_rate"),
+                    "concentration": ("bound_factor",)}
 
 
 def _cmd_validate(args) -> int:
     cfg = _merge_config(args, _VALIDATE_FIELDS)
     what = str(_require(cfg, "what"))
+    if what not in _VALIDATE_UNUSED:
+        raise ConfigError(f"what: unknown validation '{what}'")
+    for field in _VALIDATE_UNUSED[what]:
+        if cfg[field] is not None:
+            raise ConfigError(f"{field}: does not apply to validate --what {what}")
+    if cfg["n"] is not None and cfg["profile"] is not None:
+        raise ConfigError("n: the profile fixes the dimension; give n or profile")
     out = _require(cfg, "out")
     n = int(_get(cfg, "n", 50))
     samples = int(_get(cfg, "samples", 100))
@@ -489,6 +512,9 @@ def _cmd_validate(args) -> int:
         profile = constant_profile(n, n, 1.0, hermitian=True)
 
     if what == "master":
+        bound_factor = float(_get(cfg, "bound_factor", 5.0))
+        if not (np.isfinite(bound_factor) and bound_factor > 0.0):
+            raise ConfigError("bound_factor: must be finite and > 0")
         lam_c = complex(float(_get(cfg, "lambda_re", 0.0)),
                         float(_get(cfg, "lambda_im", 1.0)))
         if lam_c.imag <= 0.0:
@@ -496,13 +522,16 @@ def _cmd_validate(args) -> int:
         lam = SpectralParameter.scalar(lam_c, n)
         deviation = check_master_equality(
             profile, None, lam, SampleBatch(seed=seed, count=samples, n=n))
-        bound = float(_get(cfg, "bound_factor", 5.0)) / np.sqrt(samples)
+        bound = bound_factor / np.sqrt(samples)
         result = {
             "deviation": deviation,
             "bound": bound,
             "passed": bool(deviation <= bound),
         }
-    elif what == "concentration":
+    else:
+        min_rate = float(_get(cfg, "min_pass_rate", 0.95))
+        if not 0.0 <= min_rate <= 1.0:
+            raise ConfigError("min_pass_rate: must lie in [0, 1]")
         lam_c = complex(float(_get(cfg, "lambda_re", 0.0)),
                         float(_get(cfg, "lambda_im", 0.5)))
         if lam_c.imag <= 0.0:
@@ -510,12 +539,9 @@ def _cmd_validate(args) -> int:
         summary = validate_concentration(
             profile, None, lam_c, d=float(_get(cfg, "d", 2.0)),
             delta=float(_get(cfg, "delta", 0.5)), draws=samples, seed=seed)
-        min_rate = float(_get(cfg, "min_pass_rate", 0.95))
         result = dict(summary)
         result["min_pass_rate"] = min_rate
         result["passed"] = bool(summary["pass_rate"] >= min_rate)
-    else:
-        raise ConfigError(f"what: unknown validation '{what}'")
 
     payload = {
         "command": "validate",

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import OperatorStieltjes, SolverConfig, SpectralParameter, solve_dyson
+from .dyson import (OperatorStieltjes, SolverConfig, SpectralParameter, _prepare,
+                    _solve_path)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -74,17 +75,13 @@ def density_curve(profile: VarianceProfile, y, grid, eta: float = 0.01,
         raise ValueError("density grid must be a non-empty vector")
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    n = profile.rows
+    model = _prepare(profile, y)
+    lams = (SpectralParameter.scalar(t + 1j * eta, model.n) for t in grid)
     values = np.empty(grid.shape)
     flags = np.empty(grid.shape, dtype=bool)
-    point_config = config
-    for i, t in enumerate(grid):
-        lam = SpectralParameter.scalar(t + 1j * eta, n)
-        sol = solve_dyson(profile, y, lam, point_config)
+    for i, sol in enumerate(_solve_path(model, lams, config)):
         values[i] = -stieltjes_trace(sol.g_square).imag / math.pi
         flags[i] = sol.converged
-        point_config = replace(config, initial=sol.g_square)
-
     return DensityCurve(grid=grid, values=values, eta=eta, converged=flags,
                         tolerance=config.tolerance)
 

@@ -50,8 +50,8 @@ class RectangularSpikes:
         theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
         if u.shape[1] != theta.size or v.shape[1] != theta.size:
             raise ValueError("u, v and theta must agree on the spike count")
-        if np.any(theta <= 0.0):
-            raise ValueError("rectangular spike strengths must be > 0")
+        if not np.all(np.isfinite(theta) & (theta > 0.0)):
+            raise ValueError("rectangular spike strengths must be finite and > 0")
         for arr in (u, theta, v):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)

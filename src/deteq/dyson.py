@@ -117,8 +117,8 @@ class SolverConfig:
     initial: OperatorStieltjes | None = None
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be > 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be finite and > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -142,18 +142,36 @@ class DysonSolution:
     residual_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
+@dataclass(frozen=True, eq=False)
+class _Prepared:
+    """A Hermitian model as the solver reads it: W = Gamma / N, classified Y."""
+
+    n: int
+    w: np.ndarray
+    y: np.ndarray | None
+    gamma_max_sq: float
+
+
+def _prepare(profile: VarianceProfile, y) -> _Prepared:
+    """Read a profile and a deformation once, for every solve that follows."""
+    if profile.mode != "hermitian":
+        raise ValueError("the Dyson equation needs a hermitian-mode profile")
+    n = profile.rows
+    return _Prepared(n, profile.entries / n, _classify_deformation(y, n),
+                     profile.gamma_max_sq)
+
+
 def r_map(profile: VarianceProfile, g: np.ndarray) -> np.ndarray:
     """Variance map R(G)(i) = sum_j gamma^2(i, j) G(j, j) / N.
 
     Linear in g; maps vectors with Im <= 0 to vectors with Im <= 0 and is
     bounded by gamma_max^2 in sup norm.
     """
-    if profile.mode != "hermitian":
-        raise ValueError("r_map needs a hermitian-mode profile")
+    model = _prepare(profile, None)
     g = np.asarray(g)
-    if g.shape != (profile.rows,):
-        raise ValueError(f"g has shape {g.shape}, expected ({profile.rows},)")
-    return _apply_r(profile.entries / profile.rows, g)
+    if g.shape != (model.n,):
+        raise ValueError(f"g has shape {g.shape}, expected ({model.n},)")
+    return _apply_r(model.w, g)
 
 
 def _apply_r(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -225,12 +243,10 @@ def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,
 
     The output again has Im <= 0 and sup norm at most ||(Im Lambda)^(-1)||.
     """
-    n = profile.rows
-    if lam.dim != n or g.dim != n:
+    model = _prepare(profile, y)
+    if lam.dim != model.n or g.dim != model.n:
         raise ValueError("dimension mismatch between profile, Lambda and g")
-    w = profile.entries / n
-    out = _psi_raw(w, lam.diag, g.diag, _classify_deformation(y, n))
-    return OperatorStieltjes(out)
+    return OperatorStieltjes(_psi_raw(model.w, lam.diag, g.diag, model.y))
 
 
 def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
@@ -258,87 +274,89 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
     per step.  A solve that stops at ``config.max_iterations`` returns the
     last iterate it evaluated, with that iterate's residual.
     """
+    return next(_solve_path(_prepare(profile, y), [lam], config))
+
+
+def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
+    """Yield the ``solve_dyson`` solution at each Lambda of ``lams`` in turn.
+
+    Each solve after the first starts from the previous point's G.
+    """
     if config is None:
         config = SolverConfig()
-    n = profile.rows
-    if profile.mode != "hermitian":
-        raise ValueError("solve_dyson needs a hermitian-mode profile")
-    if lam.dim != n:
-        raise ValueError(f"Lambda has dimension {lam.dim}, expected {n}")
-    y = _classify_deformation(y, n)
+    n = model.n
+    start = config.initial
+    if start is not None and start.dim != n:
+        raise ValueError("warm start has wrong dimension")
+    for lam in lams:
+        if lam.dim != n:
+            raise ValueError(f"Lambda has dimension {lam.dim}, expected {n}")
+        lam_diag = lam.diag
+        certified = model.gamma_max_sq * lam.inv_im_norm() ** 2 < 1.0
+        if model.gamma_max_sq == 0.0:
+            # Noise-free model: the equation degenerates to G = diag[(Lambda - Y)^(-1)].
+            start = OperatorStieltjes(
+                _psi_raw(model.w, lam_diag, np.zeros(n, dtype=np.complex128), model.y))
+            yield DysonSolution(start, iterations=1, residual=0.0, converged=True,
+                                contraction_certified=True, residual_history=np.zeros(1))
+            continue
 
-    lam_diag = lam.diag
-    certified = profile.gamma_max_sq * lam.inv_im_norm() ** 2 < 1.0
-
-    if profile.gamma_max_sq == 0.0:
-        # Noise-free model: the equation degenerates to G = diag[(Lambda - Y)^(-1)].
-        g = _psi_raw(np.zeros((n, n)), lam_diag, np.zeros(n, dtype=np.complex128), y)
-        return DysonSolution(OperatorStieltjes(g), iterations=1, residual=0.0,
-                             converged=True, contraction_certified=True,
-                             residual_history=np.zeros(1))
-
-    w = profile.entries / n
-    if config.initial is not None:
-        if config.initial.dim != n:
-            raise ValueError("warm start has wrong dimension")
-        g = config.initial.diag.copy()
-    else:
-        g = -1j / lam_diag.imag
-
-    alpha = 1.0
-    bound = 1.0 / lam_diag.imag
-    residuals = []
-    increase_run = 0
-    # The last accepted iterate, its image and its residual, and the
-    # differences between consecutive accepted iterates and residuals.
-    g_base = psi_base = f_base = None
-    res_base = math.inf
-    d_g, d_f = [], []
-    extrapolated = False
-    while True:
-        psi_g = _psi_raw(w, lam_diag, g, y)
-        if not np.all(np.isfinite(psi_g)):
-            raise DysonDivergenceError(
-                f"fixed-point iterate became non-finite at iteration "
-                f"{len(residuals) + 1} (damping {alpha})")
-        f = psi_g - g
-        res = float(np.abs(f).max())
-        residuals.append(res)
-        if res <= config.tolerance or len(residuals) == config.max_iterations:
-            break
-        if res > res_base:
-            if extrapolated:
-                # The extrapolation overshot: take the damped step from the
-                # iterate it started at instead.
-                g = (1.0 - alpha) * g_base + alpha * psi_base
-                extrapolated = False
-                continue
-            increase_run += 1
-            if increase_run >= 5 and alpha > 1.0 / 16.0:
-                alpha = max(alpha / 2.0, 1.0 / 16.0)
-                increase_run = 0
-        else:
-            increase_run = 0
-        if g_base is not None:
-            d_g.append(g - g_base)
-            d_f.append(f - f_base)
-            if len(d_g) > _ANDERSON_DEPTH:
-                del d_g[0], d_f[0]
-        g_base, psi_base, f_base, res_base = g, psi_g, f, res
+        g = -1j / lam_diag.imag if start is None else start.diag.copy()
+        alpha = 1.0
+        bound = 1.0 / lam_diag.imag
+        residuals = []
+        increase_run = 0
+        # The last accepted iterate, its image and its residual, and the
+        # differences between consecutive accepted iterates and residuals.
+        g_base = psi_base = f_base = None
+        res_base = math.inf
+        d_g, d_f = [], []
         extrapolated = False
-        if d_g:
-            dg, df = np.column_stack(d_g), np.column_stack(d_f)
-            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-            cand = g + alpha * f - (dg + alpha * df) @ gamma
-            # the guard: stay in the Stieltjes domain
-            extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
-                                and np.all(np.abs(cand) <= bound))
-        g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
+        while True:
+            psi_g = _psi_raw(model.w, lam_diag, g, model.y)
+            if not np.all(np.isfinite(psi_g)):
+                raise DysonDivergenceError(
+                    f"fixed-point iterate became non-finite at iteration "
+                    f"{len(residuals) + 1} (damping {alpha})")
+            f = psi_g - g
+            res = float(np.abs(f).max())
+            residuals.append(res)
+            if res <= config.tolerance or len(residuals) == config.max_iterations:
+                break
+            if res > res_base:
+                if extrapolated:
+                    # The extrapolation overshot: take the damped step from the
+                    # iterate it started at instead.
+                    g = (1.0 - alpha) * g_base + alpha * psi_base
+                    extrapolated = False
+                    continue
+                increase_run += 1
+                if increase_run >= 5 and alpha > 1.0 / 16.0:
+                    alpha = max(alpha / 2.0, 1.0 / 16.0)
+                    increase_run = 0
+            else:
+                increase_run = 0
+            if g_base is not None:
+                d_g.append(g - g_base)
+                d_f.append(f - f_base)
+                if len(d_g) > _ANDERSON_DEPTH:
+                    del d_g[0], d_f[0]
+            g_base, psi_base, f_base, res_base = g, psi_g, f, res
+            extrapolated = False
+            if d_g:
+                dg, df = np.column_stack(d_g), np.column_stack(d_f)
+                gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+                cand = g + alpha * f - (dg + alpha * df) @ gamma
+                # the guard: stay in the Stieltjes domain
+                extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
+                                    and np.all(np.abs(cand) <= bound))
+            g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
 
-    return DysonSolution(OperatorStieltjes(g), iterations=len(residuals),
-                         residual=res, converged=res <= config.tolerance,
-                         contraction_certified=certified,
-                         residual_history=np.asarray(residuals))
+        start = OperatorStieltjes(g)
+        yield DysonSolution(start, iterations=len(residuals), residual=res,
+                            converged=res <= config.tolerance,
+                            contraction_certified=certified,
+                            residual_history=np.asarray(residuals))
 
 
 def omega_square(profile: VarianceProfile, solution: DysonSolution,

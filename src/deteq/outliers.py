@@ -23,14 +23,14 @@ counts and polishes those crossings along the real axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .dilation import DilatedModel, _check_frame
-from .dyson import (SolverConfig, SpectralParameter, _classify_deformation, _solve_real,
-                    r_map, solve_dyson)
+from .dyson import (SolverConfig, SpectralParameter, _apply_r, _prepare, _Prepared,
+                    _solve_path, _solve_real)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -58,6 +58,8 @@ class SpikeSet:
             raise ValueError("u and theta must agree on the spike count")
         if theta.size == 0:
             raise ValueError("spike set must contain at least one spike")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("spike strengths must be finite")
         if np.any(theta == 0.0):
             raise ValueError("spike strengths must be nonzero")
         u.setflags(write=False)
@@ -75,19 +77,20 @@ class HermitianModel:
     """Hermitian ensemble (profile noise + deformation Y) with a spike set.
 
     ``y`` is stored classified: None, a real diagonal vector, or a dense
-    Hermitian matrix.
+    Hermitian matrix; the model is prepared for the solver once.
     """
 
     profile: VarianceProfile
     y: np.ndarray | None
     spikes: SpikeSet
+    _prepared: _Prepared = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.profile.mode != "hermitian":
-            raise ValueError("outlier models need a hermitian-mode profile")
-        if self.spikes.u.shape[0] != self.profile.rows:
+        prepared = _prepare(self.profile, self.y)
+        if self.spikes.u.shape[0] != prepared.n:
             raise ValueError("spike vectors do not match the profile dimension")
-        object.__setattr__(self, "y", _classify_deformation(self.y, self.profile.rows))
+        object.__setattr__(self, "y", prepared.y)
+        object.__setattr__(self, "_prepared", prepared)
 
     @classmethod
     def from_dilated(cls, dilated: DilatedModel) -> "HermitianModel":
@@ -124,29 +127,19 @@ class OutlierReport:
         }
 
 
-def _core(spikes: SpikeSet, profile: VarianceProfile, y, lam_value,
-          g: np.ndarray) -> np.ndarray:
-    """U* diag(G) U, or U* (Omega - Y)^(-1) U for dense Y; ``y`` is classified."""
-    if y is None or y.ndim == 1:
+def _core(spikes: SpikeSet, model: _Prepared, lam_value, g: np.ndarray) -> np.ndarray:
+    """U* diag(G) U, or U* (Omega - Y)^(-1) U for dense Y."""
+    if model.y is None or model.y.ndim == 1:
         return (spikes.u.conj().T * g[np.newaxis, :]) @ spikes.u
-    omega = lam_value - r_map(profile, g)
-    return spikes.u.conj().T @ np.linalg.solve(np.diag(omega) - y, spikes.u)
+    omega = lam_value - _apply_r(model.w, g)
+    return spikes.u.conj().T @ np.linalg.solve(np.diag(omega) - model.y, spikes.u)
 
 
-def _beta_from_g(spikes: SpikeSet, profile: VarianceProfile, y, lam_value: complex,
+def _beta_from_g(spikes: SpikeSet, model: _Prepared, lam_value: complex,
                  g: np.ndarray) -> np.ndarray:
-    """I - core Theta; ``y`` must already be classified."""
-    core = _core(spikes, profile, y, lam_value, g)
+    """I - core Theta."""
+    core = _core(spikes, model, lam_value, g)
     return np.eye(spikes.k, dtype=np.complex128) - core * spikes.theta[np.newaxis, :]
-
-
-def _regularize(lam, eta_eval: float) -> complex:
-    lam_c = complex(lam)
-    if lam_c.imag < 0.0:
-        raise ValueError("spectral arguments must satisfy Im lambda >= 0")
-    if lam_c.imag == 0.0:
-        lam_c = complex(lam_c.real, eta_eval)
-    return lam_c
 
 
 def beta_square(lam, spikes: SpikeSet, profile: VarianceProfile, y=None,
@@ -157,14 +150,18 @@ def beta_square(lam, spikes: SpikeSet, profile: VarianceProfile, y=None,
     I - U* (Omega(lambda I) - Y)^(-1) U Theta.  Real ``lam`` is evaluated
     just above the axis at lam + i eta_eval.
     """
-    y = _classify_deformation(y, profile.rows)
-    lam_c = _regularize(lam, eta_eval)
-    sol = solve_dyson(profile, y, SpectralParameter.scalar(lam_c, profile.rows), config)
+    lam_c = complex(lam)
+    if lam_c.imag < 0.0:
+        raise ValueError("spectral arguments must satisfy Im lambda >= 0")
+    if lam_c.imag == 0.0:
+        lam_c = complex(lam_c.real, eta_eval)
+    model = _prepare(profile, y)
+    sol = next(_solve_path(model, [SpectralParameter.scalar(lam_c, model.n)], config))
     if not sol.converged:
         raise RuntimeError(
             f"Dyson solve did not converge at lambda = {lam_c} "
             f"(residual {sol.residual:.3e} after {sol.iterations} iterations)")
-    return _beta_from_g(spikes, profile, y, lam_c, sol.g_square.diag)
+    return _beta_from_g(spikes, model, lam_c, sol.g_square.diag)
 
 
 def det_beta_curve(model: HermitianModel, lambdas, config: SolverConfig | None = None,
@@ -174,20 +171,13 @@ def det_beta_curve(model: HermitianModel, lambdas, config: SolverConfig | None =
     Each solve is warm-started from the previous grid point.  Returns
     (complex determinants, per-point convergence flags).
     """
-    if config is None:
-        config = SolverConfig()
-    profile = model.profile
-    lambdas = np.asarray(lambdas, dtype=np.float64)
-    dets = np.empty(lambdas.shape, dtype=np.complex128)
-    flags = np.empty(lambdas.shape, dtype=bool)
-    point_config = config
-    for i, lam in enumerate(lambdas):
-        lam_c = complex(lam, eta_eval)
-        sol = solve_dyson(profile, model.y, SpectralParameter.scalar(lam_c, profile.rows),
-                          point_config)
-        beta = _beta_from_g(model.spikes, profile, model.y, lam_c, sol.g_square.diag)
+    lams = [complex(lam, eta_eval) for lam in np.asarray(lambdas, dtype=np.float64)]
+    dets = np.empty(len(lams), dtype=np.complex128)
+    flags = np.empty(len(lams), dtype=bool)
+    points = (SpectralParameter.scalar(lam, model.profile.rows) for lam in lams)
+    for i, (lam, sol) in enumerate(zip(lams, _solve_path(model._prepared, points, config))):
+        beta = _beta_from_g(model.spikes, model._prepared, lam, sol.g_square.diag)
         dets[i], flags[i] = np.linalg.det(beta), sol.converged
-        point_config = replace(config, initial=sol.g_square)
     return dets, flags
 
 
@@ -211,11 +201,8 @@ def _estimate_bulk_edge(model: HermitianModel, config: SolverConfig) -> float:
     coarse = SolverConfig(tolerance=max(config.tolerance, 1e-9),
                           max_iterations=min(config.max_iterations, 4000))
     grid = np.arange(reach + step, -step, -step)
-    point_config = coarse
-    for t in grid:
-        lam = SpectralParameter.scalar(complex(t, eta), profile.rows)
-        sol = solve_dyson(profile, model.y, lam, point_config)
-        point_config = replace(coarse, initial=sol.g_square)
+    lams = (SpectralParameter.scalar(complex(t, eta), profile.rows) for t in grid)
+    for t, sol in zip(grid, _solve_path(model._prepared, lams, coarse)):
         value = -float(sol.g_square.diag.mean().imag) / math.pi
         if value > 1e-3:
             return float(t)
@@ -253,6 +240,8 @@ def locate_outliers(model: HermitianModel, window=None,
         config = SolverConfig()
     if scan_points < 3:
         raise ValueError("need at least 3 scan points")
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError("threshold must be finite and >= 0")
     if window is None:
         edge = _estimate_bulk_edge(model, config)
         window = (edge - 0.5, edge + float(np.abs(model.spikes.theta).max()) + 2.0)
@@ -260,8 +249,7 @@ def locate_outliers(model: HermitianModel, window=None,
     if not hi > lo:
         raise ValueError("search window is empty")
 
-    profile, y, spikes = model.profile, model.y, model.spikes
-    w = profile.entries / profile.rows
+    prepared, spikes = model._prepared, model.spikes
     cache = cache if cache is not None else {}
     # Points inside the support never converge, so the walk and the
     # bisection run on a capped budget; brentq uses the full configuration.
@@ -272,10 +260,12 @@ def locate_outliers(model: HermitianModel, window=None,
         nonlocal warm
         if lam not in cache:
             if warm is None:
-                top = SpectralParameter.scalar(complex(hi, eta_eval), profile.rows)
-                seed = solve_dyson(profile, y, top, replace(config, max_iterations=probe))
+                top = SpectralParameter.scalar(complex(hi, eta_eval), prepared.n)
+                seed = next(_solve_path(prepared, [top],
+                                        replace(config, max_iterations=probe)))
                 warm = seed.g_square.diag.real
-            cache[lam] = _solve_real(w, y, lam, warm, config.tolerance, max_iterations)
+            cache[lam] = _solve_real(prepared.w, prepared.y, lam, warm, config.tolerance,
+                                     max_iterations)
         if cache[lam] is not None:
             warm = cache[lam]
         return cache[lam]
@@ -301,7 +291,7 @@ def locate_outliers(model: HermitianModel, window=None,
         if g is None:
             raise RuntimeError(f"real-axis Dyson solve failed at lambda = {lam} "
                                "between two converged points")
-        return np.linalg.eigvalsh(inv_theta - _core(spikes, profile, y, lam, g))
+        return np.linalg.eigvalsh(inv_theta - _core(spikes, prepared, lam, g))
 
     def det_abs(eigenvalues: np.ndarray) -> float:
         # det beta = det(Theta^(-1) - core) det Theta

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter,
-                    _classify_deformation, concentration_bound, r_map, solve_dyson)
+from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter, _apply_r,
+                    _prepare, _solve_path, concentration_bound)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -47,9 +47,8 @@ class SampleBatch:
         return np.random.SeedSequence(self.seed).spawn(self.count)
 
 
-def _deformation_matrix(y, n: int):
-    """Y as a term to add to an n x n draw: 0.0 when absent, else a matrix."""
-    y = _classify_deformation(y, n)
+def _deformation_matrix(y):
+    """A classified Y as a term to add to a draw: 0.0 when absent, else a matrix."""
     if y is None:
         return 0.0
     return np.diag(y) if y.ndim == 1 else y
@@ -120,10 +119,11 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
     deviation tends to 0 like count^(-1/2); both sides share every draw, so
     the statistic is a pure fluctuation measure.
     """
-    n = profile.rows
+    model = _prepare(profile, y)
+    n = model.n
     if batch.n != n or lam.dim != n:
         raise ValueError("batch, profile and Lambda dimensions disagree")
-    y_mat = _deformation_matrix(y, n)
+    y_mat = _deformation_matrix(model.y)
     lam_mat = np.diag(lam.diag)
     lhs = np.zeros((n, n), dtype=np.complex128)
     rhs = np.zeros((n, n), dtype=np.complex128)
@@ -131,7 +131,7 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
         x = sample_gue_profile(profile, child)
         resolvent = np.linalg.inv(lam_mat - x - y_mat)
         lhs += x @ resolvent
-        rhs += r_map(profile, resolvent.diagonal())[:, np.newaxis] * resolvent
+        rhs += _apply_r(model.w, resolvent.diagonal())[:, np.newaxis] * resolvent
     return float(np.linalg.norm((lhs - rhs) / batch.count, 2))
 
 
@@ -144,19 +144,18 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
     ``lam`` with the Dyson value, and reports the fraction of draws whose
     deviation stays within epsilon_tilde.
     """
-    n = profile.rows
-    y = _classify_deformation(y, n)
-    diagonal = y is None or y.ndim == 1
-    params = ConcentrationBound(gamma_max=np.sqrt(profile.gamma_max_sq),
-                                delta=delta, d=d, n=n,
-                                im_lambda=complex(lam).imag, diagonal_y=diagonal)
+    model = _prepare(profile, y)
+    n = model.n
+    params = ConcentrationBound(gamma_max=np.sqrt(model.gamma_max_sq),
+                                delta=delta, d=d, n=n, im_lambda=complex(lam).imag,
+                                diagonal_y=model.y is None or model.y.ndim == 1)
     bound = concentration_bound(params)
-    sol = solve_dyson(profile, y, SpectralParameter.scalar(lam, n), config)
+    sol = next(_solve_path(model, [SpectralParameter.scalar(lam, n)], config))
     if not sol.converged:
         raise RuntimeError("Dyson solve did not converge; cannot validate")
     g_det = complex(sol.g_square.diag.mean())
 
-    y_add = _deformation_matrix(y, n)
+    y_add = _deformation_matrix(model.y)
     batch = SampleBatch(seed=seed, count=draws, n=n)
     deviations = np.empty(draws)
     for j, child in enumerate(batch.child_seeds()):

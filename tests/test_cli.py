@@ -59,6 +59,19 @@ def test_config_file_rejects_unknown_fields(tmp_path, capsys):
     assert "unknown field" in capsys.readouterr().err
 
 
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = str(tmp_path / "d.csv")
+    base = {"profile": "constant:n=4,m=4,hermitian=true", "grid": "0:1:0.5"}
+    for body in ("[1]", json.dumps(dict(base, max_iterations=2.7))):
+        cfg.write_text(body)
+        assert _run("density", "--config", str(cfg), "--out", out) == 1
+        assert "config:" in capsys.readouterr().err
+    # an integral float stays an integer
+    cfg.write_text(json.dumps(dict(base, max_iterations=3000.0)))
+    assert _run("density", "--config", str(cfg), "--out", out) == 0
+
+
 def test_missing_required_field_exits_one(tmp_path):
     assert _run("profile", "--kind", "constant", "--n", "4", "--m", "4") == 1
     assert _run("profile", "--out", str(tmp_path / "p.csv")) == 1
@@ -290,6 +303,24 @@ _HERM4 = "constant:n=4,m=4,hermitian=true"
     ("validate", "--what", "concentration", "--delta", "0"),
     ("profile", "--kind", "doubly-stochastic", "--n", "4", "--k", "0", "--seed", "1"),
     ("profile", "--kind", "constant", "--n", "4", "--m", "4", "--seed", "3"),
+    ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--tolerance", "nan"),
+    ("outliers", "--model", "constant:n=4,m=6", "--theta-list", "nan",
+     "--window", "1.5:3.0"),
+    ("outliers", "--model", _HERM4, "--theta-list", "inf", "--window", "1.5:3.0"),
+    ("outliers", "--model", "constant:n=4,m=6", "--theta-list", "2.0",
+     "--window", "1.5:3.0", "--threshold", "-1"),
+    ("outliers", "--model", "constant:n=4,m=6", "--theta-list", "2.0",
+     "--window", "1.5:3.0", "--threshold", "nan"),
+    ("validate", "--what", "master", "--bound-factor", "-1"),
+    ("validate", "--what", "master", "--bound-factor", "0"),
+    ("validate", "--what", "concentration", "--min-pass-rate", "-1"),
+    ("validate", "--what", "concentration", "--min-pass-rate", "2"),
+    ("validate", "--what", "master", "--d", "7"),
+    ("validate", "--what", "master", "--delta", "0.9"),
+    ("validate", "--what", "master", "--min-pass-rate", "0.5"),
+    ("validate", "--what", "concentration", "--bound-factor", "5"),
+    ("validate", "--what", "master", "--n", "7", "--profile",
+     "constant:n=20,m=20,hermitian=true"),
 ])
 def test_zero_and_unused_flags_are_validated_not_defaulted(tmp_path, argv):
     assert _run(*argv, "--out", str(tmp_path / "out")) == 1

@@ -6,6 +6,8 @@ import pytest
 from deteq.density import (DensityCurve, density_curve, stieltjes_trace,
                            sv_density_correction, write_density_csv,
                            write_density_metadata)
+import deteq.dyson
+from deteq.dilation import RectangularModel, dilate_model
 from deteq.dyson import OperatorStieltjes, SolverConfig, SpectralParameter, solve_dyson
 from deteq.profiles import constant_profile
 
@@ -136,3 +138,32 @@ def test_density_csv_and_metadata(tmp_path):
     assert meta["tolerance"] == 1e-10
     assert meta["converged"] == [True, False, True]
     assert meta["label"] == "test"
+
+
+def test_density_curve_classifies_a_dense_deformation_once(monkeypatch):
+    calls = []
+    classify = deteq.dyson._classify_deformation
+
+    def counted(y, n):
+        calls.append(n)
+        return classify(y, n)
+
+    monkeypatch.setattr(deteq.dyson, "_classify_deformation", counted)
+    a = np.random.default_rng(3).standard_normal((8, 8))
+    prof = constant_profile(8, 8, 1.0, hermitian=True)
+    curve = density_curve(prof, (a + a.T) / 4.0, np.linspace(-3.0, 3.0, 21), eta=0.05)
+    assert curve.converged.all()
+    assert len(calls) == 1
+
+
+def test_density_curve_equals_the_warm_started_solve_loop():
+    # criterion 5's grid, solved point by point as in
+    # test_criterion_5_grid_iteration_count
+    prof = dilate_model(RectangularModel(profile=constant_profile(360, 400, 1.0))).profile
+    grid = 0.05 * np.arange(61)
+    curve = density_curve(prof, None, grid, eta=0.01, config=SolverConfig(tolerance=1e-9))
+    config = SolverConfig(tolerance=1e-9)
+    for t, value in zip(grid, curve.values):
+        sol = solve_dyson(prof, None, SpectralParameter.scalar(t + 0.01j, 760), config)
+        assert value == -stieltjes_trace(sol.g_square).imag / math.pi
+        config = SolverConfig(tolerance=1e-9, initial=sol.g_square)

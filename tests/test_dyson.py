@@ -392,6 +392,10 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    with pytest.raises(ValueError):
+        SolverConfig(tolerance=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(tolerance=float("inf"))
 
 
 # Frozen reference values for the error radii at gamma_max = 1, delta = 0.5,

@@ -208,6 +208,18 @@ def test_locate_validation():
         locate_outliers(model, window=(1.5, 3.0), scan_points=2)
 
 
+def test_non_finite_strengths_and_thresholds_are_rejected():
+    for theta in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SpikeSet(u=np.eye(4)[:, :1], theta=[theta])
+        with pytest.raises(ValueError):
+            RectangularSpikes(u=np.eye(4)[:, :1], theta=[theta], v=np.eye(6)[:, :1])
+    model = _dilated_constant_model(8, 12, 2.0)
+    for threshold in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            locate_outliers(model, window=(1.5, 3.0), threshold=threshold)
+
+
 def test_locate_raises_when_nothing_converges():
     model = _dilated_constant_model(16, 20, 2.0)
     with pytest.raises(RuntimeError):
