@@ -210,9 +210,10 @@ def _parse_grid(spec: str, eta: float) -> np.ndarray:
         step = float(parts[2]) if len(parts) == 3 else eta / 2.0
     except ValueError:
         raise ConfigError(f"grid: malformed specification '{spec}'")
-    if not hi > lo or step <= 0.0:
-        raise ConfigError("grid: needs max > min and step > 0")
-    count = int(round((hi - lo) / step)) + 1
+    if not (np.isfinite([lo, hi, step]).all() and hi > lo and step > 0.0):
+        raise ConfigError("grid: needs finite values, max > min and step > 0")
+    # no point beyond max, up to rounding: 0:0.3:0.1 has 4 points
+    count = int(np.floor((hi - lo) / step * (1.0 + 1e-12))) + 1
     return lo + step * np.arange(count)
 
 
@@ -303,8 +304,8 @@ def _cmd_density(args) -> int:
     profile = _parse_profile_spec(str(_require(cfg, "profile")))
     out = _require(cfg, "out")
     eta = float(_get(cfg, "eta", 0.01))
-    if eta <= 0.0:
-        raise ConfigError("eta: must be > 0")
+    if not (np.isfinite(eta) and eta > 0.0):
+        raise ConfigError("eta: must be finite and > 0")
     grid = _parse_grid(str(_require(cfg, "grid")), eta)
     solver = _solver_config(cfg)
 
@@ -364,6 +365,8 @@ def _cmd_outliers(args) -> int:
     window = _parse_window(cfg["window"])
     scan_points = int(_get(cfg, "scan_points", 50))
     eta_eval = float(_get(cfg, "eta_eval", 1e-3))
+    if not (np.isfinite(eta_eval) and eta_eval > 0.0):
+        raise ConfigError("eta_eval: must be finite and > 0")
     solver = _solver_config(cfg)
 
     rectangular = profile.mode == "rectangular"

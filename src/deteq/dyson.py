@@ -219,17 +219,33 @@ def _psi_raw(w, lam_diag, g, y):
 def _solve_real(w, y, lam: float, g0, tolerance, max_iterations) -> np.ndarray | None:
     """Plain iteration of psi at a real lambda from the real start ``g0``.
 
-    Outside the support G(lambda) is real and psi contracts near it, so the
-    iteration stays on the branch ``g0`` lies on.  Returns None, placing
-    lambda in the support, when it hits ``max_iterations`` or goes
-    non-finite.  ``w`` is the profile over N; ``y`` is classified.
+    On the real axis psi is order-preserving: its Jacobian |M_ik|^2 W_kj is
+    nonnegative, with M = (lambda - R(g) - Y)^(-1) Hermitian.  Started from
+    G at a point of the same gap, the iterates move monotonically to
+    G(lambda), and every lambda - R(g) - Y on the way keeps its inertia.
+    Inside the support there is no real fixed point to stop at, and the
+    iterates cross a pole of psi, where the inertia changes.  Returns None,
+    placing lambda in the support, at the first iterate whose inertia
+    differs from that at ``g0``; ``max_iterations`` is only a backstop.
+    ``w`` is the profile over N; ``y`` is classified.
     """
     g = np.asarray(g0, dtype=np.float64)
+    inertia = None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(max_iterations):
             # a Hermitian Y leaves only rounding in the imaginary part
             psi_g = _psi_raw(w, lam, g, y).real
             if not np.all(np.isfinite(psi_g)):
+                return None
+            if y is None or y.ndim == 1:
+                # diagonal: the signs of psi(g) are those of lambda - R(g) - Y
+                now = psi_g > 0.0
+            else:
+                now = np.count_nonzero(
+                    np.linalg.eigvalsh(np.diag(lam - _apply_r(w, g)) - y) > 0.0)
+            if inertia is None:
+                inertia = now
+            elif np.any(now != inertia):
                 return None
             if np.abs(g - psi_g).max() <= tolerance:
                 return g
@@ -388,16 +404,16 @@ class ConcentrationBound:
     diagonal_y: bool = False
 
     def __post_init__(self) -> None:
-        if self.gamma_max < 0.0:
-            raise ValueError("gamma_max must be >= 0")
+        if not (math.isfinite(self.gamma_max) and self.gamma_max >= 0.0):
+            raise ValueError("gamma_max must be finite and >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.d <= 0.0:
-            raise ValueError("d must be > 0")
+        if not (math.isfinite(self.d) and self.d > 0.0):
+            raise ValueError("d must be finite and > 0")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.im_lambda <= 0.0:
-            raise ValueError("im_lambda must be > 0")
+        if not (math.isfinite(self.im_lambda) and self.im_lambda > 0.0):
+            raise ValueError("im_lambda must be finite and > 0")
 
     @property
     def admissible(self) -> bool:

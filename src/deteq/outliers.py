@@ -181,34 +181,6 @@ def det_beta_curve(model: HermitianModel, lambdas, config: SolverConfig | None =
     return dets, flags
 
 
-def _estimate_bulk_edge(model: HermitianModel, config: SolverConfig) -> float:
-    """Largest grid point where the smoothed density exceeds 1e-3.
-
-    The row-sum bound 2 sqrt(max_i R(1)(i)) + ||Y|| dominates the spectrum,
-    so the walk starts there and descends toward the bulk; every solve sits
-    outside the support, where the iteration converges quickly, and the
-    smoothing eta can stay small enough that Cauchy tails do not inflate
-    the estimate.
-    """
-    profile = model.profile
-    row_mean = profile.entries.sum(axis=1) / profile.rows
-    reach = 2.0 * math.sqrt(float(row_mean.max()))
-    y = model.y
-    if y is not None:
-        reach += float(np.abs(y).max() if y.ndim == 1 else np.linalg.norm(y, 2))
-    eta = 0.002
-    step = 0.02
-    coarse = SolverConfig(tolerance=max(config.tolerance, 1e-9),
-                          max_iterations=min(config.max_iterations, 4000))
-    grid = np.arange(reach + step, -step, -step)
-    lams = (SpectralParameter.scalar(complex(t, eta), profile.rows) for t in grid)
-    for t, sol in zip(grid, _solve_path(model._prepared, lams, coarse)):
-        value = -float(sol.g_square.diag.mean().imag) / math.pi
-        if value > 1e-3:
-            return float(t)
-    return reach
-
-
 def locate_outliers(model: HermitianModel, window=None,
                     config: SolverConfig | None = None,
                     threshold: float = 1e-3, scan_points: int = 50,
@@ -216,20 +188,23 @@ def locate_outliers(model: HermitianModel, window=None,
     """Locate the real zeros of det beta inside a search window by counting.
 
     Walks ``scan_points`` equispaced points down from the top of the window,
-    solving the Dyson equation on the real axis.  Each solve is warm-started
-    from the last point that converged, the first from Re G(hi + i eta_eval).
-    A point whose solve fails within min(max_iterations, 2500) iterations
-    lies in the support, and each boundary between a converged and a failed
+    solving the Dyson equation on the real axis with ``_solve_real``, which
+    places a point in the support when its plain iteration crosses a pole
+    of psi.  The top point, and every point after one in the support,
+    starts from Re G(lambda + i eta_eval), each such complex solve
+    warm-started from the previous one; every other solve starts from the
+    last real G found.  Each boundary between a converged and a failed
     point is bisected down to a width of 1e-4.  Between two adjacent
     converged points, every eigenvalue of Theta^(-1) - U* G U that turns
-    from negative to nonnegative marks one root, which brentq polishes with
-    solves at the full ``config``.
+    from negative to nonnegative marks one root, which brentq polishes.
+    All solves run at ``config``.
 
     Each root is a candidate with det_abs = |det beta(root)|, accepted when
     det_abs <= ``threshold``.  A window without roots reports one candidate,
     never accepted: the converged point with the smallest |det beta|.  When
-    ``window`` is None it defaults to [edge - 0.5, edge + max |theta| + 2]
-    around the estimated bulk edge.
+    ``window`` is None it defaults to [edge - 0.5, edge + max |theta| + 2],
+    where the edge is the first point in the support on the same kind of
+    walk, run down from the row-sum bound in steps of 0.02.
 
     ``cache`` maps each real lambda solved to its G, or to None where the
     solve failed.  It depends on the profile and Y only, so callers may
@@ -242,43 +217,47 @@ def locate_outliers(model: HermitianModel, window=None,
         raise ValueError("need at least 3 scan points")
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError("threshold must be finite and >= 0")
-    if window is None:
-        edge = _estimate_bulk_edge(model, config)
-        window = (edge - 0.5, edge + float(np.abs(model.spikes.theta).max()) + 2.0)
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("search window is empty")
-
     prepared, spikes = model._prepared, model.spikes
     cache = cache if cache is not None else {}
-    # Points inside the support never converge, so the walk and the
-    # bisection run on a capped budget; brentq uses the full configuration.
-    probe = min(config.max_iterations, 2500)
-    warm = None
+    warm = seed = None
 
-    def solve(lam: float, max_iterations: int):
-        nonlocal warm
+    def solve(lam: float, fresh: bool = False):
+        nonlocal warm, seed
         if lam not in cache:
-            if warm is None:
-                top = SpectralParameter.scalar(complex(hi, eta_eval), prepared.n)
-                seed = next(_solve_path(prepared, [top],
-                                        replace(config, max_iterations=probe)))
-                warm = seed.g_square.diag.real
-            cache[lam] = _solve_real(prepared.w, prepared.y, lam, warm, config.tolerance,
-                                     max_iterations)
+            start = warm
+            if fresh:
+                point = SpectralParameter.scalar(complex(lam, eta_eval), prepared.n)
+                initial = config.initial if seed is None else seed.g_square
+                seed = next(_solve_path(prepared, [point], replace(config, initial=initial)))
+                start = seed.g_square.diag.real
+            cache[lam] = _solve_real(prepared.w, prepared.y, lam, start, config.tolerance,
+                                     config.max_iterations)
         if cache[lam] is not None:
             warm = cache[lam]
         return cache[lam]
 
+    if window is None:
+        # The row-sum bound 2 sqrt(max_i R(1)(i)) + ||Y|| dominates the spectrum.
+        profile, y = model.profile, prepared.y
+        reach = 2.0 * math.sqrt(float((profile.entries.sum(axis=1) / profile.rows).max()))
+        if y is not None:
+            reach += float(np.abs(y).max() if y.ndim == 1 else np.linalg.norm(y, 2))
+        grid = [float(t) for t in np.arange(reach + 0.02, -0.02, -0.02)]
+        edge = next((t for i, t in enumerate(grid) if solve(t, fresh=i == 0) is None), reach)
+        window = (edge - 0.5, edge + float(np.abs(spikes.theta).max()) + 2.0)
+    lo, hi = float(window[0]), float(window[1])
+    if not hi > lo:
+        raise ValueError("search window is empty")
+
     walk = [float(t) for t in np.linspace(hi, lo, scan_points)]
     points = {}
     for i, lam in enumerate(walk):
-        points[lam] = solve(lam, probe)
+        points[lam] = solve(lam, fresh=i == 0 or points[walk[i - 1]] is None)
         if i and (points[lam] is None) != (points[walk[i - 1]] is None):
             a, b = lam, walk[i - 1]
             while b - a > 1e-4:
                 mid = 0.5 * (a + b)
-                points[mid] = solve(mid, probe)
+                points[mid] = solve(mid)
                 if (points[mid] is None) == (points[a] is None):
                     a = mid
                 else:
@@ -287,7 +266,7 @@ def locate_outliers(model: HermitianModel, window=None,
     inv_theta = np.diag(1.0 / spikes.theta)
 
     def spectrum(lam: float) -> np.ndarray:
-        g = solve(lam, config.max_iterations)
+        g = solve(lam)
         if g is None:
             raise RuntimeError(f"real-axis Dyson solve failed at lambda = {lam} "
                                "between two converged points")

@@ -321,9 +321,23 @@ _HERM4 = "constant:n=4,m=4,hermitian=true"
     ("validate", "--what", "concentration", "--bound-factor", "5"),
     ("validate", "--what", "master", "--n", "7", "--profile",
      "constant:n=20,m=20,hermitian=true"),
+    ("validate", "--what", "concentration", "--d", "inf"),
+    ("validate", "--what", "concentration", "--d", "nan"),
+    ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--eta", "nan"),
 ])
 def test_zero_and_unused_flags_are_validated_not_defaulted(tmp_path, argv):
     assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+
+
+def test_grid_writes_no_point_beyond_its_max(tmp_path):
+    out = tmp_path / "density.csv"
+    for spec, ts in (("0:1:0.35", [0.0, 0.35, 0.7]), ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+                     ("0:3:0.05", 0.05 * np.arange(61))):
+        assert _run("density", "--profile", _HERM4, "--grid", spec, "--eta", "0.1",
+                    "--out", str(out)) == 0
+        written = [float(r.split(",")[0]) for r in out.read_text().strip().split("\n")[1:]]
+        assert len(written) == len(ts)
+        assert np.allclose(written, ts, rtol=0.0, atol=1e-12)
 
 
 def test_removed_options_are_unknown(tmp_path):

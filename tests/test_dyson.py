@@ -258,6 +258,32 @@ def test_real_axis_solve_reaches_a_lower_gap_on_the_right_branch():
     assert np.max(np.abs(g - ref.g_square.diag.real)) <= 5e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 16), k=st.integers(1, 4),
+       s=st.floats(0.1, 4.0), c=st.floats(-2.0, 2.0), points=st.integers(3, 40),
+       dense=st.booleans())
+def test_real_axis_walk_splits_at_the_exact_edge(data, n, k, s, c, points, dense):
+    # A symmetrized sum of permutation matrices scaled to row sum s keeps
+    # G constant, so with Y = c I the support is c + [-2 sqrt(s), 2 sqrt(s)]
+    # and G(lambda) = ((lambda - c) - sqrt((lambda - c)^2 - 4 s)) / 2 s above it.
+    p = sum(np.eye(n)[data.draw(st.permutations(range(n)))] for _ in range(k))
+    w = (p + p.T) * (s / (2.0 * k))
+    y = c * np.eye(n) if dense else np.full(n, c)
+    edge = 2.0 * np.sqrt(s) + c
+    warm = np.zeros(n)  # below G(lambda) > 0, so the first climb is ordered too
+    for lam in np.linspace(edge + 1.0, c, points):
+        g = _solve_real(w, y, lam, warm, 1e-12, 10 ** 5)
+        if lam > edge + 1e-6:
+            exact = ((lam - c) - np.sqrt((lam - c) ** 2 - 4.0 * s)) / (2.0 * s)
+            # a residual of 1e-12 leaves an error of 1e-12 / (1 - s G^2)
+            assert g is not None
+            assert np.max(np.abs(g - exact)) <= 4e-12 / (1.0 - s * exact ** 2)
+        elif lam < edge - 1e-6:
+            assert g is None
+        if g is not None:
+            warm = g
+
+
 def test_diagonal_shift_translates_the_argument():
     """With Y = c I the solution equals the unshifted one at lambda - c."""
     n, c = 200, 0.8
@@ -454,3 +480,11 @@ def test_concentration_parameter_validation():
         ConcentrationBound(gamma_max=-1.0, delta=0.5, d=2.0, n=10, im_lambda=1.0)
     with pytest.raises(ValueError):
         ConcentrationBound(gamma_max=1.0, delta=0.5, d=2.0, n=10, im_lambda=0.0)
+
+
+def test_concentration_parameters_must_be_finite():
+    base = dict(gamma_max=1.0, delta=0.5, d=2.0, n=10, im_lambda=1.0)
+    for name in ("gamma_max", "d", "im_lambda"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                ConcentrationBound(**{**base, name: bad})

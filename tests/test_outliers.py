@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from deteq import dyson
 from deteq.dilation import RectangularModel, RectangularSpikes, dilate_model
 from deteq.dyson import (SolverConfig, SpectralParameter, omega_square,
                          solve_dyson)
@@ -191,6 +192,50 @@ def test_locate_uses_default_window_when_none_given():
     assert lo < 2.0 < hi  # brackets the bulk edge 1 + sqrt(0.9)
     roots = report.accepted()
     assert roots and abs(roots[0].lam - _CONSTANT_ROOT) <= 1e-3
+
+
+def test_locate_with_a_dense_deformation_matches_the_rotated_diagonal():
+    # As in test_beta_square_dense_deformation_matches_rotated_diagonal:
+    # R(G) depends only on tr G, so Y = Q D Q* with spikes U has the roots
+    # of the diagonal deformation D with spikes Q* U.  The window crosses
+    # the bulk, so the walk places dense-Y points in the support too.
+    rng = np.random.default_rng(31)
+    n = 30
+    prof = constant_profile(n, n, 1.0, hermitian=True)
+    d = rng.uniform(-1.0, 1.0, n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    u, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+    y = (q * d) @ q.T
+    y = (y + y.T) / 2.0
+    config = SolverConfig(max_iterations=3000)
+    dense = locate_outliers(HermitianModel(prof, y, SpikeSet(u=u, theta=[3.0, -3.0])),
+                            window=(-5.0, 5.0), config=config).accepted()
+    diag = locate_outliers(HermitianModel(prof, d, SpikeSet(u=q.T @ u, theta=[3.0, -3.0])),
+                           window=(-5.0, 5.0), config=config).accepted()
+    assert len(dense) == len(diag) == 2
+    assert all(abs(a.lam - b.lam) <= 1e-8 for a, b in zip(dense, diag))
+
+
+def test_outlier_sweep_psi_evaluation_count(monkeypatch):
+    """The benchmark's outlier sweep: 180 x 200 constant model, two strengths.
+
+    Placing a point in the support takes tens of plain steps, not a capped
+    solve; the count is deterministic.
+    """
+    count = 0
+    psi_raw = dyson._psi_raw
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return psi_raw(*args)
+
+    monkeypatch.setattr(dyson, "_psi_raw", counted)
+    cache: dict = {}
+    for theta in (0.431, 1.807):
+        locate_outliers(_dilated_constant_model(180, 200, theta), window=(1.4, 5.4),
+                        config=SolverConfig(max_iterations=3000), cache=cache)
+    assert count <= 10_000
 
 
 def test_locate_threshold_gates_acceptance():
