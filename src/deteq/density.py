@@ -48,6 +48,8 @@ class DensityCurve:
             raise ValueError("grid, values and convergence flags must share a shape")
         if self.eta <= 0.0:
             raise ValueError("eta must be > 0")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("density values must be finite")
         if np.any(self.values < -1e-12):
             raise ValueError("density values must be >= -1e-12")
 
@@ -103,7 +105,9 @@ def sv_density_correction(raw: DensityCurve, n: int, m: int) -> DensityCurve:
     if np.any(raw.grid < 0.0):
         raise ValueError("singular-value grids live on t >= 0")
     q = (m - n) / (m + n)
-    atom = q * raw.eta / (math.pi * (raw.grid ** 2 + raw.eta ** 2))
+    # eta / (t^2 + eta^2) as (eta / h) / h, h = hypot(t, eta): eta^2 may underflow
+    h = np.hypot(raw.grid, raw.eta)
+    atom = q / math.pi * (raw.eta / h) / h
     values = (raw.values - atom) * (2.0 / (1.0 - q))
     # The subtraction is exact in expectation but float noise can leave
     # tiny negative values near the origin; clip those at the invariant.

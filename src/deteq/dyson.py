@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dsytrf, dsytri, zhetrf, zhetri
 
 from .profiles import VarianceProfile
 
@@ -144,12 +145,44 @@ class DysonSolution:
 
 @dataclass(frozen=True, eq=False)
 class _Prepared:
-    """A Hermitian model as the solver reads it: W = Gamma / N, classified Y."""
+    """A Hermitian model as the solver reads it: its row classes and classified Y.
+
+    Rows with equal profile rows, and equal y_i when Y is absent or
+    diagonal, form a class.  psi maps vectors that are constant on the
+    classes to such vectors, and its fixed point is unique, so G is constant
+    on them and the solver iterates on one value per class (Ajanki, Erdos &
+    Kruger, Mem. AMS 261, 2019).  ``labels[i]`` is the class of row i,
+    ``first[c]`` the first row of class c and ``sizes[c]`` its row count;
+    ``w[c, d] = gamma^2(c, d) |d| / N`` is the variance map on class values.
+    A dense Y makes every row its own class: then r = n and w = Gamma / N.
+    ``y`` is the classified Y on all n rows.
+    """
 
     n: int
+    labels: np.ndarray
+    first: np.ndarray
+    sizes: np.ndarray
     w: np.ndarray
     y: np.ndarray | None
     gamma_max_sq: float
+
+    @property
+    def y_class(self):
+        """Y as the class equations read it: None, one value per class, or the dense matrix."""
+        return self.y if self.y is None or self.y.ndim == 2 else self.y[self.first]
+
+    def refined(self, *vectors) -> "_Prepared":
+        """The coarsest refinement of the classes on which every vector is constant."""
+        if self.first.size == self.n or all(
+                np.array_equal(v, v[self.first][self.labels]) for v in vectors):
+            return self
+        keys = np.column_stack([self.labels, *(p for v in vectors for p in (v.real, v.imag))])
+        _, first, labels, sizes = np.unique(keys, axis=0, return_index=True,
+                                            return_inverse=True, return_counts=True)
+        parent = self.labels[first]
+        w = self.w[np.ix_(parent, parent)] * (sizes / self.sizes[parent])
+        return _Prepared(self.n, labels.reshape(-1), first, sizes, w, self.y,
+                         self.gamma_max_sq)
 
 
 def _prepare(profile: VarianceProfile, y) -> _Prepared:
@@ -157,8 +190,51 @@ def _prepare(profile: VarianceProfile, y) -> _Prepared:
     if profile.mode != "hermitian":
         raise ValueError("the Dyson equation needs a hermitian-mode profile")
     n = profile.rows
-    return _Prepared(n, profile.entries / n, _classify_deformation(y, n),
+    y = _classify_deformation(y, n)
+    entries = profile.entries
+    classes = None if y is not None and y.ndim == 2 else _row_classes(entries, y)
+    if classes is not None:
+        labels, first, sizes = classes
+        w = entries[np.ix_(first, first)] * (sizes / n)
+        return _Prepared(n, labels, first, sizes, w, y, profile.gamma_max_sq)
+    # every row its own class: w is Gamma / N itself
+    rows = np.arange(n)
+    return _Prepared(n, rows, rows, np.ones(n, dtype=np.int64), entries / n, y,
                      profile.gamma_max_sq)
+
+
+def _row_hashes(entries: np.ndarray) -> np.ndarray:
+    """Each row's dot product with a fixed random vector.
+
+    einsum takes every row's dot product in the same order, so equal rows
+    hash equally wherever they sit; a BLAS matvec may not.
+    """
+    return np.einsum("ij,j->i", entries, np.random.default_rng(0).random(entries.shape[1]))
+
+
+def _row_classes(entries: np.ndarray, y):
+    """Classes of equal rows with equal y_i, numbered in order of their first row.
+
+    Returns (labels, first, sizes), or None when every row is its own class.
+    Rows are grouped by their dot product with a fixed vector, and every row
+    is then compared with its class's first row; if any differs, every row
+    becomes its own class.
+    """
+    n = entries.shape[0]
+    # a complex key compares the hash and y_i, both exactly
+    keys = _row_hashes(entries) if y is None else _row_hashes(entries) + 1j * y
+    if np.unique(keys).size == n:
+        return None
+    _, first, labels, sizes = np.unique(keys, return_index=True, return_inverse=True,
+                                        return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    labels, first, sizes = rank[labels.reshape(-1)], first[order], sizes[order]
+    rep = first[labels]
+    if not (np.array_equal(entries, entries[rep]) and (y is None or np.array_equal(y, y[rep]))):
+        return None
+    return labels, first, sizes
 
 
 def r_map(profile: VarianceProfile, g: np.ndarray) -> np.ndarray:
@@ -171,7 +247,7 @@ def r_map(profile: VarianceProfile, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g)
     if g.shape != (model.n,):
         raise ValueError(f"g has shape {g.shape}, expected ({model.n},)")
-    return _apply_r(model.w, g)
+    return _r_rows(model, g)
 
 
 def _apply_r(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -179,6 +255,21 @@ def _apply_r(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(g):
         return w @ g.real + 1j * (w @ g.imag)
     return w @ g
+
+
+def _r_rows(model: _Prepared, g: np.ndarray) -> np.ndarray:
+    """R(g) on all n rows for any g, class-constant or not.
+
+    Rows of one class are equal, so R(g) depends on g only through its
+    class means.
+    """
+    r = model.sizes.size
+
+    def means(part):
+        return np.bincount(model.labels, part, r) / model.sizes
+
+    mean = means(g.real) + 1j * means(g.imag) if np.iscomplexobj(g) else means(g)
+    return _apply_r(model.w, mean)[model.labels]
 
 
 def _classify_deformation(y, n: int):
@@ -207,13 +298,41 @@ def _classify_deformation(y, n: int):
     return y
 
 
-def _psi_raw(w, lam_diag, g, y):
+def _psi_raw(w, lam_diag, g, y, inertia=False):
+    """psi(g) = diag[(lambda - R(g) - Y)^(-1)] on class values.
+
+    With ``inertia`` (real lambda, so the matrix is Hermitian) it also
+    returns the inertia the real-axis walk compares: the sign pattern of
+    psi(g) for absent or diagonal Y, the count of positive eigenvalues of
+    lambda - R(g) - Y for dense Y.
+    """
     shift = lam_diag - _apply_r(w, g)
-    if y is None:
-        return 1.0 / shift
-    if y.ndim == 1:
-        return 1.0 / (shift - y)
-    return np.linalg.inv(np.diag(shift) - y).diagonal().copy()
+    if y is not None and y.ndim == 2:
+        if inertia:
+            return _hermitian_inverse_diagonal(np.diag(shift) - y)
+        return np.linalg.inv(np.diag(shift) - y).diagonal().copy()
+    psi = 1.0 / (shift if y is None else shift - y)
+    return (psi, psi > 0.0) if inertia else psi
+
+
+def _hermitian_inverse_diagonal(a: np.ndarray):
+    """diag(a^(-1)) and the count of positive eigenvalues of a Hermitian a.
+
+    Both come from one Bunch-Kaufman factorization a = U D U*, where D has
+    the inertia of a (Sylvester).  Bunch-Kaufman takes a 2 x 2 pivot only
+    when its determinant is negative, so each 2 x 2 block of D holds one
+    positive eigenvalue.  A singular a gives a NaN diagonal.
+    """
+    trf, tri = (zhetrf, zhetri) if np.iscomplexobj(a) else (dsytrf, dsytri)
+    # a workspace of 64 n lets LAPACK factor in blocks of 64 columns
+    lu, ipiv, info = trf(a, lwork=64 * a.shape[0], overwrite_a=1)
+    if info != 0:
+        return np.full(a.shape[0], np.nan), -1
+    # ipiv > 0 marks a 1 x 1 block; a 2 x 2 block has two negative entries
+    positive = np.count_nonzero(lu.diagonal()[ipiv > 0].real > 0.0) \
+        + np.count_nonzero(ipiv < 0) // 2
+    inv, _ = tri(lu, ipiv, overwrite_a=1)
+    return inv.diagonal().real.copy(), positive
 
 
 def _solve_real(w, y, lam: float, g0, tolerance, max_iterations) -> np.ndarray | None:
@@ -227,25 +346,21 @@ def _solve_real(w, y, lam: float, g0, tolerance, max_iterations) -> np.ndarray |
     iterates cross a pole of psi, where the inertia changes.  Returns None,
     placing lambda in the support, at the first iterate whose inertia
     differs from that at ``g0``; ``max_iterations`` is only a backstop.
-    ``w`` is the profile over N; ``y`` is classified.
+    ``w`` is the variance map on class values and ``y`` the classified Y on
+    the same classes (``_Prepared.w`` and ``_Prepared.y_class``).
     """
     g = np.asarray(g0, dtype=np.float64)
-    inertia = None
+    start = None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(max_iterations):
+            psi_g, inertia = _psi_raw(w, lam, g, y, True)
             # a Hermitian Y leaves only rounding in the imaginary part
-            psi_g = _psi_raw(w, lam, g, y).real
+            psi_g = psi_g.real
             if not np.all(np.isfinite(psi_g)):
                 return None
-            if y is None or y.ndim == 1:
-                # diagonal: the signs of psi(g) are those of lambda - R(g) - Y
-                now = psi_g > 0.0
-            else:
-                now = np.count_nonzero(
-                    np.linalg.eigvalsh(np.diag(lam - _apply_r(w, g)) - y) > 0.0)
-            if inertia is None:
-                inertia = now
-            elif np.any(now != inertia):
+            if start is None:
+                start = inertia
+            elif np.any(inertia != start):
                 return None
             if np.abs(g - psi_g).max() <= tolerance:
                 return g
@@ -262,7 +377,9 @@ def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,
     model = _prepare(profile, y)
     if lam.dim != model.n or g.dim != model.n:
         raise ValueError("dimension mismatch between profile, Lambda and g")
-    return OperatorStieltjes(_psi_raw(model.w, lam.diag, g.diag, model.y))
+    part = model.refined(lam.diag, g.diag)
+    psi = _psi_raw(part.w, lam.diag[part.first], g.diag[part.first], part.y_class)
+    return OperatorStieltjes(psi[part.labels])
 
 
 def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
@@ -285,10 +402,12 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
     started from is dropped for the damped step from that iterate.  The
     damping factor alpha starts at 1 and is halved (down to 1/16) whenever
     the residual of the accepted iterates grows five times in a row, which
-    tames the oscillations close to the real axis.  Diagonal deformations
-    use the entrywise reciprocal update; dense ones pay for a full resolvent
-    per step.  A solve that stops at ``config.max_iterations`` returns the
-    last iterate it evaluated, with that iterate's residual.
+    tames the oscillations close to the real axis.  The iteration runs on
+    one value per row class of the model (see ``_Prepared``), which is every
+    row when Y is dense.  Diagonal deformations use the entrywise reciprocal
+    update; dense ones pay for a full resolvent per step.  A solve that
+    stops at ``config.max_iterations`` returns the last iterate it
+    evaluated, with that iterate's residual.
     """
     return next(_solve_path(_prepare(profile, y), [lam], config))
 
@@ -307,19 +426,25 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
     for lam in lams:
         if lam.dim != n:
             raise ValueError(f"Lambda has dimension {lam.dim}, expected {n}")
-        lam_diag = lam.diag
-        certified = model.gamma_max_sq * lam.inv_im_norm() ** 2 < 1.0
+        # gamma_max^2 ||(Im Lambda)^(-1)||^2 < 1, without squaring a tiny Im Lambda
+        certified = math.sqrt(model.gamma_max_sq) < lam.im_min
+        # Iterate on the coarsest classes on which Lambda and the start are constant too.
+        part = model.refined(lam.diag) if start is None else model.refined(lam.diag, start.diag)
+        lam_c, y_c = lam.diag[part.first], part.y_class
         if model.gamma_max_sq == 0.0:
             # Noise-free model: the equation degenerates to G = diag[(Lambda - Y)^(-1)].
-            start = OperatorStieltjes(
-                _psi_raw(model.w, lam_diag, np.zeros(n, dtype=np.complex128), model.y))
+            g = _psi_raw(part.w, lam_c, np.zeros(lam_c.size, dtype=np.complex128), y_c)
+            start = OperatorStieltjes(g[part.labels])
             yield DysonSolution(start, iterations=1, residual=0.0, converged=True,
                                 contraction_certified=True, residual_history=np.zeros(1))
             continue
 
-        g = -1j / lam_diag.imag if start is None else start.diag.copy()
+        g = -1j / lam_c.imag if start is None else start.diag[part.first]
+        # Class c stands for sizes[c] equal rows: weighting its least-squares
+        # rows by sqrt(sizes[c]) makes the Anderson step the n-dimensional one.
+        weight = np.sqrt(part.sizes)
         alpha = 1.0
-        bound = 1.0 / lam_diag.imag
+        bound = 1.0 / lam_c.imag
         residuals = []
         increase_run = 0
         # The last accepted iterate, its image and its residual, and the
@@ -329,7 +454,7 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
         d_g, d_f = [], []
         extrapolated = False
         while True:
-            psi_g = _psi_raw(model.w, lam_diag, g, model.y)
+            psi_g = _psi_raw(part.w, lam_c, g, y_c)
             if not np.all(np.isfinite(psi_g)):
                 raise DysonDivergenceError(
                     f"fixed-point iterate became non-finite at iteration "
@@ -361,14 +486,15 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
             extrapolated = False
             if d_g:
                 dg, df = np.column_stack(d_g), np.column_stack(d_f)
-                gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+                gamma = np.linalg.lstsq(df * weight[:, np.newaxis], f * weight,
+                                        rcond=None)[0]
                 cand = g + alpha * f - (dg + alpha * df) @ gamma
                 # the guard: stay in the Stieltjes domain
                 extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
                                     and np.all(np.abs(cand) <= bound))
             g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
 
-        start = OperatorStieltjes(g)
+        start = OperatorStieltjes(g[part.labels])
         yield DysonSolution(start, iterations=len(residuals), residual=res,
                             converged=res <= config.tolerance,
                             contraction_certified=certified,
@@ -416,13 +542,16 @@ class ConcentrationBound:
             raise ValueError("im_lambda must be finite and > 0")
 
     @property
+    def min_im_lambda(self) -> float:
+        """The smallest Im(lambda) for which the bounds apply."""
+        if self.diagonal_y:
+            return self.gamma_max * self.n ** -0.25 * (1.0 - self.delta) ** (-1.0 / 6.0)
+        return self.gamma_max * (2.0 / (self.n * (1.0 - self.delta))) ** 0.2
+
+    @property
     def admissible(self) -> bool:
         """Whether Im(lambda) is large enough for the bounds to apply."""
-        if self.diagonal_y:
-            return bool(self.im_lambda >= (self.gamma_max * self.n ** -0.25
-                                           * (1.0 - self.delta) ** (-1.0 / 6.0)))
-        return bool(self.im_lambda
-                    >= self.gamma_max * (2.0 / (self.n * (1.0 - self.delta))) ** 0.2)
+        return bool(self.im_lambda >= self.min_im_lambda)
 
 
 @dataclass(frozen=True)

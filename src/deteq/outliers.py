@@ -128,9 +128,10 @@ class OutlierReport:
 
 
 def _core(spikes: SpikeSet, model: _Prepared, lam_value, g: np.ndarray) -> np.ndarray:
-    """U* diag(G) U, or U* (Omega - Y)^(-1) U for dense Y."""
+    """U* diag(G) U, or U* (Omega - Y)^(-1) U for dense Y; ``g`` has all n rows."""
     if model.y is None or model.y.ndim == 1:
         return (spikes.u.conj().T * g[np.newaxis, :]) @ spikes.u
+    # a dense Y makes every row its own class, so w is Gamma / N
     omega = lam_value - _apply_r(model.w, g)
     return spikes.u.conj().T @ np.linalg.solve(np.diag(omega) - model.y, spikes.u)
 
@@ -206,10 +207,12 @@ def locate_outliers(model: HermitianModel, window=None,
     where the edge is the first point in the support on the same kind of
     walk, run down from the row-sum bound in steps of 0.02.
 
-    ``cache`` maps each real lambda solved to its G, or to None where the
-    solve failed.  It depends on the profile and Y only, so callers may
-    share it across spike strengths.  Raises RuntimeError when no point of
-    the walk converges, or when a solve between two converged points fails.
+    The real-axis solves run on the model's row classes (``dyson._Prepared``),
+    and ``cache`` maps each real lambda solved to its G there, one value per
+    class, or to None where the solve failed.  It depends on the profile and
+    Y only, so callers may share it across spike strengths.  Raises
+    RuntimeError when no point of the walk converges, or when a solve
+    between two converged points fails.
     """
     if config is None:
         config = SolverConfig()
@@ -218,6 +221,7 @@ def locate_outliers(model: HermitianModel, window=None,
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError("threshold must be finite and >= 0")
     prepared, spikes = model._prepared, model.spikes
+    y_class = prepared.y_class
     cache = cache if cache is not None else {}
     warm = seed = None
 
@@ -229,8 +233,8 @@ def locate_outliers(model: HermitianModel, window=None,
                 point = SpectralParameter.scalar(complex(lam, eta_eval), prepared.n)
                 initial = config.initial if seed is None else seed.g_square
                 seed = next(_solve_path(prepared, [point], replace(config, initial=initial)))
-                start = seed.g_square.diag.real
-            cache[lam] = _solve_real(prepared.w, prepared.y, lam, start, config.tolerance,
+                start = seed.g_square.diag.real[prepared.first]
+            cache[lam] = _solve_real(prepared.w, y_class, lam, start, config.tolerance,
                                      config.max_iterations)
         if cache[lam] is not None:
             warm = cache[lam]
@@ -270,7 +274,7 @@ def locate_outliers(model: HermitianModel, window=None,
         if g is None:
             raise RuntimeError(f"real-axis Dyson solve failed at lambda = {lam} "
                                "between two converged points")
-        return np.linalg.eigvalsh(inv_theta - _core(spikes, prepared, lam, g))
+        return np.linalg.eigvalsh(inv_theta - _core(spikes, prepared, lam, g[prepared.labels]))
 
     def det_abs(eigenvalues: np.ndarray) -> float:
         # det beta = det(Theta^(-1) - core) det Theta

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter, _apply_r,
-                    _prepare, _solve_path, concentration_bound)
+from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter, _prepare,
+                    _r_rows, _solve_path, concentration_bound)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -131,7 +131,7 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
         x = sample_gue_profile(profile, child)
         resolvent = np.linalg.inv(lam_mat - x - y_mat)
         lhs += x @ resolvent
-        rhs += _apply_r(model.w, resolvent.diagonal())[:, np.newaxis] * resolvent
+        rhs += _r_rows(model, resolvent.diagonal())[:, np.newaxis] * resolvent
     return float(np.linalg.norm((lhs - rhs) / batch.count, 2))
 
 
@@ -142,13 +142,17 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
 
     Draws ``draws`` matrices, compares each empirical Stieltjes trace at
     ``lam`` with the Dyson value, and reports the fraction of draws whose
-    deviation stays within epsilon_tilde.
+    deviation stays within epsilon_tilde.  Raises ValueError, before any
+    draw, when Im ``lam`` is too small for the bound to apply.
     """
     model = _prepare(profile, y)
     n = model.n
     params = ConcentrationBound(gamma_max=np.sqrt(model.gamma_max_sq),
                                 delta=delta, d=d, n=n, im_lambda=complex(lam).imag,
                                 diagonal_y=model.y is None or model.y.ndim == 1)
+    if not params.admissible:
+        raise ValueError(f"the concentration bound needs Im lambda >= "
+                         f"{params.min_im_lambda:.6g} here, got {params.im_lambda:.6g}")
     bound = concentration_bound(params)
     sol = next(_solve_path(model, [SpectralParameter.scalar(lam, n)], config))
     if not sol.converged:

@@ -324,9 +324,24 @@ _HERM4 = "constant:n=4,m=4,hermitian=true"
     ("validate", "--what", "concentration", "--d", "inf"),
     ("validate", "--what", "concentration", "--d", "nan"),
     ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--eta", "nan"),
+    ("validate", "--what", "concentration", "--n", "400", "--samples", "5",
+     "--lambda-im", "1e-9"),
 ])
 def test_zero_and_unused_flags_are_validated_not_defaulted(tmp_path, argv):
     assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+
+
+def test_density_at_a_tiny_eta_is_finite(tmp_path):
+    # eta^2 underflows to 0 here, so neither the contraction test nor the
+    # Cauchy atom of the singular-value correction may square eta.
+    out = tmp_path / "density.csv"
+    assert _run("density", "--profile", "constant:n=20,m=20", "--grid", "0:3:0.5",
+                "--eta", "1e-300", "--out", str(out)) == 0
+    values = [float(r.split(",")[1]) for r in out.read_text().strip().split("\n")[1:]]
+    assert len(values) == 7
+    assert np.all(np.isfinite(values))
+    # the quarter-circle law of a square model: 2 / pi at the origin
+    assert values[0] == pytest.approx(2.0 / np.pi, rel=1e-6)
 
 
 def test_grid_writes_no_point_beyond_its_max(tmp_path):

@@ -75,6 +75,13 @@ def test_density_curve_validation():
                      eta=0.1, converged=np.array([True]), tolerance=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_curve_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        DensityCurve(grid=np.array([0.0, 1.0]), values=np.array([bad, 0.0]),
+                     eta=0.1, converged=np.array([True, True]), tolerance=1e-12)
+
+
 def test_sv_correction_square_case_doubles():
     grid = np.linspace(0.0, 2.0, 11)
     raw = DensityCurve(grid=grid, values=np.full(11, 0.25), eta=0.01,

@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from deteq import dyson
+from deteq.density import density_curve
+from deteq.dilation import RectangularModel, dilate_model
 from deteq.dyson import (ConcentrationBound, OperatorStieltjes, SolverConfig,
-                         SpectralParameter, _solve_real, concentration_bound,
-                         omega_square, psi_step, r_map, solve_dyson)
-from deteq.profiles import (VarianceProfile, constant_profile, normalize_profile,
+                         SpectralParameter, _hermitian_inverse_diagonal, _prepare,
+                         _solve_path, _solve_real, concentration_bound, omega_square,
+                         psi_step, r_map, solve_dyson)
+from deteq.profiles import (VarianceProfile, bernoulli_profile, constant_profile,
+                            doubly_stochastic_profile, normalize_profile,
                             piecewise_profile)
 
 # Semicircle Stieltjes transform with the branch cut on [-2, 2].
@@ -488,3 +493,138 @@ def test_concentration_parameters_must_be_finite():
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError):
                 ConcentrationBound(**{**base, name: bad})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), r=st.integers(1, 4), n=st.integers(1, 24),
+       y_kind=st.sampled_from(["none", "class", "row"]))
+def test_block_profile_solution_is_class_constant_and_solves_the_dense_equation(
+        data, r, n, y_kind):
+    labels = np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)))
+    b = data.draw(arrays(np.float64, (r, r), elements=st.floats(0.0, 4.0)))
+    prof = VarianceProfile(((b + b.T) / 2.0)[np.ix_(labels, labels)], "hermitian")
+    y = None
+    if y_kind == "class":
+        y = data.draw(arrays(np.float64, r, elements=st.floats(-2.0, 2.0)))[labels]
+    elif y_kind == "row":
+        y = data.draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+    lam_value = complex(data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(0.1, 2.0)))
+    sol = solve_dyson(prof, y, SpectralParameter.scalar(lam_value, n))
+    assert sol.converged
+    g = sol.g_square.diag
+    y_rows = np.zeros(n) if y is None else y
+    # rows with equal labels and equal y_i have one value
+    for c, value in set(zip(labels, y_rows)):
+        rows = (labels == c) & (y_rows == value)
+        assert np.all(g[rows] == g[rows][0])
+    dense = 1.0 / (lam_value - (prof.entries / n) @ g - y_rows)
+    assert np.max(np.abs(g - dense)) <= 1e-10
+
+
+def test_row_classes_of_the_cli_profiles():
+    def dilated(profile):
+        return dilate_model(RectangularModel(profile=profile)).profile
+
+    model = _prepare(_criterion_5_profile(), None)
+    assert list(model.sizes) == [360, 400]
+    assert np.array_equal(model.labels, np.repeat([0, 1], [360, 400]))
+    assert model.w.shape == (2, 2)
+    piecewise = dilated(normalize_profile(piecewise_profile(360, 400, 1.0, 200.0)))
+    assert list(_prepare(piecewise, None).sizes) == [90, 270, 100, 300]
+    for prof in (dilated(doubly_stochastic_profile(400, 8, seed=11)),
+                 dilated(bernoulli_profile(360, 400, 0.3, seed=1))):
+        model = _prepare(prof, None)
+        assert model.sizes.size == prof.rows
+        assert np.array_equal(model.w, prof.entries / prof.rows)
+    # a diagonal Y splits classes; a dense one makes every row a class
+    herm = constant_profile(6, 6, 1.0, hermitian=True)
+    assert list(_prepare(herm, np.array([0.0, 0.0, 1.0, 1.0, 0.0, 2.0])).sizes) == [3, 2, 1]
+    dense = np.ones((6, 6))
+    assert _prepare(herm, dense).sizes.size == 6
+
+
+def test_rows_that_differ_by_one_ulp_are_never_merged(monkeypatch):
+    entries = np.ones((5, 5))
+    entries[0, 1] = entries[1, 0] = np.nextafter(1.0, 2.0)
+    prof = VarianceProfile(entries, "hermitian")
+    labels = dyson._prepare(prof, None).labels
+    assert len({labels[0], labels[1], labels[2]}) == 3
+    # when every row hashes alike, the exact comparison still tells them apart
+    monkeypatch.setattr(dyson, "_row_hashes", lambda e: np.zeros(e.shape[0]))
+    assert list(dyson._prepare(prof, None).labels) == [0, 1, 2, 3, 4]
+    assert dyson._prepare(constant_profile(5, 5, 1.0, hermitian=True), None).sizes.size == 1
+    shifted = np.array([0.0, 0.0, 0.0, 0.0, 1e-300])
+    assert list(dyson._prepare(constant_profile(5, 5, 1.0, hermitian=True),
+                               shifted).labels) == [0, 0, 0, 0, 1]
+
+
+def test_criterion_5_grid_runs_on_two_class_values(monkeypatch):
+    # The dilated 360 x 400 constant profile has two row classes, so every
+    # evaluation of psi on criterion 5's grid handles 2 values, not 760.
+    sizes = []
+    psi_raw = dyson._psi_raw
+
+    def recorded(*args):
+        sizes.append(len(args[2]))
+        return psi_raw(*args)
+
+    monkeypatch.setattr(dyson, "_psi_raw", recorded)
+    curve = density_curve(_criterion_5_profile(), None, 0.05 * np.arange(61), eta=0.01,
+                          config=SolverConfig(tolerance=1e-9))
+    assert curve.converged.all()
+    assert set(sizes) == {2}
+    assert len(sizes) <= 913
+
+
+def test_refined_classes_follow_a_non_scalar_lambda_and_start():
+    # A Lambda or a start that varies inside a class splits it, so the solve
+    # equals the one on singleton classes.
+    prof = _criterion_5_profile()
+    lam_diag = np.full(760, 1.0 + 0.05j)
+    lam_diag[:10] += 0.2
+    lam = SpectralParameter(lam_diag)
+    sol = solve_dyson(prof, None, lam)
+    g = sol.g_square.diag
+    assert sol.converged
+    assert np.all(g[:10] == g[0]) and np.all(g[10:360] == g[10]) and g[0] != g[10]
+    dense = 1.0 / (lam_diag - (prof.entries / 760) @ g)
+    assert np.max(np.abs(g - dense)) <= 1e-10
+    start = OperatorStieltjes(np.where(np.arange(760) % 2 == 0, -1j, -2j))
+    again = solve_dyson(prof, None, lam, SolverConfig(initial=start))
+    assert again.converged
+    assert np.max(np.abs(again.g_square.diag - g)) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_hermitian_inverse_diagonal_and_inertia(n):
+    rng = np.random.default_rng(n)
+    for complex_entries, hollow in ((False, False), (True, False), (False, True), (True, True)):
+        a = rng.standard_normal((n, n))
+        if complex_entries:
+            a = a + 1j * rng.standard_normal((n, n))
+        a = (a + a.conj().T) / 2.0
+        if hollow and n > 1:
+            # a zero diagonal makes Bunch-Kaufman take 2 x 2 pivots
+            a -= np.diag(np.diag(a))
+        diag, positive = _hermitian_inverse_diagonal(a.copy())
+        assert np.max(np.abs(diag - np.linalg.inv(a).diagonal().real)) <= 1e-10
+        assert positive == np.count_nonzero(np.linalg.eigvalsh(a) > 0.0)
+
+
+def test_class_solve_takes_the_steps_of_the_row_by_row_solve():
+    # Weighting each class's least-squares row by sqrt(class size) makes the
+    # Anderson step on class values the step on all rows, so the two solves
+    # see the same residuals.
+    prof = dilate_model(RectangularModel(profile=constant_profile(12, 40, 1.0))).profile
+    model = _prepare(prof, None)
+    rows = model.refined(np.arange(52.0))  # every row its own class
+    assert model.sizes.size == 2 and rows.sizes.size == 52
+    lam = SpectralParameter.scalar(1.2 + 0.01j, 52)
+    config = SolverConfig(tolerance=1e-10)
+    by_class = next(_solve_path(model, [lam], config))
+    by_row = next(_solve_path(rows, [lam], config))
+    assert by_class.converged and by_class.iterations == by_row.iterations
+    # rounding grows as the residual falls; compare while it is large
+    live = by_row.residual_history > 1e-8
+    assert np.allclose(by_class.residual_history[live], by_row.residual_history[live],
+                       rtol=1e-9, atol=0.0)
