@@ -112,6 +112,14 @@ def _get(cfg: dict, field: str, default):
     return default if value is None else value
 
 
+def _seed(value) -> int:
+    """A seed as given; numpy takes only seeds >= 0."""
+    seed = int(value)
+    if seed < 0:
+        raise ConfigError("seed: must be >= 0")
+    return seed
+
+
 def _parse_profile_spec(spec: str) -> VarianceProfile:
     """Either a profile CSV path or 'kind:key=value,...'."""
     if os.path.exists(spec) or spec.endswith(".csv"):
@@ -159,10 +167,10 @@ def _build_profile(kind: str, opts: dict) -> VarianceProfile:
                               hermitian=hermitian))
     elif kind == "bernoulli":
         n, m = int(take("n")), int(take("m"))
-        prof = bernoulli_profile(n, m, float(take("p")), int(take("seed")))
+        prof = bernoulli_profile(n, m, float(take("p")), _seed(take("seed")))
     elif kind == "doubly-stochastic":
         prof = doubly_stochastic_profile(int(take("n")), int(take("k", 1)),
-                                         int(take("seed")))
+                                         _seed(take("seed")))
     else:
         raise ConfigError(f"unknown profile kind '{kind}'")
     if opts:
@@ -452,7 +460,7 @@ def _cmd_sample(args) -> int:
     count = int(_get(cfg, "count", 1))
     if count < 1:
         raise ConfigError("count: must be >= 1")
-    seed = int(_require(cfg, "seed"))
+    seed = _seed(_require(cfg, "seed"))
 
     batch = SampleBatch(seed=seed, count=count, n=profile.rows)
     values = []
@@ -505,7 +513,7 @@ def _cmd_validate(args) -> int:
     out = _require(cfg, "out")
     n = int(_get(cfg, "n", 50))
     samples = int(_get(cfg, "samples", 100))
-    seed = int(_get(cfg, "seed", 0))
+    seed = _seed(_get(cfg, "seed", 0))
     if cfg["profile"] is not None:
         profile = _parse_profile_spec(str(cfg["profile"]))
         if profile.mode != "hermitian":

@@ -217,24 +217,29 @@ def _row_classes(entries: np.ndarray, y):
 
     Returns (labels, first, sizes), or None when every row is its own class.
     Rows are grouped by their dot product with a fixed vector, and every row
-    is then compared with its class's first row; if any differs, every row
-    becomes its own class.
+    is then compared with its group's first row; a group holding a row that
+    differs is split by an exact comparison of its rows, and the other
+    groups stay whole.
     """
     n = entries.shape[0]
     # a complex key compares the hash and y_i, both exactly
     keys = _row_hashes(entries) if y is None else _row_hashes(entries) + 1j * y
-    if np.unique(keys).size == n:
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size == n:
         return None
-    _, first, labels, sizes = np.unique(keys, return_index=True, return_inverse=True,
-                                        return_counts=True)
+    group = group.reshape(-1)
+    exact = np.zeros(n, dtype=np.int64)
+    for g in np.unique(group[np.any(entries != entries[first[group]], axis=1)]):
+        rows = np.flatnonzero(group == g)
+        exact[rows] = np.unique(entries[rows], axis=0, return_inverse=True)[1].reshape(-1)
+    _, first, labels, sizes = np.unique(group * n + exact, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    if first.size == n:
+        return None
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    labels, first, sizes = rank[labels.reshape(-1)], first[order], sizes[order]
-    rep = first[labels]
-    if not (np.array_equal(entries, entries[rep]) and (y is None or np.array_equal(y, y[rep]))):
-        return None
-    return labels, first, sizes
+    return rank[labels.reshape(-1)], first[order], sizes[order]
 
 
 def r_map(profile: VarianceProfile, g: np.ndarray) -> np.ndarray:

@@ -283,6 +283,21 @@ def test_profile_spec_parse_errors(tmp_path):
                 "--out", str(out)) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("validate", "--what", "master", "--n", "4", "--samples", "2", "--seed", "-4"),
+     "error: seed: must be >= 0"),
+    (("sample", "--profile", "constant:n=3,m=3,hermitian=true", "--seed", "-1"),
+     "error: seed: must be >= 0"),
+    (("density", "--profile", "bernoulli:n=4,m=4,p=0.5,seed=-3", "--grid", "0:1:0.5"),
+     "error: profile: seed: must be >= 0"),
+    (("profile", "--kind", "doubly-stochastic", "--n", "4", "--seed", "-2"),
+     "error: seed: must be >= 0"),
+])
+def test_a_negative_seed_is_named(tmp_path, capsys, argv, message):
+    assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.strip() == message
+
+
 _HERM4 = "constant:n=4,m=4,hermitian=true"
 
 

@@ -547,11 +547,19 @@ def test_rows_that_differ_by_one_ulp_are_never_merged(monkeypatch):
     entries = np.ones((5, 5))
     entries[0, 1] = entries[1, 0] = np.nextafter(1.0, 2.0)
     prof = VarianceProfile(entries, "hermitian")
-    labels = dyson._prepare(prof, None).labels
-    assert len({labels[0], labels[1], labels[2]}) == 3
-    # when every row hashes alike, the exact comparison still tells them apart
+    assert list(dyson._prepare(prof, None).labels) == [0, 1, 2, 2, 2]
+    # when every row hashes alike, the exact comparison still tells rows 0
+    # and 1 apart, and only that group is split: rows 2-4 stay one class
     monkeypatch.setattr(dyson, "_row_hashes", lambda e: np.zeros(e.shape[0]))
-    assert list(dyson._prepare(prof, None).labels) == [0, 1, 2, 3, 4]
+    model = dyson._prepare(prof, None)
+    assert list(model.labels) == [0, 1, 2, 2, 2]
+    # the solve on those classes is the row-by-row one
+    lam = SpectralParameter.scalar(0.3 + 0.05j, 5)
+    by_class = next(_solve_path(model, [lam], SolverConfig(tolerance=1e-14)))
+    by_row = next(_solve_path(model.refined(np.arange(5.0)), [lam],
+                              SolverConfig(tolerance=1e-14)))
+    assert by_class.converged and by_row.converged
+    assert np.max(np.abs(by_class.g_square.diag - by_row.g_square.diag)) <= 1e-13
     assert dyson._prepare(constant_profile(5, 5, 1.0, hermitian=True), None).sizes.size == 1
     shifted = np.array([0.0, 0.0, 0.0, 0.0, 1e-300])
     assert list(dyson._prepare(constant_profile(5, 5, 1.0, hermitian=True),

@@ -2,13 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from deteq import sampling
+from deteq.cli import main
 from deteq.dyson import SpectralParameter
-from deteq.profiles import constant_profile
-from deteq.sampling import (SampleBatch, check_master_equality,
+from deteq.profiles import VarianceProfile, constant_profile
+from deteq.sampling import (SampleBatch, _empirical_trace, check_master_equality,
                             empirical_spectrum, sample_gue_profile,
                             sample_rect_gaussian, validate_concentration)
+
+
+def _reference_draw(profile: VarianceProfile, seed) -> np.ndarray:
+    """The Hermitian draw written out with a gather and scatter through the
+    upper-triangle indices; sample_gue_profile must match it bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = profile.rows
+    gamma = np.sqrt(profile.entries)
+    scale = 1.0 / np.sqrt(n)
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    x_diag = rng.standard_normal(n)
+    h = np.zeros((n, n), dtype=np.complex128)
+    iu = np.triu_indices(n, 1)
+    h[iu] = gamma[iu] * z[iu] * scale
+    h = h + h.conj().T
+    h[np.diag_indices(n)] = np.diag(gamma) * x_diag * scale
+    return h
+
+
+def _symmetric_profile(n: int, seed: int) -> VarianceProfile:
+    a = np.random.default_rng(seed).random((n, n))
+    return VarianceProfile((a + a.T) / 2.0, "hermitian")
 
 
 def test_hermitian_draw_is_exactly_hermitian():
@@ -40,6 +66,18 @@ def test_rectangular_entry_variances():
     assert x.shape == (n, m)
     var = float(np.mean(np.abs(x) ** 2))
     assert abs(var - value / m) <= 0.05 * value / m
+
+
+@pytest.mark.parametrize("profile", [
+    constant_profile(400, 400, 1.0, hermitian=True),
+    _symmetric_profile(37, 8),
+    constant_profile(1, 1, 1.0, hermitian=True),
+    constant_profile(9, 9, 0.0, hermitian=True),
+], ids=["constant-400", "symmetric-37", "n-1", "zero"])
+def test_draws_match_the_index_scatter_reference_bit_for_bit(profile):
+    for child in SampleBatch(seed=17, count=2, n=profile.rows).child_seeds():
+        assert np.array_equal(sample_gue_profile(profile, child),
+                              _reference_draw(profile, child))
 
 
 def test_profile_zeros_silence_entries():
@@ -75,10 +113,62 @@ def test_empirical_spectrum_known_matrix():
     oracle = 0.5 * (1.0 / (1j - 1.0) + 1.0 / (1j - 2.0))
     assert abs(g - oracle) <= 1e-15
     assert np.array_equal(eigs, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        empirical_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), 1j)
-    with pytest.raises(ValueError):
-        empirical_spectrum(h, 1.0)
+    assert abs(_empirical_trace(h, 1j) - oracle) <= 1e-15
+    near = np.diag([1.0, 2.0])
+    near[0, 1] = 1e-11  # within the 1e-10 Hermitian tolerance
+    for check in (empirical_spectrum, _empirical_trace):
+        check(near, 1j)
+        assert near[1, 0] == 0.0  # a real input is read, not changed
+        for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 2e-10], [0.0, 0.0]]),
+                    np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 3)), np.zeros((0, 0))):
+            with pytest.raises(ValueError):
+                check(bad, 1j)
+        with pytest.raises(ValueError):
+            check(h, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+       re=st.floats(-3.0, 3.0), im=st.floats(1e-2, 10.0))
+def test_lu_trace_is_the_eigenvalue_mean(n, seed, re, im):
+    rng = np.random.default_rng(seed)
+    a = (rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))) / np.sqrt(n)
+    h = sample_gue_profile(_symmetric_profile(n, seed), rng) + (a + a.conj().T) / 2.0
+    lam = complex(re, im)
+    oracle = complex(np.mean(1.0 / (lam - np.linalg.eigvalsh(h))))
+    assert abs(_empirical_trace(h, lam) - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_concentration_factorizes_each_draw_once(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the trace needs neither eigenvalues nor the full inverse")
+
+    calls = []
+    getrf = sampling.zgetrf
+
+    def counted(a, **kwargs):
+        calls.append(a.shape)
+        return getrf(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    monkeypatch.setattr(sampling, "zgetrf", counted)
+    out = validate_concentration(constant_profile(40, 40, 1.0, hermitian=True), None,
+                                 0.8j, d=2.0, delta=0.5, draws=7, seed=4)
+    assert out["draws"] == 7
+    assert calls == [(40, 40)] * 7
+
+
+def test_sample_command_writes_the_reference_eigenvalues(tmp_path):
+    out = tmp_path / "eigs.txt"
+    assert main(["sample", "--profile", "constant:n=12,m=12,hermitian=true", "--y",
+                 "diag:0.5", "--count", "3", "--seed", "7", "--out", str(out)]) == 0
+    written = np.array([float(v) for v in out.read_text().split()])
+    profile = constant_profile(12, 12, 1.0, hermitian=True)
+    expect = np.concatenate([
+        np.linalg.eigvalsh(_reference_draw(profile, child) + np.diag(np.full(12, 0.5)))
+        for child in SampleBatch(seed=7, count=3, n=12).child_seeds()])
+    assert np.array_equal(written, expect)
 
 
 def _semicircle_cdf(t: np.ndarray) -> np.ndarray:
