@@ -27,7 +27,8 @@ import numpy as np
 from .density import (density_curve, sv_density_correction, write_density_csv,
                       write_density_metadata)
 from .dilation import RectangularModel, RectangularSpikes, dilate_model
-from .dyson import DysonDivergenceError, SolverConfig, SpectralParameter, _prepare
+from .dyson import (DysonDivergenceError, SolverConfig, SpectralParameter,
+                    _classify_deformation)
 from .outliers import (HermitianModel, SpikeSet, det_beta_curve, locate_outliers)
 from .profiles import (VarianceProfile, bernoulli_profile, constant_profile,
                        doubly_stochastic_profile, normalize_profile,
@@ -190,13 +191,12 @@ def _parse_y_spec(spec: str | None, rows: int, cols: int | None = None):
     if spec.startswith("diag:"):
         if cols is not None:
             raise ConfigError("y: rectangular models need 'zero' or a csv matrix")
-        values = [float(v) for v in spec[5:].split(",") if v]
-        if len(values) == 1:
-            return np.full(rows, values[0])
-        if len(values) != rows:
-            raise ConfigError(f"y: diagonal needs 1 or {rows} values, got {len(values)}")
-        return np.asarray(values)
-    if spec.startswith("csv:"):
+        y = np.asarray([float(v) for v in spec[5:].split(",") if v])
+        if y.size == 1:
+            y = np.full(rows, y[0])
+        if y.size != rows:
+            raise ConfigError(f"y: diagonal needs 1 or {rows} values, got {y.size}")
+    elif spec.startswith("csv:"):
         path = spec[4:]
         try:
             y = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
@@ -205,8 +205,11 @@ def _parse_y_spec(spec: str | None, rows: int, cols: int | None = None):
         expect = (rows, rows if cols is None else cols)
         if y.shape != expect:
             raise ConfigError(f"y: matrix has shape {y.shape}, expected {expect}")
-        return y
-    raise ConfigError(f"y: unknown specification '{spec}'")
+    else:
+        raise ConfigError(f"y: unknown specification '{spec}'")
+    if not np.all(np.isfinite(y)):
+        raise ConfigError("y: deformation must be finite")
+    return y
 
 
 def _parse_grid(spec: str, eta: float) -> np.ndarray:
@@ -232,9 +235,12 @@ def _parse_window(spec: str | None):
     if len(parts) != 2:
         raise ConfigError("window: expected 'lo:hi'")
     try:
-        return (float(parts[0]), float(parts[1]))
+        lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"window: malformed specification '{spec}'")
+    if not (np.isfinite([lo, hi]).all() and hi > lo):
+        raise ConfigError("window: needs finite values and hi > lo")
+    return lo, hi
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -434,13 +440,10 @@ def _cmd_outliers(args) -> int:
         lines += [f"{t:.17g},{abs(d):.17g}" for t, d in zip(lams, dets)]
     else:
         lines = ["theta,lambda,det_abs,accepted"]
-        for theta, report in zip(thetas, reports):
-            if report.candidates:
-                best = min(report.candidates, key=lambda c: c.det_abs)
-                lines.append(f"{theta:.17g},{best.lam:.17g},"
-                             f"{best.det_abs:.17g},{int(best.accepted)}")
-            else:
-                lines.append(f"{theta:.17g},nan,nan,0")
+        for theta, report in zip(thetas, reports):  # every report has a candidate
+            best = min(report.candidates, key=lambda c: c.det_abs)
+            lines.append(f"{theta:.17g},{best.lam:.17g},"
+                         f"{best.det_abs:.17g},{int(best.accepted)}")
     with open(curve_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -466,7 +469,7 @@ def _cmd_sample(args) -> int:
     values = []
     if profile.mode == "hermitian":
         y = _parse_y_spec(cfg["y"], profile.rows)
-        y_add = _deformation_matrix(_prepare(profile, y).y)
+        y_add = _deformation_matrix(_classify_deformation(y, profile.rows))
         for child in batch.child_seeds():
             h = sample_gue_profile(profile, child) + y_add
             values.append(np.linalg.eigvalsh(h))
@@ -522,17 +525,16 @@ def _cmd_validate(args) -> int:
     else:
         profile = constant_profile(n, n, 1.0, hermitian=True)
 
+    lam_c = complex(float(_get(cfg, "lambda_re", 0.0)),
+                    float(_get(cfg, "lambda_im", 1.0 if what == "master" else 0.5)))
+    if lam_c.imag <= 0.0:
+        raise ConfigError("lambda_im: must be > 0")
     if what == "master":
         bound_factor = float(_get(cfg, "bound_factor", 5.0))
         if not (np.isfinite(bound_factor) and bound_factor > 0.0):
             raise ConfigError("bound_factor: must be finite and > 0")
-        lam_c = complex(float(_get(cfg, "lambda_re", 0.0)),
-                        float(_get(cfg, "lambda_im", 1.0)))
-        if lam_c.imag <= 0.0:
-            raise ConfigError("lambda_im: must be > 0")
-        lam = SpectralParameter.scalar(lam_c, n)
-        deviation = check_master_equality(
-            profile, None, lam, SampleBatch(seed=seed, count=samples, n=n))
+        deviation = check_master_equality(profile, None, SpectralParameter.scalar(lam_c, n),
+                                          SampleBatch(seed=seed, count=samples, n=n))
         bound = bound_factor / np.sqrt(samples)
         result = {
             "deviation": deviation,
@@ -543,10 +545,6 @@ def _cmd_validate(args) -> int:
         min_rate = float(_get(cfg, "min_pass_rate", 0.95))
         if not 0.0 <= min_rate <= 1.0:
             raise ConfigError("min_pass_rate: must lie in [0, 1]")
-        lam_c = complex(float(_get(cfg, "lambda_re", 0.0)),
-                        float(_get(cfg, "lambda_im", 0.5)))
-        if lam_c.imag <= 0.0:
-            raise ConfigError("lambda_im: must be > 0")
         summary = validate_concentration(
             profile, None, lam_c, d=float(_get(cfg, "d", 2.0)),
             delta=float(_get(cfg, "delta", 0.5)), draws=samples, seed=seed)

@@ -79,6 +79,8 @@ class RectangularModel:
             y = np.asarray(self.y, dtype=np.complex128)
             if y.shape != (n, m):
                 raise ValueError(f"deformation has shape {y.shape}, expected ({n}, {m})")
+            if not np.all(np.isfinite(y)):
+                raise ValueError("deformation must be finite")
             y.setflags(write=False)
             object.__setattr__(self, "y", y)
         if self.spikes is not None:

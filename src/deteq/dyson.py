@@ -130,6 +130,7 @@ class DysonSolution:
 
     ``g_square`` is the last iterate the solver evaluated and ``residual``
     is the sup norm of G - psi(G) there, whether or not the solve converged.
+    A real-axis solve that does not converge returns its start instead.
     ``residual_history`` records that norm at every iteration, one per
     evaluation of psi, including iterates that were dropped because an
     extrapolation overshot.
@@ -165,11 +166,6 @@ class _Prepared:
     w: np.ndarray
     y: np.ndarray | None
     gamma_max_sq: float
-
-    @property
-    def y_class(self):
-        """Y as the class equations read it: None, one value per class, or the dense matrix."""
-        return self.y if self.y is None or self.y.ndim == 2 else self.y[self.first]
 
     def refined(self, *vectors) -> "_Prepared":
         """The coarsest refinement of the classes on which every vector is constant."""
@@ -242,17 +238,25 @@ def _row_classes(entries: np.ndarray, y):
     return rank[labels.reshape(-1)], first[order], sizes[order]
 
 
+def _variance_map(profile: VarianceProfile) -> np.ndarray:
+    """Gamma / N on all n rows of a hermitian-mode profile."""
+    if profile.mode != "hermitian":
+        raise ValueError("the Dyson equation needs a hermitian-mode profile")
+    return profile.entries / profile.rows
+
+
 def r_map(profile: VarianceProfile, g: np.ndarray) -> np.ndarray:
     """Variance map R(G)(i) = sum_j gamma^2(i, j) G(j, j) / N.
 
     Linear in g; maps vectors with Im <= 0 to vectors with Im <= 0 and is
-    bounded by gamma_max^2 in sup norm.
+    bounded by gamma_max^2 in sup norm.  It reads the profile row by row,
+    without the row classes the solver iterates on.
     """
-    model = _prepare(profile, None)
+    w = _variance_map(profile)
     g = np.asarray(g)
-    if g.shape != (model.n,):
-        raise ValueError(f"g has shape {g.shape}, expected ({model.n},)")
-    return _r_rows(model, g)
+    if g.shape != (w.shape[0],):
+        raise ValueError(f"g has shape {g.shape}, expected ({w.shape[0]},)")
+    return _apply_r(w, g)
 
 
 def _apply_r(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -262,32 +266,19 @@ def _apply_r(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return w @ g
 
 
-def _r_rows(model: _Prepared, g: np.ndarray) -> np.ndarray:
-    """R(g) on all n rows for any g, class-constant or not.
-
-    Rows of one class are equal, so R(g) depends on g only through its
-    class means.
-    """
-    r = model.sizes.size
-
-    def means(part):
-        return np.bincount(model.labels, part, r) / model.sizes
-
-    mean = means(g.real) + 1j * means(g.imag) if np.iscomplexobj(g) else means(g)
-    return _apply_r(model.w, mean)[model.labels]
-
-
 def _classify_deformation(y, n: int):
     """The one reading of a deformation Y on an n-dimensional space.
 
     Returns None when Y is absent, a real float64 vector when Y is diagonal
     (given as a vector or as a matrix with zero off-diagonal part), and the
     n x n Hermitian matrix otherwise.  Raises ValueError for a wrong shape,
-    a complex diagonal or a non-Hermitian matrix.
+    a non-finite entry, a complex diagonal or a non-Hermitian matrix.
     """
     if y is None:
         return None
     y = np.asarray(y)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("deformation must be finite")
     if y.ndim == 1:
         if y.shape != (n,):
             raise ValueError(f"diagonal deformation has length {y.shape[0]}, expected {n}")
@@ -307,7 +298,7 @@ def _psi_raw(w, lam_diag, g, y, inertia=False):
     """psi(g) = diag[(lambda - R(g) - Y)^(-1)] on class values.
 
     With ``inertia`` (real lambda, so the matrix is Hermitian) it also
-    returns the inertia the real-axis walk compares: the sign pattern of
+    returns the inertia a real-axis solve compares: the sign pattern of
     psi(g) for absent or diagonal Y, the count of positive eigenvalues of
     lambda - R(g) - Y for dense Y.
     """
@@ -340,51 +331,18 @@ def _hermitian_inverse_diagonal(a: np.ndarray):
     return inv.diagonal().real.copy(), positive
 
 
-def _solve_real(w, y, lam: float, g0, tolerance, max_iterations) -> np.ndarray | None:
-    """Plain iteration of psi at a real lambda from the real start ``g0``.
-
-    On the real axis psi is order-preserving: its Jacobian |M_ik|^2 W_kj is
-    nonnegative, with M = (lambda - R(g) - Y)^(-1) Hermitian.  Started from
-    G at a point of the same gap, the iterates move monotonically to
-    G(lambda), and every lambda - R(g) - Y on the way keeps its inertia.
-    Inside the support there is no real fixed point to stop at, and the
-    iterates cross a pole of psi, where the inertia changes.  Returns None,
-    placing lambda in the support, at the first iterate whose inertia
-    differs from that at ``g0``; ``max_iterations`` is only a backstop.
-    ``w`` is the variance map on class values and ``y`` the classified Y on
-    the same classes (``_Prepared.w`` and ``_Prepared.y_class``).
-    """
-    g = np.asarray(g0, dtype=np.float64)
-    start = None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(max_iterations):
-            psi_g, inertia = _psi_raw(w, lam, g, y, True)
-            # a Hermitian Y leaves only rounding in the imaginary part
-            psi_g = psi_g.real
-            if not np.all(np.isfinite(psi_g)):
-                return None
-            if start is None:
-                start = inertia
-            elif np.any(inertia != start):
-                return None
-            if np.abs(g - psi_g).max() <= tolerance:
-                return g
-            g = psi_g
-    return None
-
-
 def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,
              g: OperatorStieltjes) -> OperatorStieltjes:
     """One fixed-point map application: diag[(Lambda - R(g) - Y)^(-1)].
 
     The output again has Im <= 0 and sup norm at most ||(Im Lambda)^(-1)||.
+    Like ``r_map`` it reads the profile row by row.
     """
-    model = _prepare(profile, y)
-    if lam.dim != model.n or g.dim != model.n:
+    w = _variance_map(profile)
+    y = _classify_deformation(y, w.shape[0])
+    if lam.dim != w.shape[0] or g.dim != w.shape[0]:
         raise ValueError("dimension mismatch between profile, Lambda and g")
-    part = model.refined(lam.diag, g.diag)
-    psi = _psi_raw(part.w, lam.diag[part.first], g.diag[part.first], part.y_class)
-    return OperatorStieltjes(psi[part.labels])
+    return OperatorStieltjes(_psi_raw(w, lam.diag, g.diag, y))
 
 
 def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
@@ -418,9 +376,20 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
 
 
 def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
-    """Yield the ``solve_dyson`` solution at each Lambda of ``lams`` in turn.
+    """Yield one ``DysonSolution`` for each point of ``lams`` in turn.
 
-    Each solve after the first starts from the previous point's G.
+    A point is a ``SpectralParameter``, solved as ``solve_dyson`` describes,
+    or a float, a real lambda solved by plain iteration.  Each solve starts
+    from the previous point's G, the first from ``config.initial``; a real
+    lambda needs one.  On the real axis psi is order-preserving (its
+    Jacobian |M_ik|^2 W_kj is nonnegative, M = (lambda - R(g) - Y)^(-1)), so
+    from G at a point of the same gap the iterates move monotonically to
+    G(lambda) and keep the inertia that ``_psi_raw`` reports; inside the
+    support they cross a pole of psi.  A real solve iterates on the real
+    part of its start and stops at the first iterate whose inertia differs
+    from the start's, or whose psi is non-finite: it is then unconverged and
+    yields its start unchanged, placing lambda in the support.
+    ``max_iterations`` is a backstop there.
     """
     if config is None:
         config = SolverConfig()
@@ -429,80 +398,107 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
     if start is not None and start.dim != n:
         raise ValueError("warm start has wrong dimension")
     for lam in lams:
-        if lam.dim != n:
-            raise ValueError(f"Lambda has dimension {lam.dim}, expected {n}")
-        # gamma_max^2 ||(Im Lambda)^(-1)||^2 < 1, without squaring a tiny Im Lambda
-        certified = math.sqrt(model.gamma_max_sq) < lam.im_min
         # Iterate on the coarsest classes on which Lambda and the start are constant too.
-        part = model.refined(lam.diag) if start is None else model.refined(lam.diag, start.diag)
-        lam_c, y_c = lam.diag[part.first], part.y_class
+        real = isinstance(lam, float)
+        if real:
+            if start is None or not math.isfinite(lam):
+                raise ValueError("a real lambda must be finite and have a start")
+            certified = model.gamma_max_sq == 0.0
+            part = model.refined(start.diag)
+            lam_c = lam
+        else:
+            if lam.dim != n:
+                raise ValueError(f"Lambda has dimension {lam.dim}, expected {n}")
+            # gamma_max^2 ||(Im Lambda)^(-1)||^2 < 1, without squaring a tiny Im Lambda
+            certified = math.sqrt(model.gamma_max_sq) < lam.im_min
+            part = model.refined(lam.diag) if start is None else model.refined(lam.diag, start.diag)
+            lam_c = lam.diag[part.first]
+        # Y as the class equations read it: None, one value per class, or the dense matrix
+        y_c = part.y if part.y is None or part.y.ndim == 2 else part.y[part.first]
         if model.gamma_max_sq == 0.0:
-            # Noise-free model: the equation degenerates to G = diag[(Lambda - Y)^(-1)].
-            g = _psi_raw(part.w, lam_c, np.zeros(lam_c.size, dtype=np.complex128), y_c)
-            start = OperatorStieltjes(g[part.labels])
-            yield DysonSolution(start, iterations=1, residual=0.0, converged=True,
-                                contraction_certified=True, residual_history=np.zeros(1))
-            continue
-
-        g = -1j / lam_c.imag if start is None else start.diag[part.first]
-        # Class c stands for sizes[c] equal rows: weighting its least-squares
-        # rows by sqrt(sizes[c]) makes the Anderson step the n-dimensional one.
-        weight = np.sqrt(part.sizes)
-        alpha = 1.0
-        bound = 1.0 / lam_c.imag
-        residuals = []
-        increase_run = 0
-        # The last accepted iterate, its image and its residual, and the
-        # differences between consecutive accepted iterates and residuals.
-        g_base = psi_base = f_base = None
-        res_base = math.inf
-        d_g, d_f = [], []
-        extrapolated = False
-        while True:
-            psi_g = _psi_raw(part.w, lam_c, g, y_c)
-            if not np.all(np.isfinite(psi_g)):
-                raise DysonDivergenceError(
-                    f"fixed-point iterate became non-finite at iteration "
-                    f"{len(residuals) + 1} (damping {alpha})")
-            f = psi_g - g
-            res = float(np.abs(f).max())
-            residuals.append(res)
-            if res <= config.tolerance or len(residuals) == config.max_iterations:
-                break
-            if res > res_base:
-                if extrapolated:
-                    # The extrapolation overshot: take the damped step from the
-                    # iterate it started at instead.
-                    g = (1.0 - alpha) * g_base + alpha * psi_base
-                    extrapolated = False
-                    continue
-                increase_run += 1
-                if increase_run >= 5 and alpha > 1.0 / 16.0:
-                    alpha = max(alpha / 2.0, 1.0 / 16.0)
-                    increase_run = 0
-            else:
-                increase_run = 0
-            if g_base is not None:
-                d_g.append(g - g_base)
-                d_f.append(f - f_base)
-                if len(d_g) > _ANDERSON_DEPTH:
-                    del d_g[0], d_f[0]
-            g_base, psi_base, f_base, res_base = g, psi_g, f, res
+            # Noise-free model: the equation degenerates to G = diag[(Lambda - Y)^(-1)],
+            # which is infinite where a real lambda meets an eigenvalue of Y.
+            with np.errstate(divide="ignore"):
+                g = _psi_raw(part.w, lam_c, np.zeros(part.sizes.size), y_c, real)
+            g = g[0] if real else g
+            converged = bool(np.all(np.isfinite(g)))
+            residuals = [0.0 if converged else math.inf]
+        elif real:
+            g = start.diag[part.first].real
+            residuals, signs = [], None
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                while len(residuals) < config.max_iterations:
+                    psi_g, inertia = _psi_raw(part.w, lam_c, g, y_c, True)
+                    residuals.append(float(np.abs(g - psi_g).max()))
+                    signs = inertia if signs is None else signs
+                    crossed = not np.all(np.isfinite(psi_g)) or np.any(inertia != signs)
+                    if crossed or residuals[-1] <= config.tolerance:
+                        break
+                    g = psi_g
+            converged = not crossed and residuals[-1] <= config.tolerance
+        else:
+            g = -1j / lam_c.imag if start is None else start.diag[part.first]
+            # Class c stands for sizes[c] equal rows: weighting its least-squares
+            # rows by sqrt(sizes[c]) makes the Anderson step the n-dimensional one.
+            weight = np.sqrt(part.sizes)
+            alpha = 1.0
+            bound = 1.0 / lam_c.imag
+            residuals = []
+            increase_run = 0
+            # The last accepted iterate, its image and its residual, and the
+            # differences between consecutive accepted iterates and residuals.
+            g_base = psi_base = f_base = None
+            res_base = math.inf
+            d_g, d_f = [], []
             extrapolated = False
-            if d_g:
-                dg, df = np.column_stack(d_g), np.column_stack(d_f)
-                gamma = np.linalg.lstsq(df * weight[:, np.newaxis], f * weight,
-                                        rcond=None)[0]
-                cand = g + alpha * f - (dg + alpha * df) @ gamma
-                # the guard: stay in the Stieltjes domain
-                extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
-                                    and np.all(np.abs(cand) <= bound))
-            g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
+            while True:
+                psi_g = _psi_raw(part.w, lam_c, g, y_c)
+                if not np.all(np.isfinite(psi_g)):
+                    raise DysonDivergenceError(
+                        f"fixed-point iterate became non-finite at iteration "
+                        f"{len(residuals) + 1} (damping {alpha})")
+                f = psi_g - g
+                res = float(np.abs(f).max())
+                residuals.append(res)
+                if res <= config.tolerance or len(residuals) == config.max_iterations:
+                    break
+                if res > res_base:
+                    if extrapolated:
+                        # The extrapolation overshot: take the damped step from the
+                        # iterate it started at instead.
+                        g = (1.0 - alpha) * g_base + alpha * psi_base
+                        extrapolated = False
+                        continue
+                    increase_run += 1
+                    if increase_run >= 5 and alpha > 1.0 / 16.0:
+                        alpha = max(alpha / 2.0, 1.0 / 16.0)
+                        increase_run = 0
+                else:
+                    increase_run = 0
+                if g_base is not None:
+                    d_g.append(g - g_base)
+                    d_f.append(f - f_base)
+                    if len(d_g) > _ANDERSON_DEPTH:
+                        del d_g[0], d_f[0]
+                g_base, psi_base, f_base, res_base = g, psi_g, f, res
+                extrapolated = False
+                if d_g:
+                    dg, df = np.column_stack(d_g), np.column_stack(d_f)
+                    gamma = np.linalg.lstsq(df * weight[:, np.newaxis], f * weight,
+                                            rcond=None)[0]
+                    cand = g + alpha * f - (dg + alpha * df) @ gamma
+                    # the guard: stay in the Stieltjes domain
+                    extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
+                                        and np.all(np.abs(cand) <= bound))
+                g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
+            converged = res <= config.tolerance
 
-        start = OperatorStieltjes(g[part.labels])
-        yield DysonSolution(start, iterations=len(residuals), residual=res,
-                            converged=res <= config.tolerance,
-                            contraction_certified=certified,
+        if real and not converged:  # the start stays the next point's start
+            residual = residuals[0]
+        else:
+            start, residual = OperatorStieltjes(g[part.labels]), residuals[-1]
+        yield DysonSolution(start, iterations=len(residuals), residual=residual,
+                            converged=converged, contraction_certified=certified,
                             residual_history=np.asarray(residuals))
 
 

@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 
 from .dilation import DilatedModel, _check_frame
 from .dyson import (SolverConfig, SpectralParameter, _apply_r, _prepare, _Prepared,
-                    _solve_path, _solve_real)
+                    _solve_path)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -189,16 +189,18 @@ def locate_outliers(model: HermitianModel, window=None,
     """Locate the real zeros of det beta inside a search window by counting.
 
     Walks ``scan_points`` equispaced points down from the top of the window,
-    solving the Dyson equation on the real axis with ``_solve_real``, which
+    solving the Dyson equation on the real axis (``dyson._solve_path``
     places a point in the support when its plain iteration crosses a pole
-    of psi.  The top point, and every point after one in the support,
-    starts from Re G(lambda + i eta_eval), each such complex solve
-    warm-started from the previous one; every other solve starts from the
-    last real G found.  Each boundary between a converged and a failed
-    point is bisected down to a width of 1e-4.  Between two adjacent
-    converged points, every eigenvalue of Theta^(-1) - U* G U that turns
-    from negative to nonnegative marks one root, which brentq polishes.
-    All solves run at ``config``.
+    of psi), and bisects each boundary between a converged and a failed
+    point down to a width of 1e-4.  Between two adjacent converged points,
+    every eigenvalue of Theta^(-1) - U* G U that turns from negative to
+    nonnegative marks one root, which brentq polishes.  Each real solve
+    names its start: a walk point the previous walk point's G, a bisection
+    midpoint the converged end of its bracket, a brentq point the upper end
+    of its bracket.  A point without one (the top point, and any after a
+    point in the support) is solved on the path [lambda + i eta_eval,
+    lambda], whose complex solve starts from the previous such one.  All
+    solves run at ``config``.
 
     Each root is a candidate with det_abs = |det beta(root)|, accepted when
     det_abs <= ``threshold``.  A window without roots reports one candidate,
@@ -207,10 +209,10 @@ def locate_outliers(model: HermitianModel, window=None,
     where the edge is the first point in the support on the same kind of
     walk, run down from the row-sum bound in steps of 0.02.
 
-    The real-axis solves run on the model's row classes (``dyson._Prepared``),
-    and ``cache`` maps each real lambda solved to its G there, one value per
-    class, or to None where the solve failed.  It depends on the profile and
-    Y only, so callers may share it across spike strengths.  Raises
+    ``cache`` maps each real lambda solved to its real G (an
+    ``OperatorStieltjes``), or to None where the solve failed.  It depends
+    on the profile and Y only, so callers may share it across spike
+    strengths.  Raises ValueError for a non-finite or empty window, and
     RuntimeError when no point of the walk converges, or when a solve
     between two converged points fails.
     """
@@ -221,23 +223,20 @@ def locate_outliers(model: HermitianModel, window=None,
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError("threshold must be finite and >= 0")
     prepared, spikes = model._prepared, model.spikes
-    y_class = prepared.y_class
     cache = cache if cache is not None else {}
-    warm = seed = None
+    seed = config.initial
 
-    def solve(lam: float, fresh: bool = False):
-        nonlocal warm, seed
+    def solve(lam: float, start):
+        """Real G at lam from the G ``start``, or from a complex seed when it is None."""
+        nonlocal seed
         if lam not in cache:
-            start = warm
-            if fresh:
+            if start is None:
                 point = SpectralParameter.scalar(complex(lam, eta_eval), prepared.n)
-                initial = config.initial if seed is None else seed.g_square
-                seed = next(_solve_path(prepared, [point], replace(config, initial=initial)))
-                start = seed.g_square.diag.real[prepared.first]
-            cache[lam] = _solve_real(prepared.w, y_class, lam, start, config.tolerance,
-                                     config.max_iterations)
-        if cache[lam] is not None:
-            warm = cache[lam]
+                first, sol = _solve_path(prepared, [point, lam], replace(config, initial=seed))
+                seed = first.g_square
+            else:
+                sol = next(_solve_path(prepared, [lam], replace(config, initial=start)))
+            cache[lam] = sol.g_square if sol.converged else None
         return cache[lam]
 
     if window is None:
@@ -247,21 +246,22 @@ def locate_outliers(model: HermitianModel, window=None,
         if y is not None:
             reach += float(np.abs(y).max() if y.ndim == 1 else np.linalg.norm(y, 2))
         grid = [float(t) for t in np.arange(reach + 0.02, -0.02, -0.02)]
-        edge = next((t for i, t in enumerate(grid) if solve(t, fresh=i == 0) is None), reach)
+        edge = next((t for i, t in enumerate(grid)
+                     if solve(t, cache[grid[i - 1]] if i else None) is None), reach)
         window = (edge - 0.5, edge + float(np.abs(spikes.theta).max()) + 2.0)
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("search window is empty")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError("search window must be finite and non-empty")
 
     walk = [float(t) for t in np.linspace(hi, lo, scan_points)]
     points = {}
     for i, lam in enumerate(walk):
-        points[lam] = solve(lam, fresh=i == 0 or points[walk[i - 1]] is None)
+        points[lam] = solve(lam, points[walk[i - 1]] if i else None)
         if i and (points[lam] is None) != (points[walk[i - 1]] is None):
             a, b = lam, walk[i - 1]
             while b - a > 1e-4:
                 mid = 0.5 * (a + b)
-                points[mid] = solve(mid)
+                points[mid] = solve(mid, points[b] if points[a] is None else points[a])
                 if (points[mid] is None) == (points[a] is None):
                     a = mid
                 else:
@@ -269,19 +269,19 @@ def locate_outliers(model: HermitianModel, window=None,
 
     inv_theta = np.diag(1.0 / spikes.theta)
 
-    def spectrum(lam: float) -> np.ndarray:
-        g = solve(lam)
+    def spectrum(lam: float, start) -> np.ndarray:
+        g = solve(lam, start)
         if g is None:
             raise RuntimeError(f"real-axis Dyson solve failed at lambda = {lam} "
                                "between two converged points")
-        return np.linalg.eigvalsh(inv_theta - _core(spikes, prepared, lam, g[prepared.labels]))
+        return np.linalg.eigvalsh(inv_theta - _core(spikes, prepared, lam, g.diag.real))
 
     def det_abs(eigenvalues: np.ndarray) -> float:
         # det beta = det(Theta^(-1) - core) det Theta
         return abs(float(np.prod(eigenvalues) * np.prod(spikes.theta)))
 
     lams = sorted(points)
-    spectra = {lam: spectrum(lam) for lam in lams if points[lam] is not None}
+    spectra = {lam: spectrum(lam, g) for lam, g in points.items() if g is not None}
     if not spectra:
         raise RuntimeError("no scan point converged; widen the window, raise "
                            "max_iterations or loosen the tolerance")
@@ -290,8 +290,8 @@ def locate_outliers(model: HermitianModel, window=None,
         if a not in spectra or b not in spectra:
             continue
         for j in np.flatnonzero((spectra[a] < 0.0) & (spectra[b] >= 0.0)):
-            root = brentq(lambda t: spectrum(t)[j], a, b)
-            value = det_abs(spectrum(root))
+            root = brentq(lambda t: spectrum(t, points[b])[j], a, b)
+            value = det_abs(spectrum(root, points[b]))
             candidates.append(OutlierCandidate(lam=root, det_abs=value,
                                                accepted=value <= threshold))
     if not candidates:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgetrf, ztrtri
 
-from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter, _prepare,
-                    _r_rows, _solve_path, concentration_bound)
+from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter, _apply_r,
+                    _classify_deformation, _prepare, _solve_path, _variance_map,
+                    concentration_bound)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -161,11 +162,11 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
     deviation tends to 0 like count^(-1/2); both sides share every draw, so
     the statistic is a pure fluctuation measure.
     """
-    model = _prepare(profile, y)
-    n = model.n
+    w = _variance_map(profile)
+    n = w.shape[0]
     if batch.n != n or lam.dim != n:
         raise ValueError("batch, profile and Lambda dimensions disagree")
-    y_mat = _deformation_matrix(model.y)
+    y_mat = _deformation_matrix(_classify_deformation(y, n))
     lam_mat = np.diag(lam.diag)
     lhs = np.zeros((n, n), dtype=np.complex128)
     rhs = np.zeros((n, n), dtype=np.complex128)
@@ -173,7 +174,7 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
         x = sample_gue_profile(profile, child)
         resolvent = np.linalg.inv(lam_mat - x - y_mat)
         lhs += x @ resolvent
-        rhs += _r_rows(model, resolvent.diagonal())[:, np.newaxis] * resolvent
+        rhs += _apply_r(w, resolvent.diagonal())[:, np.newaxis] * resolvent
     return float(np.linalg.norm((lhs - rhs) / batch.count, 2))
 
 

@@ -301,6 +301,42 @@ def test_a_negative_seed_is_named(tmp_path, capsys, argv, message):
 _HERM4 = "constant:n=4,m=4,hermitian=true"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--y", "diag:inf"),
+     "error: y: deformation must be finite"),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--y", "diag:0,nan,0,0"),
+     "error: y: deformation must be finite"),
+    (("outliers", "--model", _HERM4, "--theta-list", "2.0", "--y", "diag:inf"),
+     "error: y: deformation must be finite"),
+    (("outliers", "--model", _HERM4, "--theta-list", "2.0", "--y", "diag:nan"),
+     "error: y: deformation must be finite"),
+    (("outliers", "--model", _HERM4, "--theta-list", "2.0", "--window", "1:inf"),
+     "error: window: needs finite values and hi > lo"),
+    (("outliers", "--model", _HERM4, "--theta-list", "2.0", "--window", "nan:3"),
+     "error: window: needs finite values and hi > lo"),
+    (("outliers", "--model", _HERM4, "--theta-list", "2.0", "--window", "3:1"),
+     "error: window: needs finite values and hi > lo"),
+])
+def test_non_finite_deformations_and_windows_are_named(tmp_path, capsys, argv, message):
+    assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_finite_csv_deformation_is_named(tmp_path, capsys):
+    y = tmp_path / "y.csv"
+    y.write_text("0,1,0,0\n1,0,0,0\n0,0,inf,0\n0,0,0,0\n")
+    out = str(tmp_path / "out")
+    assert _run("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--y", f"csv:{y}",
+                "--out", out) == 1
+    assert capsys.readouterr().err.strip() == "error: y: deformation must be finite"
+    rect = tmp_path / "rect.csv"
+    rect.write_text("0,nan,0\n0,0,0\n")
+    assert _run("outliers", "--model", "constant:n=2,m=3", "--theta-list", "2.0",
+                "--y", f"csv:{rect}", "--out", out) == 1
+    assert capsys.readouterr().err.strip() == "error: y: deformation must be finite"
+
+
 @pytest.mark.parametrize("argv", [
     ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--eta", "0"),
     ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--tolerance", "0"),

@@ -115,6 +115,11 @@ def test_rectangular_model_validation():
     rect = constant_profile(4, 6, 1.0)
     with pytest.raises(ValueError):
         RectangularModel(profile=rect, y=np.zeros((4, 5)))
+    for bad in (np.inf, np.nan):
+        y = np.zeros((4, 6))
+        y[1, 2] = bad
+        with pytest.raises(ValueError, match="deformation must be finite"):
+            RectangularModel(profile=rect, y=y)
     spikes = RectangularSpikes(u=_orthonormal(5, 1, seed=10), theta=[1.0],
                                v=_orthonormal(6, 1, seed=11))
     with pytest.raises(ValueError):

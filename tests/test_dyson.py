@@ -10,9 +10,9 @@ from deteq import dyson
 from deteq.density import density_curve
 from deteq.dilation import RectangularModel, dilate_model
 from deteq.dyson import (ConcentrationBound, OperatorStieltjes, SolverConfig,
-                         SpectralParameter, _hermitian_inverse_diagonal, _prepare,
-                         _solve_path, _solve_real, concentration_bound, omega_square,
-                         psi_step, r_map, solve_dyson)
+                         SpectralParameter, _hermitian_inverse_diagonal, _prepare, _Prepared,
+                         _solve_path, concentration_bound, omega_square, psi_step, r_map,
+                         solve_dyson)
 from deteq.profiles import (VarianceProfile, bernoulli_profile, constant_profile,
                             doubly_stochastic_profile, normalize_profile,
                             piecewise_profile)
@@ -247,20 +247,39 @@ def test_criterion_5_grid_iteration_count():
     assert total <= 3000
 
 
+def _real_solve(model, lam, start, max_iterations, tolerance=1e-12):
+    """One real-axis solve at lam from start, on the merged path."""
+    config = SolverConfig(tolerance=tolerance, max_iterations=max_iterations,
+                          initial=start)
+    return next(_solve_path(model, [float(lam)], config))
+
+
 def test_real_axis_solve_reaches_a_lower_gap_on_the_right_branch():
     # The two-level profile has a gap at (0.2, 0.55) between the central
     # bump and the upper bulk.  Walking from above the bulk across it must
     # land on the branch that solve_dyson finds just above the axis.
     prof = normalize_profile(piecewise_profile(40, 40, 1.0, 200.0, hermitian=True))
-    w = prof.entries / 40
+    model = _prepare(prof, None)
     top = solve_dyson(prof, None, SpectralParameter.scalar(4.0 + 1e-3j, 40))
-    g_top = _solve_real(w, None, 4.0, top.g_square.diag.real, 1e-12, 2500)
-    assert g_top is not None
-    assert _solve_real(w, None, 1.2, g_top, 1e-12, 2500) is None  # in the bulk
-    g = _solve_real(w, None, 0.3, g_top, 1e-12, 10000)
+    g_top = _real_solve(model, 4.0, top.g_square, 2500)
+    assert g_top.converged
+    assert not _real_solve(model, 1.2, g_top.g_square, 2500).converged  # in the bulk
+    g = _real_solve(model, 0.3, g_top.g_square, 10000)
     ref = solve_dyson(prof, None, SpectralParameter.scalar(0.3 + 1e-7j, 40))
-    assert g is not None and ref.converged
-    assert np.max(np.abs(g - ref.g_square.diag.real)) <= 5e-10
+    assert g.converged and ref.converged
+    assert np.max(np.abs(g.g_square.diag - ref.g_square.diag.real)) <= 5e-10
+
+
+def _row_by_row(w, y) -> _Prepared:
+    """A model whose every row is its own class, with Y as given.
+
+    ``_prepare`` reads Y = c I as diagonal; building the model directly
+    keeps a dense Y dense, so its solves take the Bunch-Kaufman inertia.
+    """
+    n = w.shape[0]
+    rows = np.arange(n)
+    return _Prepared(n, rows, rows, np.ones(n, dtype=np.int64), w, y,
+                     float(w.max()) * n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,11 +292,13 @@ def test_real_axis_walk_splits_at_the_exact_edge(data, n, k, s, c, points, dense
     # and G(lambda) = ((lambda - c) - sqrt((lambda - c)^2 - 4 s)) / 2 s above it.
     p = sum(np.eye(n)[data.draw(st.permutations(range(n)))] for _ in range(k))
     w = (p + p.T) * (s / (2.0 * k))
-    y = c * np.eye(n) if dense else np.full(n, c)
+    model = _row_by_row(w, c * np.eye(n) if dense else np.full(n, c))
     edge = 2.0 * np.sqrt(s) + c
-    warm = np.zeros(n)  # below G(lambda) > 0, so the first climb is ordered too
+    # below G(lambda) > 0, so the first climb is ordered too
+    warm = OperatorStieltjes(np.zeros(n))
     for lam in np.linspace(edge + 1.0, c, points):
-        g = _solve_real(w, y, lam, warm, 1e-12, 10 ** 5)
+        sol = _real_solve(model, lam, warm, 10 ** 5)
+        g = sol.g_square.diag.real if sol.converged else None
         if lam > edge + 1e-6:
             exact = ((lam - c) - np.sqrt((lam - c) ** 2 - 4.0 * s)) / (2.0 * s)
             # a residual of 1e-12 leaves an error of 1e-12 / (1 - s G^2)
@@ -286,7 +307,71 @@ def test_real_axis_walk_splits_at_the_exact_edge(data, n, k, s, c, points, dense
         elif lam < edge - 1e-6:
             assert g is None
         if g is not None:
-            warm = g
+            warm = sol.g_square
+
+
+def test_a_real_point_in_the_support_returns_its_start():
+    prof = constant_profile(30, 30, 1.0, hermitian=True)
+    model = _prepare(prof, None)
+    outside = _real_solve(model, 3.0, OperatorStieltjes(np.zeros(30)), 1000)
+    assert outside.converged
+    assert outside.g_square.diag.real == pytest.approx(np.full(30, (3.0 - np.sqrt(5.0)) / 2.0),
+                                                        abs=1e-11)
+    inside = _real_solve(model, 1.0, outside.g_square, 1000)
+    assert not inside.converged and not inside.contraction_certified
+    # the pole crossing stops it, not the cap
+    assert inside.iterations == 2
+    assert inside.g_square is outside.g_square
+    assert inside.residual == inside.residual_history[0]
+    # the path goes on from the same start
+    after = list(_solve_path(model, [1.0, 2.5], SolverConfig(initial=outside.g_square)))
+    assert not after[0].converged and after[1].converged
+    assert after[1].g_square.diag.real == pytest.approx(
+        np.full(30, (2.5 - np.sqrt(2.25)) / 2.0), abs=1e-11)
+    # a complex start is read by its real part
+    seed, real = _solve_path(model, [SpectralParameter.scalar(3.0 + 1e-3j, 30), 3.0])
+    assert real.converged
+    assert np.max(np.abs(real.g_square.diag - outside.g_square.diag)) <= 1e-11
+
+
+def test_a_real_point_needs_a_start_and_a_finite_value():
+    model = _prepare(constant_profile(4, 4, 1.0, hermitian=True), None)
+    with pytest.raises(ValueError):
+        next(_solve_path(model, [3.0]))
+    # the first point may be complex and seed the real one after it
+    sols = list(_solve_path(model, [SpectralParameter.scalar(3.0 + 1j, 4), 3.0]))
+    assert all(sol.converged for sol in sols)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            next(_solve_path(model, [bad], SolverConfig(initial=sols[1].g_square)))
+
+
+@pytest.mark.parametrize("lam, cap", [(3.0, 10000), (1.0, 10000), (2.1, 5)])
+def test_a_real_solve_counts_every_evaluation_of_psi(monkeypatch, lam, cap):
+    calls = []
+    psi_raw = dyson._psi_raw
+
+    def counted(*args):
+        calls.append(args)
+        return psi_raw(*args)
+
+    monkeypatch.setattr(dyson, "_psi_raw", counted)
+    model = _prepare(constant_profile(30, 30, 1.0, hermitian=True), None)
+    sol = _real_solve(model, lam, OperatorStieltjes(np.zeros(30)), cap)
+    assert sol.iterations == len(sol.residual_history) == len(calls)
+    assert sol.converged == (lam == 3.0)
+    assert sol.iterations <= cap
+
+
+def test_a_noise_free_real_point_is_exact_or_in_the_support():
+    y = np.array([0.5, -0.2, 0.0])
+    model = _prepare(constant_profile(3, 3, 0.0, hermitian=True), y)
+    start = OperatorStieltjes(np.zeros(3))
+    sol = _real_solve(model, 1.0, start, 10)
+    assert sol.converged and sol.iterations == 1 and sol.residual == 0.0
+    assert np.array_equal(sol.g_square.diag, 1.0 / (1.0 - y))
+    at_eigenvalue = _real_solve(model, 0.5, start, 10)
+    assert not at_eigenvalue.converged and at_eigenvalue.g_square is start
 
 
 def test_diagonal_shift_translates_the_argument():
@@ -402,6 +487,15 @@ def test_deformation_validation():
         solve_dyson(prof, skew, lam)
     with pytest.raises(ValueError):
         solve_dyson(prof, np.full(3, 0.1 + 0.2j), lam)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="deformation must be finite"):
+            solve_dyson(prof, np.array([0.0, bad, 0.0]), lam)
+        dense = np.zeros((3, 3))
+        dense[0, 1] = dense[1, 0] = bad
+        with pytest.raises(ValueError, match="deformation must be finite"):
+            solve_dyson(prof, dense, lam)
+        with pytest.raises(ValueError, match="deformation must be finite"):
+            psi_step(prof, np.full(3, bad), lam, OperatorStieltjes(np.full(3, -1j)))
 
 
 def test_omega_square_subordination():

@@ -251,6 +251,9 @@ def test_locate_validation():
         locate_outliers(model, window=(2.0, 1.0))
     with pytest.raises(ValueError):
         locate_outliers(model, window=(1.5, 3.0), scan_points=2)
+    for window in ((1.0, np.inf), (np.nan, 3.0), (-np.inf, 3.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="search window must be finite and non-empty"):
+            locate_outliers(model, window=window)
 
 
 def test_non_finite_strengths_and_thresholds_are_rejected():
@@ -311,6 +314,36 @@ def test_shared_cache_is_reused_across_spike_strengths():
     locate_outliers(model, window=(1.8, 3.2), cache=cache)
     # the scan grid is shared, so a third strength adds few new solves
     assert len(cache) < solves_after_first_sweep * 1.5
+
+
+def test_each_real_solve_starts_from_a_named_point(monkeypatch):
+    # Only a point without a start (the top one, and one after a point in
+    # the support) is seeded by a complex solve; every other real solve
+    # starts from a converged real G.
+    import deteq.outliers as outliers
+    calls = []
+    path = outliers._solve_path
+
+    def recorded(model, lams, config=None):
+        calls.append((list(lams), config.initial))
+        return path(model, calls[-1][0], config)
+
+    monkeypatch.setattr(outliers, "_solve_path", recorded)
+    cache: dict = {}
+    report = locate_outliers(_dilated_constant_model(16, 20, 2.0), window=(1.0, 3.0),
+                             scan_points=9, cache=cache)
+    assert report.accepted()
+    walk = [float(t) for t in np.linspace(3.0, 1.0, 9)]
+    seeded = [lams[1] for lams, _ in calls if len(lams) == 2]
+    assert seeded == [walk[0]] + [t for above, t in zip(walk, walk[1:]) if cache[above] is None]
+    assert all(isinstance(lams[-1], float) for lams, _ in calls)
+    # Here the support lies below the root: the previous walk point, the
+    # converged end of the bisected bracket and the upper end of the brentq
+    # bracket all lie above the point they start.
+    solved_at = {id(g): lam for lam, g in cache.items() if g is not None}
+    for lams, start in calls:
+        if len(lams) == 1:
+            assert solved_at[id(start)] > lams[0]
 
 
 def test_spike_set_validation():
