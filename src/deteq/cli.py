@@ -156,27 +156,31 @@ def _build_profile(kind: str, opts: dict) -> VarianceProfile:
             raise ConfigError(f"{key}: required field is missing")
         return value
 
+    def count(key, default=None) -> int:
+        value = int(take(key, default))
+        if value < 1:
+            raise ConfigError(f"{key}: must be >= 1")
+        return value
+
     kind = kind.replace("_", "-")
     hermitian = str(opts.pop("hermitian", "false")).lower() in ("1", "true", "yes")
     if kind == "constant":
-        n, m = int(take("n")), int(take("m"))
+        n, m = count("n"), count("m")
         prof = constant_profile(n, m, float(take("value", 1.0)), hermitian=hermitian)
     elif kind == "piecewise":
-        n, m = int(take("n")), int(take("m"))
+        n, m = count("n"), count("m")
         prof = normalize_profile(
             piecewise_profile(n, m, 1.0, float(take("ratio", 200.0)),
                               hermitian=hermitian))
     elif kind == "bernoulli":
-        n, m = int(take("n")), int(take("m"))
+        n, m = count("n"), count("m")
         prof = bernoulli_profile(n, m, float(take("p")), _seed(take("seed")))
     elif kind == "doubly-stochastic":
-        prof = doubly_stochastic_profile(int(take("n")), int(take("k", 1)),
-                                         _seed(take("seed")))
+        prof = doubly_stochastic_profile(count("n"), count("k", 1), _seed(take("seed")))
     else:
         raise ConfigError(f"unknown profile kind '{kind}'")
     if opts:
-        raise ConfigError(f"option '{next(iter(opts))}' does not apply to "
-                          f"profile kind '{kind}'")
+        raise ConfigError(f"{next(iter(opts))}: does not apply to profile kind '{kind}'")
     return prof
 
 
@@ -247,8 +251,8 @@ def _solver_config(cfg: dict) -> SolverConfig:
     try:
         return SolverConfig(tolerance=float(_get(cfg, "tolerance", 1e-12)),
                             max_iterations=int(_get(cfg, "max_iterations", 10000)))
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}")
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError(str(exc))
 
 
 def _spike_vector(kind: str, n: int) -> np.ndarray:
@@ -374,10 +378,16 @@ def _cmd_outliers(args) -> int:
     thetas = [float(v) for v in str(_require(cfg, "theta_list")).split(",") if v]
     if not thetas:
         raise ConfigError("theta_list: needs at least one spike strength")
+    if not np.all(np.isfinite(thetas)):
+        raise ConfigError("theta_list: spike strengths must be finite")
     vectors = str(_get(cfg, "vectors", "constant"))
     threshold = float(_get(cfg, "threshold", 1e-3))
+    if not (np.isfinite(threshold) and threshold >= 0.0):
+        raise ConfigError("threshold: must be finite and >= 0")
     window = _parse_window(cfg["window"])
     scan_points = int(_get(cfg, "scan_points", 50))
+    if scan_points < 3:
+        raise ConfigError("scan_points: must be >= 3")
     eta_eval = float(_get(cfg, "eta_eval", 1e-3))
     if not (np.isfinite(eta_eval) and eta_eval > 0.0):
         raise ConfigError("eta_eval: must be finite and > 0")
@@ -515,7 +525,11 @@ def _cmd_validate(args) -> int:
         raise ConfigError("n: the profile fixes the dimension; give n or profile")
     out = _require(cfg, "out")
     n = int(_get(cfg, "n", 50))
+    if n < 1:
+        raise ConfigError("n: must be >= 1")
     samples = int(_get(cfg, "samples", 100))
+    if samples < 1:
+        raise ConfigError("samples: must be >= 1")
     seed = _seed(_get(cfg, "seed", 0))
     if cfg["profile"] is not None:
         profile = _parse_profile_spec(str(cfg["profile"]))
@@ -527,8 +541,10 @@ def _cmd_validate(args) -> int:
 
     lam_c = complex(float(_get(cfg, "lambda_re", 0.0)),
                     float(_get(cfg, "lambda_im", 1.0 if what == "master" else 0.5)))
-    if lam_c.imag <= 0.0:
-        raise ConfigError("lambda_im: must be > 0")
+    if not np.isfinite(lam_c.real):
+        raise ConfigError("lambda_re: must be finite")
+    if not (np.isfinite(lam_c.imag) and lam_c.imag > 0.0):
+        raise ConfigError("lambda_im: must be finite and > 0")
     if what == "master":
         bound_factor = float(_get(cfg, "bound_factor", 5.0))
         if not (np.isfinite(bound_factor) and bound_factor > 0.0):
@@ -545,9 +561,16 @@ def _cmd_validate(args) -> int:
         min_rate = float(_get(cfg, "min_pass_rate", 0.95))
         if not 0.0 <= min_rate <= 1.0:
             raise ConfigError("min_pass_rate: must lie in [0, 1]")
-        summary = validate_concentration(
-            profile, None, lam_c, d=float(_get(cfg, "d", 2.0)),
-            delta=float(_get(cfg, "delta", 0.5)), draws=samples, seed=seed)
+        d, delta = float(_get(cfg, "d", 2.0)), float(_get(cfg, "delta", 0.5))
+        if not (np.isfinite(d) and d > 0.0):
+            raise ConfigError("d: must be finite and > 0")
+        if not 0.0 < delta < 1.0:
+            raise ConfigError("delta: must lie in (0, 1)")
+        try:
+            summary = validate_concentration(profile, None, lam_c, d=d, delta=delta,
+                                             draws=samples, seed=seed)
+        except ValueError as exc:  # Im lambda too small for the bound
+            raise ConfigError(f"lambda_im: {exc}")
         result = dict(summary)
         result["min_pass_rate"] = min_rate
         result["passed"] = bool(summary["pass_rate"] >= min_rate)

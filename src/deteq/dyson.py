@@ -23,7 +23,9 @@ Far & Speicher prove (IMRN 2007).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg.lapack import dsytrf, dsytri, zhetrf, zhetri
@@ -119,9 +121,13 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError("tolerance must be finite and > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError("tolerance: must be finite and > 0")
+        try:
+            cap = operator.index(self.max_iterations)
+        except TypeError:
+            cap = 0
+        if cap < 1:
+            raise ValueError("max_iterations: must be an integer >= 1")
 
 
 @dataclass(eq=False)
@@ -148,15 +154,10 @@ class DysonSolution:
 class _Prepared:
     """A Hermitian model as the solver reads it: its row classes and classified Y.
 
-    Rows with equal profile rows, and equal y_i when Y is absent or
-    diagonal, form a class.  psi maps vectors that are constant on the
-    classes to such vectors, and its fixed point is unique, so G is constant
-    on them and the solver iterates on one value per class (Ajanki, Erdos &
-    Kruger, Mem. AMS 261, 2019).  ``labels[i]`` is the class of row i,
-    ``first[c]`` the first row of class c and ``sizes[c]`` its row count;
-    ``w[c, d] = gamma^2(c, d) |d| / N`` is the variance map on class values.
-    A dense Y makes every row its own class: then r = n and w = Gamma / N.
-    ``y`` is the classified Y on all n rows.
+    G is constant on the classes (``_classes``), so the solver iterates on one
+    value per class.  Row i is in class ``labels[i]``; class c has first row
+    ``first[c]`` and ``sizes[c]`` rows, and ``w[c, d]`` = (exact mean of row
+    first[c] over class d) |d| / N.  A dense Y makes every row a class.
     """
 
     n: int
@@ -166,19 +167,15 @@ class _Prepared:
     w: np.ndarray
     y: np.ndarray | None
     gamma_max_sq: float
+    entries: np.ndarray
 
     def refined(self, *vectors) -> "_Prepared":
-        """The coarsest refinement of the classes on which every vector is constant."""
+        """The model on the coarsest equitable refinement on which every vector is constant."""
         if self.first.size == self.n or all(
                 np.array_equal(v, v[self.first][self.labels]) for v in vectors):
             return self
-        keys = np.column_stack([self.labels, *(p for v in vectors for p in (v.real, v.imag))])
-        _, first, labels, sizes = np.unique(keys, axis=0, return_index=True,
-                                            return_inverse=True, return_counts=True)
-        parent = self.labels[first]
-        w = self.w[np.ix_(parent, parent)] * (sizes / self.sizes[parent])
-        return _Prepared(self.n, labels.reshape(-1), first, sizes, w, self.y,
-                         self.gamma_max_sq)
+        keys = [self.labels, *(p for v in vectors for p in (v.real, v.imag))]
+        return _classes(self.entries, keys, self.y, self.gamma_max_sq)
 
 
 def _prepare(profile: VarianceProfile, y) -> _Prepared:
@@ -187,55 +184,70 @@ def _prepare(profile: VarianceProfile, y) -> _Prepared:
         raise ValueError("the Dyson equation needs a hermitian-mode profile")
     n = profile.rows
     y = _classify_deformation(y, n)
-    entries = profile.entries
-    classes = None if y is not None and y.ndim == 2 else _row_classes(entries, y)
-    if classes is not None:
-        labels, first, sizes = classes
-        w = entries[np.ix_(first, first)] * (sizes / n)
-        return _Prepared(n, labels, first, sizes, w, y, profile.gamma_max_sq)
-    # every row its own class: w is Gamma / N itself
-    rows = np.arange(n)
-    return _Prepared(n, rows, rows, np.ones(n, dtype=np.int64), entries / n, y,
-                     profile.gamma_max_sq)
+    # a dense Y couples every row, so each starts as its own class
+    keys = np.zeros(n) if y is None else np.arange(n) if y.ndim == 2 else y
+    return _classes(profile.entries, [keys], y, profile.gamma_max_sq)
 
 
-def _row_hashes(entries: np.ndarray) -> np.ndarray:
-    """Each row's dot product with a fixed random vector.
+def _classes(entries: np.ndarray, keys, y, gamma_max_sq: float) -> _Prepared:
+    """The coarsest equitable partition that refines the classes of ``keys``.
 
-    einsum takes every row's dot product in the same order, so equal rows
-    hash equally wherever they sit; a BLAS matvec may not.
-    """
-    return np.einsum("ij,j->i", entries, np.random.default_rng(0).random(entries.shape[1]))
-
-
-def _row_classes(entries: np.ndarray, y):
-    """Classes of equal rows with equal y_i, numbered in order of their first row.
-
-    Returns (labels, first, sizes), or None when every row is its own class.
-    Rows are grouped by their dot product with a fixed vector, and every row
-    is then compared with its group's first row; a group holding a row that
-    differs is split by an exact comparison of its rows, and the other
-    groups stay whole.
+    psi keeps vectors constant on equitable classes, whose rows have equal sums
+    over every class, so its unique fixed point is constant on them (Ajanki,
+    Erdos & Kruger, Mem. AMS 261, 2019).  Colour refinement (Grohe et al.,
+    arXiv:1307.5697) splits each class by its rows' float sums over the classes
+    until none splits.  A row unequal to its class's first row stays only if,
+    per class, the fsum of its differing entries and the first row's negated
+    ones is 0.0: fsum rounds correctly, and a nonzero sum is at least 2^-1074.
     """
     n = entries.shape[0]
-    # a complex key compares the hash and y_i, both exactly
-    keys = _row_hashes(entries) if y is None else _row_hashes(entries) + 1j * y
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    labels, first = _numbered(np.column_stack(keys))
+    while first.size < n:
+        parent, count = labels, first.size
+        order, starts = _blocks(parent)
+        cols = entries[:, order]
+        with np.errstate(over="ignore"):  # an infinite sum is a key like any other
+            labels, first = _numbered(np.column_stack([parent, np.add.reduceat(cols, starts, 1)]))
+        # each row's entries that differ from its first row's, by row and then class
+        i, j = np.divmod(np.flatnonzero(cols != cols[first[labels]]), n)
+        cuts = np.flatnonzero(np.diff(i * n + parent[order][j], prepend=-1))
+        terms = np.column_stack([cols[i, j], -cols[first[labels[i]], j]])
+        tied = []
+        for part in np.split(terms, cuts)[1:]:
+            try:
+                tied.append(math.fsum(part.ravel().tolist()) == 0.0)
+            except OverflowError:  # an overflow counts as a difference
+                tied.append(False)
+        split = i[cuts[~np.array(tied, dtype=bool)]]
+        if split.size:
+            labels, first = _numbered(np.column_stack([labels, np.isin(np.arange(n), split)]))
+        elif i.size == 0 or first.size == count:
+            break
+    sizes = np.bincount(labels)
     if first.size == n:
-        return None
-    group = group.reshape(-1)
-    exact = np.zeros(n, dtype=np.int64)
-    for g in np.unique(group[np.any(entries != entries[first[group]], axis=1)]):
-        rows = np.flatnonzero(group == g)
-        exact[rows] = np.unique(entries[rows], axis=0, return_inverse=True)[1].reshape(-1)
-    _, first, labels, sizes = np.unique(group * n + exact, return_index=True,
-                                        return_inverse=True, return_counts=True)
-    if first.size == n:
-        return None
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[labels.reshape(-1)], first[order], sizes[order]
+        return _Prepared(n, labels, first, sizes, entries / n, y, gamma_max_sq, entries)
+    order, starts = _blocks(labels)
+    head = entries[first][:, order]
+    means = np.minimum.reduceat(head, starts, axis=1)
+    for c, d in zip(*np.nonzero(means != np.maximum.reduceat(head, starts, axis=1))):
+        block = head[c, starts[d]:starts[d] + sizes[d]]
+        means[c, d] = float(sum(map(Fraction, block[block > 0.0].tolist())) / int(sizes[d]))
+    return _Prepared(n, labels, first, sizes, means * (sizes / n), y, gamma_max_sq, entries)
+
+
+def _numbered(keys: np.ndarray):
+    """Labels of the distinct rows of ``keys``, in order of first occurrence, and those rows."""
+    order = np.lexsort(keys.T)
+    new = np.append(True, np.any(keys[order][1:] != keys[order][:-1], axis=1))
+    first = order[new]  # lexsort is stable, so this is each class's first row
+    rank = np.argsort(np.argsort(first))  # class numbers in order of first row
+    return rank[np.cumsum(new) - 1][np.argsort(order)], np.sort(first)
+
+
+def _blocks(labels: np.ndarray):
+    """The columns in class order (a slice when they are already) and each class's start."""
+    order = slice(None) if np.all(labels[1:] >= labels[:-1]) else np.argsort(labels, kind="stable")
+    return order, np.flatnonzero(np.diff(labels[order], prepend=-1))
 
 
 def _variance_map(profile: VarianceProfile) -> np.ndarray:
@@ -460,7 +472,7 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
                 f = psi_g - g
                 res = float(np.abs(f).max())
                 residuals.append(res)
-                if res <= config.tolerance or len(residuals) == config.max_iterations:
+                if res <= config.tolerance or len(residuals) >= config.max_iterations:
                     break
                 if res > res_base:
                     if extrapolated:

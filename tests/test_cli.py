@@ -377,9 +377,18 @@ def test_a_non_finite_csv_deformation_is_named(tmp_path, capsys):
     ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--eta", "nan"),
     ("validate", "--what", "concentration", "--n", "400", "--samples", "5",
      "--lambda-im", "1e-9"),
+    ("validate", "--what", "master", "--lambda-re", "nan"),
+    ("validate", "--what", "master", "--lambda-im", "inf"),
+    ("outliers", "--model", "constant:n=4,m=6", "--theta-list", "2.0",
+     "--window", "1.5:3.0", "--scan-points", "2"),
+    ("profile", "--kind", "constant", "--n", "0", "--m", "4"),
+    ("density", "--profile", "constant:n=4,m=0", "--grid", "0:1:0.5"),
 ])
-def test_zero_and_unused_flags_are_validated_not_defaulted(tmp_path, argv):
+def test_zero_and_unused_flags_are_validated_not_defaulted(tmp_path, capsys, argv):
     assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+    # the message opens with the name of a field that was given
+    field = capsys.readouterr().err.strip().removeprefix("error: ").split(":")[0]
+    assert field in {flag[2:].replace("-", "_") for flag in argv if flag.startswith("--")}
 
 
 def test_density_at_a_tiny_eta_is_finite(tmp_path):

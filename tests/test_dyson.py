@@ -279,7 +279,7 @@ def _row_by_row(w, y) -> _Prepared:
     n = w.shape[0]
     rows = np.arange(n)
     return _Prepared(n, rows, rows, np.ones(n, dtype=np.int64), w, y,
-                     float(w.max()) * n)
+                     float(w.max()) * n, w * n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -523,6 +523,18 @@ def test_solver_config_validation():
         SolverConfig(tolerance=float("inf"))
 
 
+@pytest.mark.parametrize("cap", [2.5, 3.0, "3", None])
+def test_the_iteration_cap_must_be_an_integer(cap):
+    # A fractional cap would never equal the iteration count, so the solve
+    # would run past it.
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverConfig(max_iterations=cap)
+    config = SolverConfig(max_iterations=np.int64(3))
+    sol = solve_dyson(constant_profile(20, 20, 1.0, hermitian=True), None,
+                      SpectralParameter.scalar(0.1 + 0.001j, 20), config)
+    assert not sol.converged and sol.iterations == 3
+
+
 # Frozen reference values for the error radii at gamma_max = 1, delta = 0.5,
 # d = 2, n = 400, Im lambda = 0.5.
 _EPS_DIAG = 1.0150987322723266
@@ -591,12 +603,22 @@ def test_concentration_parameters_must_be_finite():
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), r=st.integers(1, 4), n=st.integers(1, 24),
-       y_kind=st.sampled_from(["none", "class", "row"]))
+       y_kind=st.sampled_from(["none", "class", "row"]), permutations=st.booleans())
 def test_block_profile_solution_is_class_constant_and_solves_the_dense_equation(
-        data, r, n, y_kind):
-    labels = np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)))
-    b = data.draw(arrays(np.float64, (r, r), elements=st.floats(0.0, 4.0)))
-    prof = VarianceProfile(((b + b.T) / 2.0)[np.ix_(labels, labels)], "hermitian")
+        data, r, n, y_kind, permutations):
+    if permutations:
+        # A symmetrized sum of r permutation matrices with small integer
+        # weights: the rows differ, but each sums to the same value exactly, so
+        # without Y they form one class.  Every row is its own label here.
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+        p = sum(c * np.eye(n)[data.draw(st.permutations(range(n)))] for c in weights)
+        prof = VarianceProfile((p + p.T) / 8.0, "hermitian")
+        labels = np.arange(n)
+        r = n
+    else:
+        labels = np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)))
+        b = data.draw(arrays(np.float64, (r, r), elements=st.floats(0.0, 4.0)))
+        prof = VarianceProfile(((b + b.T) / 2.0)[np.ix_(labels, labels)], "hermitian")
     y = None
     if y_kind == "class":
         y = data.draw(arrays(np.float64, r, elements=st.floats(-2.0, 2.0)))[labels]
@@ -611,6 +633,9 @@ def test_block_profile_solution_is_class_constant_and_solves_the_dense_equation(
     for c, value in set(zip(labels, y_rows)):
         rows = (labels == c) & (y_rows == value)
         assert np.all(g[rows] == g[rows][0])
+    if permutations and y is None:
+        assert _prepare(prof, None).sizes.size == 1
+        assert np.all(g == g[0])
     dense = 1.0 / (lam_value - (prof.entries / n) @ g - y_rows)
     assert np.max(np.abs(g - dense)) <= 1e-10
 
@@ -625,11 +650,15 @@ def test_row_classes_of_the_cli_profiles():
     assert model.w.shape == (2, 2)
     piecewise = dilated(normalize_profile(piecewise_profile(360, 400, 1.0, 200.0)))
     assert list(_prepare(piecewise, None).sizes) == [90, 270, 100, 300]
-    for prof in (dilated(doubly_stochastic_profile(400, 8, seed=11)),
-                 dilated(bernoulli_profile(360, 400, 0.3, seed=1))):
-        model = _prepare(prof, None)
-        assert model.sizes.size == prof.rows
-        assert np.array_equal(model.w, prof.entries / prof.rows)
+    # every row of the doubly stochastic profile sums to the same value: one class
+    stochastic = dilated(doubly_stochastic_profile(400, 8, seed=11))
+    model = _prepare(stochastic, None)
+    assert list(model.sizes) == [800]
+    assert model.w[0, 0] == stochastic.entries[0].sum() / 800
+    bernoulli = dilated(bernoulli_profile(360, 400, 0.3, seed=1))
+    model = _prepare(bernoulli, None)
+    assert model.sizes.size == bernoulli.rows
+    assert np.array_equal(model.w, bernoulli.entries / bernoulli.rows)
     # a diagonal Y splits classes; a dense one makes every row a class
     herm = constant_profile(6, 6, 1.0, hermitian=True)
     assert list(_prepare(herm, np.array([0.0, 0.0, 1.0, 1.0, 0.0, 2.0])).sizes) == [3, 2, 1]
@@ -637,16 +666,15 @@ def test_row_classes_of_the_cli_profiles():
     assert _prepare(herm, dense).sizes.size == 6
 
 
-def test_rows_that_differ_by_one_ulp_are_never_merged(monkeypatch):
+def test_rows_that_differ_by_one_ulp_are_never_merged():
     entries = np.ones((5, 5))
     entries[0, 1] = entries[1, 0] = np.nextafter(1.0, 2.0)
     prof = VarianceProfile(entries, "hermitian")
-    assert list(dyson._prepare(prof, None).labels) == [0, 1, 2, 2, 2]
-    # when every row hashes alike, the exact comparison still tells rows 0
-    # and 1 apart, and only that group is split: rows 2-4 stay one class
-    monkeypatch.setattr(dyson, "_row_hashes", lambda e: np.zeros(e.shape[0]))
+    # Every row sums to 5 in floating point, but rows 0 and 1 sum to 5 + 2^-52
+    # exactly: they are never merged with rows 2-4.  Swapping rows 0 and 1
+    # maps Gamma to itself, so those two share a class.
     model = dyson._prepare(prof, None)
-    assert list(model.labels) == [0, 1, 2, 2, 2]
+    assert list(model.labels) == [0, 0, 1, 1, 1]
     # the solve on those classes is the row-by-row one
     lam = SpectralParameter.scalar(0.3 + 0.05j, 5)
     by_class = next(_solve_path(model, [lam], SolverConfig(tolerance=1e-14)))
@@ -658,6 +686,14 @@ def test_rows_that_differ_by_one_ulp_are_never_merged(monkeypatch):
     shifted = np.array([0.0, 0.0, 0.0, 0.0, 1e-300])
     assert list(dyson._prepare(constant_profile(5, 5, 1.0, hermitian=True),
                                shifted).labels) == [0, 0, 0, 0, 1]
+    # Every row sums to inf, and comparing rows 2 and 3 with row 0 overflows
+    # fsum: an overflow counts as a difference.  Rows 0 and 1, and rows 2 and
+    # 3, differ exactly and are never merged.
+    big, bigger = 0.9e308, 1e308
+    huge = np.array([[0.0, 0.0, bigger, bigger], [0.0, 0.0, bigger, big],
+                     [bigger, bigger, 0.0, 0.0], [bigger, big, 0.0, 0.0]])
+    labels = dyson._prepare(VarianceProfile(huge, "hermitian"), None).labels
+    assert labels[0] != labels[1] and labels[2] != labels[3]
 
 
 def test_criterion_5_grid_runs_on_two_class_values(monkeypatch):
