@@ -64,15 +64,37 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-# Fields whose flags take integers, in every command that has them.
+# Fields by the type their flags take, in every command that has them; every
+# other field takes a string.
 _INT_FIELDS = ("n", "m", "k", "seed", "count", "samples", "scan_points", "max_iterations")
+_FLOAT_FIELDS = ("p", "value", "gamma_ratio", "normalize", "eta", "tolerance", "threshold",
+                 "eta_eval", "d", "delta", "lambda_re", "lambda_im", "bound_factor",
+                 "min_pass_rate")
+_BOOL_FIELDS = ("hermitian",)
+
+
+def _check_file_value(key: str, name: str, value) -> None:
+    """A config-file value must have the type its flag takes; null leaves it unset."""
+    if value is None:
+        return
+    if name in _INT_FIELDS or name in _FLOAT_FIELDS:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"config: field '{key}' needs a number, got {value!r}")
+        if name in _INT_FIELDS and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config: field '{key}' needs an integer, got {value!r}")
+    elif name in _BOOL_FIELDS:
+        if not isinstance(value, bool):
+            raise ConfigError(f"config: field '{key}' needs true or false, got {value!r}")
+    elif not isinstance(value, str):
+        raise ConfigError(f"config: field '{key}' needs a string, got {value!r}")
 
 
 def _merge_config(args: argparse.Namespace, fields: tuple) -> dict:
     """File values fill in unset flags; explicit flags win.
 
-    A file value must fit its flag: an integer field takes an integral
-    number, so 3000.0 is accepted and 2.7 is not.
+    A file value must fit its flag: a numeric field takes a JSON number
+    (not a bool), an integer field an integral one, so 3000.0 is accepted
+    and 2.7 is not, and a string field a string.
     """
     file_cfg = {}
     if getattr(args, "config", None):
@@ -87,8 +109,7 @@ def _merge_config(args: argparse.Namespace, fields: tuple) -> dict:
             name = key.replace("-", "_")
             if name not in fields:
                 raise ConfigError(f"config: unknown field '{key}'")
-            if name in _INT_FIELDS and isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"config: field '{key}' needs an integer, got {value!r}")
+            _check_file_value(key, name, value)
     resolved = {}
     for name in fields:
         flag = getattr(args, name)

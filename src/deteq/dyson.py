@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.lapack import dsytrf, dsytri, zhetrf, zhetri
 
 from .profiles import VarianceProfile
 
@@ -331,6 +330,9 @@ def _hermitian_inverse_diagonal(a: np.ndarray):
     when its determinant is negative, so each 2 x 2 block of D holds one
     positive eigenvalue.  A singular a gives a NaN diagonal.
     """
+    # imported here so that only dense-Y real-axis solves load scipy
+    from scipy.linalg.lapack import dsytrf, dsytri, zhetrf, zhetri
+
     trf, tri = (zhetrf, zhetri) if np.iscomplexobj(a) else (dsytrf, dsytri)
     # a workspace of 64 n lets LAPACK factor in blocks of 64 columns
     lu, ipiv, info = trf(a, lwork=64 * a.shape[0], overwrite_a=1)

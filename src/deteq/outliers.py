@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dilation import DilatedModel, _check_frame
 from .dyson import (SolverConfig, SpectralParameter, _apply_r, _prepare, _Prepared,
@@ -182,6 +181,53 @@ def det_beta_curve(model: HermitianModel, lambdas, config: SolverConfig | None =
     return dets, flags
 
 
+def _brent(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = 4 * float(np.finfo(float).eps), maxiter: int = 100) -> float:
+    """A zero of f between a and b, where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4) step for step as scipy's brentq.c
+    runs it, at its defaults: a secant or inverse quadratic step when it is
+    short enough, else bisection, until the bracket is narrower than
+    xtol + rtol |x|.  Raises ValueError without a sign change and
+    RuntimeError when ``maxiter`` steps do not converge.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre  # the root lies between xcur and xblk
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur holds the end with the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method did not converge after {maxiter} iterations")
+
+
 def locate_outliers(model: HermitianModel, window=None,
                     config: SolverConfig | None = None,
                     threshold: float = 1e-3, scan_points: int = 50,
@@ -194,13 +240,13 @@ def locate_outliers(model: HermitianModel, window=None,
     of psi), and bisects each boundary between a converged and a failed
     point down to a width of 1e-4.  Between two adjacent converged points,
     every eigenvalue of Theta^(-1) - U* G U that turns from negative to
-    nonnegative marks one root, which brentq polishes.  Each real solve
-    names its start: a walk point the previous walk point's G, a bisection
-    midpoint the converged end of its bracket, a brentq point the upper end
-    of its bracket.  A point without one (the top point, and any after a
-    point in the support) is solved on the path [lambda + i eta_eval,
-    lambda], whose complex solve starts from the previous such one.  All
-    solves run at ``config``.
+    nonnegative marks one root, which Brent's method (``_brent``) polishes.
+    Each real solve names its start: a walk point the previous walk point's
+    G, a bisection midpoint the converged end of its bracket, a Brent point
+    the upper end of its bracket.  A point without one (the top point, and
+    any after a point in the support) is solved on the path
+    [lambda + i eta_eval, lambda], whose complex solve starts from the
+    previous such one.  All solves run at ``config``.
 
     Each root is a candidate with det_abs = |det beta(root)|, accepted when
     det_abs <= ``threshold``.  A window without roots reports one candidate,
@@ -290,7 +336,7 @@ def locate_outliers(model: HermitianModel, window=None,
         if a not in spectra or b not in spectra:
             continue
         for j in np.flatnonzero((spectra[a] < 0.0) & (spectra[b] >= 0.0)):
-            root = brentq(lambda t: spectrum(t, points[b])[j], a, b)
+            root = _brent(lambda t: spectrum(t, points[b])[j], a, b)
             value = det_abs(spectrum(root, points[b]))
             candidates.append(OutlierCandidate(lam=root, det_abs=value,
                                                accepted=value <= threshold))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, ztrtri
 
 from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter, _apply_r,
                     _classify_deformation, _prepare, _solve_path, _variance_map,
@@ -133,6 +132,9 @@ def _empirical_trace(h: np.ndarray, lam: complex) -> complex:
     lam - H has every singular value >= Im lam, so the pivoting is well
     conditioned.
     """
+    # imported here so that only the concentration check loads scipy
+    from scipy.linalg.lapack import zgetrf, ztrtri
+
     h, lam = _checked(h, lam, "the empirical trace")
     n = h.shape[0]
     a = np.negative(h, dtype=np.complex128)

@@ -70,6 +70,36 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
     # an integral float stays an integer
     cfg.write_text(json.dumps(dict(base, max_iterations=3000.0)))
     assert _run("density", "--config", str(cfg), "--out", out) == 0
+    # each value has its flag's type: no list, string or bool for a number
+    model = {"model": "constant:n=4,m=4", "theta_list": "2"}
+    for field, value, needs in (("threshold", [1], "a number"),
+                                ("tolerance", "abc", "a number"),
+                                ("max_iterations", "12", "a number"),
+                                ("scan_points", True, "a number"),
+                                ("theta_list", 2, "a string"),
+                                ("hermitian", "yes", "true or false")):
+        command = "profile" if field == "hermitian" else "outliers"
+        cfg.write_text(json.dumps({field: value} if field == "hermitian"
+                                  else dict(model, **{field: value})))
+        assert _run(command, "--config", str(cfg), "--out", out) == 1
+        assert f"config: field '{field}' needs {needs}" in capsys.readouterr().err
+
+
+def test_config_field_types_match_the_flags():
+    from deteq.cli import _BOOL_FIELDS, _FLOAT_FIELDS, _INT_FIELDS, _build_parser
+
+    kinds = {int: _INT_FIELDS, float: _FLOAT_FIELDS}
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    for parser in commands.values():
+        for action in parser._actions:
+            if action.dest in ("help", "config"):
+                continue
+            if action.const is True:
+                assert action.dest in _BOOL_FIELDS
+            elif action.type in kinds:
+                assert action.dest in kinds[action.type]
+            else:
+                assert action.dest not in _INT_FIELDS + _FLOAT_FIELDS + _BOOL_FIELDS
 
 
 def test_missing_required_field_exits_one(tmp_path):

@@ -1,0 +1,80 @@
+"""Start-up stays free of scipy: only the two paths that call its LAPACK
+routines load it, and no path loads scipy.optimize.
+
+Each check runs in a fresh interpreter, since a module once imported stays
+in ``sys.modules`` for the rest of the process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Prints, as its last line, the scipy modules loaded by the imports and then
+# after each CLI run (with the run's exit code).
+_SCRIPT = """
+import json, sys
+import deteq, deteq.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+loaded = [[None, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    loaded.append([deteq.cli.main(argv), scipy_modules()])
+print(json.dumps(loaded))
+"""
+
+_HERM = "constant:n=8,m=8,hermitian=true"
+
+
+def _scipy_after(tmp_path, *argvs) -> list:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(argvs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_deteq_loads_no_scipy(tmp_path):
+    assert _scipy_after(tmp_path) == [[None, []]]
+
+
+def test_commands_without_lapack_calls_load_no_scipy(tmp_path):
+    runs = (
+        ["profile", "--kind", "constant", "--n", "4", "--m", "4", "--out", "p.csv"],
+        ["density", "--profile", _HERM, "--grid", "0:1:0.5", "--out", "d.csv"],
+        # the sweeps find a root each, so Brent's method runs
+        ["outliers", "--model", "constant:n=16,m=20", "--theta-list", "2.0,2.5",
+         "--window", "1.5:4.0", "--out", "o.json"],
+        ["outliers", "--model", _HERM, "--y", "diag:0.3", "--vectors", "e1",
+         "--theta-list", "2.0,2.5", "--out", "od.json"],
+        ["sample", "--profile", _HERM, "--count", "2", "--seed", "1", "--out", "s.txt"],
+        ["validate", "--what", "master", "--n", "8", "--samples", "20", "--seed", "1",
+         "--out", "m.json"],
+    )
+    loaded = _scipy_after(tmp_path, *runs)
+    assert [code for code, _ in loaded[1:]] == [0] * len(runs)
+    assert all(modules == [] for _, modules in loaded)
+    report = json.loads((tmp_path / "o.json").read_text())["reports"]
+    assert all(any(c["accepted"] for c in r["candidates"]) for r in report)
+
+
+@pytest.mark.parametrize("argv", [
+    ["outliers", "--model", _HERM, "--y", "csv:y.csv", "--vectors", "e1",
+     "--theta-list", "2.0,2.5", "--out", "o.json"],
+    ["validate", "--what", "concentration", "--n", "8", "--samples", "4", "--seed", "1",
+     "--lambda-im", "1", "--min-pass-rate", "0", "--out", "c.json"],
+], ids=["outliers-dense-y", "validate-concentration"])
+def test_lapack_paths_load_scipy_linalg_but_not_optimize(tmp_path, argv):
+    np.savetxt(tmp_path / "y.csv", np.full((8, 8), 0.05), delimiter=",")
+    (_, before), (code, after) = _scipy_after(tmp_path, argv)
+    assert before == [] and code == 0
+    assert "scipy.linalg" in after
+    assert not [m for m in after if m.startswith("scipy.optimize")]

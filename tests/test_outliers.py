@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deteq import dyson
 from deteq.dilation import RectangularModel, RectangularSpikes, dilate_model
 from deteq.dyson import (SolverConfig, SpectralParameter, omega_square,
                          solve_dyson)
 from deteq.outliers import (HermitianModel, OutlierCandidate, OutlierReport,
-                            SpikeSet, beta_square, closed_form_outlier,
+                            SpikeSet, _brent, beta_square, closed_form_outlier,
                             det_beta_curve, locate_outliers)
 from deteq.profiles import (VarianceProfile, constant_profile,
                             doubly_stochastic_profile)
@@ -338,12 +340,52 @@ def test_each_real_solve_starts_from_a_named_point(monkeypatch):
     assert seeded == [walk[0]] + [t for above, t in zip(walk, walk[1:]) if cache[above] is None]
     assert all(isinstance(lams[-1], float) for lams, _ in calls)
     # Here the support lies below the root: the previous walk point, the
-    # converged end of the bisected bracket and the upper end of the brentq
+    # converged end of the bisected bracket and the upper end of the Brent
     # bracket all lie above the point they start.
     solved_at = {id(g): lam for lam, g in cache.items() if g is not None}
     for lams, start in calls:
         if len(lams) == 1:
             assert solved_at[id(start)] > lams[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(-5.0, 5.0), log_s=st.floats(-3.0, 3.0), p=st.floats(0.2, 9.0),
+       c=st.sampled_from([0.0, 1e-3, 1.0, 50.0]), log_below=st.floats(-9.0, 1.0),
+       log_above=st.floats(-9.0, 1.0), maxiter=st.sampled_from([100, 3, 6, 10]))
+def test_brent_takes_the_steps_of_scipy_brentq(r, log_s, p, c, log_below, log_above,
+                                               maxiter):
+    """On s sign(t - r) |t - r|^p + c (t - r)^3 the port finds brentq's root
+    bit for bit, and fails to converge exactly where brentq does."""
+    from scipy.optimize import brentq
+
+    def f(t):
+        return 10.0 ** log_s * np.sign(t - r) * abs(t - r) ** p + c * (t - r) ** 3
+
+    a, b = r - 10.0 ** log_below, r + 10.0 ** log_above
+    try:
+        expected = brentq(f, a, b, maxiter=maxiter)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            _brent(f, a, b, maxiter=maxiter)
+    else:
+        root = _brent(f, a, b, maxiter=maxiter)
+        assert type(root) is float and root == expected
+
+
+def test_brent_returns_a_zero_endpoint_and_needs_a_sign_change():
+    assert _brent(lambda t: np.float64(t - 1.0), 1.0, 2.0) == 1.0
+    assert _brent(lambda t: t - 2.0, 1.0, 2.0) == 2.0
+    with pytest.raises(ValueError):
+        _brent(lambda t: t, 1.0, 2.0)
+
+
+def test_criterion_3_root_is_unchanged_to_the_last_bit():
+    profile = doubly_stochastic_profile(400, 8, seed=11)
+    spikes = RectangularSpikes(u=_flat_vector(400), theta=[2.0], v=_flat_vector(400))
+    model = HermitianModel.from_dilated(
+        dilate_model(RectangularModel(profile=profile, spikes=spikes)))
+    report = locate_outliers(model, window=(1.6, 4.5), config=SolverConfig(max_iterations=3000))
+    assert [c.lam for c in report.accepted()] == [2.499999999997399]
 
 
 def test_spike_set_validation():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.linalg import lapack
 
-from deteq import sampling
 from deteq.cli import main
 from deteq.dyson import SpectralParameter
 from deteq.profiles import VarianceProfile, constant_profile
@@ -144,7 +144,7 @@ def test_concentration_factorizes_each_draw_once(monkeypatch):
         raise AssertionError("the trace needs neither eigenvalues nor the full inverse")
 
     calls = []
-    getrf = sampling.zgetrf
+    getrf = lapack.zgetrf
 
     def counted(a, **kwargs):
         calls.append(a.shape)
@@ -152,7 +152,8 @@ def test_concentration_factorizes_each_draw_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     monkeypatch.setattr(np.linalg, "inv", refused)
-    monkeypatch.setattr(sampling, "zgetrf", counted)
+    # _empirical_trace looks the routine up in scipy at call time
+    monkeypatch.setattr(lapack, "zgetrf", counted)
     out = validate_concentration(constant_profile(40, 40, 1.0, hermitian=True), None,
                                  0.8j, d=2.0, delta=0.5, draws=7, seed=4)
     assert out["draws"] == 7
