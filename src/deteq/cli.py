@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -64,38 +65,59 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-# Fields by the type their flags take, in every command that has them; every
-# other field takes a string.
-_INT_FIELDS = ("n", "m", "k", "seed", "count", "samples", "scan_points", "max_iterations")
-_FLOAT_FIELDS = ("p", "value", "gamma_ratio", "normalize", "eta", "tolerance", "threshold",
-                 "eta_eval", "d", "delta", "lambda_re", "lambda_im", "bound_factor",
-                 "min_pass_rate")
-_BOOL_FIELDS = ("hermitian",)
+# field -> (test, message) for each numeric field with a range.  Every value
+# a user gives meets it, whether a flag, a --config value or a profile-spec
+# option; tolerance and max_iterations are checked once, by SolverConfig.
+_RANGES = {
+    **dict.fromkeys(("n", "m", "k", "count", "samples"), (lambda v: v >= 1, "must be >= 1")),
+    "seed": (lambda v: v >= 0, "must be >= 0"),  # numpy takes only seeds >= 0
+    "scan_points": (lambda v: v >= 3, "must be >= 3"),
+    **dict.fromkeys(("eta", "eta_eval", "d", "lambda_im", "bound_factor"),
+                    (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0")),
+    "threshold": (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
+    "lambda_re": (math.isfinite, "must be finite"),
+    "delta": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "min_pass_rate": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+}
 
 
-def _check_file_value(key: str, name: str, value) -> None:
+def _check_range(field: str, value) -> None:
+    if field in _RANGES and not _RANGES[field][0](value):
+        raise ConfigError(f"{field}: {_RANGES[field][1]}")
+
+
+def _field_types(parser: argparse.ArgumentParser) -> dict:
+    """Each field of a subcommand and the type its flag takes: int, float,
+    bool for a switch, else str."""
+    return {action.dest: bool if action.const is True else action.type or str
+            for action in parser._actions if action.dest not in ("help", "config")}
+
+
+def _check_file_value(key: str, kind: type, value) -> None:
     """A config-file value must have the type its flag takes; null leaves it unset."""
     if value is None:
         return
-    if name in _INT_FIELDS or name in _FLOAT_FIELDS:
+    if kind in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config: field '{key}' needs a number, got {value!r}")
-        if name in _INT_FIELDS and isinstance(value, float) and not value.is_integer():
+        if kind is int and isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"config: field '{key}' needs an integer, got {value!r}")
-    elif name in _BOOL_FIELDS:
+    elif kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"config: field '{key}' needs true or false, got {value!r}")
     elif not isinstance(value, str):
         raise ConfigError(f"config: field '{key}' needs a string, got {value!r}")
 
 
-def _merge_config(args: argparse.Namespace, fields: tuple) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     """File values fill in unset flags; explicit flags win.
 
-    A file value must fit its flag: a numeric field takes a JSON number
-    (not a bool), an integer field an integral one, so 3000.0 is accepted
-    and 2.7 is not, and a string field a string.
+    The command's fields are its flags (``args.fields``).  A file value must
+    fit its flag: a numeric field takes a JSON number (not a bool), an
+    integer field an integral one, so 3000.0 is accepted and 2.7 is not,
+    and a string field a string.  Every value given meets its range.
     """
+    fields = args.fields
     file_cfg = {}
     if getattr(args, "config", None):
         try:
@@ -109,13 +131,15 @@ def _merge_config(args: argparse.Namespace, fields: tuple) -> dict:
             name = key.replace("-", "_")
             if name not in fields:
                 raise ConfigError(f"config: unknown field '{key}'")
-            _check_file_value(key, name, value)
+            _check_file_value(key, fields[name], value)
     resolved = {}
     for name in fields:
-        flag = getattr(args, name)
-        if flag is None:
-            flag = file_cfg.get(name, file_cfg.get(name.replace("_", "-")))
-        resolved[name] = flag
+        value = getattr(args, name)
+        if value is None:
+            value = file_cfg.get(name, file_cfg.get(name.replace("_", "-")))
+        if value is not None:
+            _check_range(name, value)
+        resolved[name] = value
     return resolved
 
 
@@ -128,18 +152,10 @@ def _require(cfg: dict, field: str):
 def _get(cfg: dict, field: str, default):
     """The resolved value, or ``default`` only when the field is unset.
 
-    A given 0 stays 0 and meets the same range checks as any other value.
+    A given 0 stays 0 and has met the same range check as any other value.
     """
     value = cfg.get(field)
     return default if value is None else value
-
-
-def _seed(value) -> int:
-    """A seed as given; numpy takes only seeds >= 0."""
-    seed = int(value)
-    if seed < 0:
-        raise ConfigError("seed: must be >= 0")
-    return seed
 
 
 def _parse_profile_spec(spec: str) -> VarianceProfile:
@@ -171,33 +187,28 @@ def _build_profile(kind: str, opts: dict) -> VarianceProfile:
 
     An option the kind does not use is an error, not silently ignored.
     """
-    def take(key, default=None):
+    def take(key, cast, default=None):
         value = opts.pop(key, default)
         if value is None:
             raise ConfigError(f"{key}: required field is missing")
-        return value
-
-    def count(key, default=None) -> int:
-        value = int(take(key, default))
-        if value < 1:
-            raise ConfigError(f"{key}: must be >= 1")
+        value = cast(value)
+        _check_range(key, value)
         return value
 
     kind = kind.replace("_", "-")
     hermitian = str(opts.pop("hermitian", "false")).lower() in ("1", "true", "yes")
     if kind == "constant":
-        n, m = count("n"), count("m")
-        prof = constant_profile(n, m, float(take("value", 1.0)), hermitian=hermitian)
+        n, m = take("n", int), take("m", int)
+        prof = constant_profile(n, m, take("value", float, 1.0), hermitian=hermitian)
     elif kind == "piecewise":
-        n, m = count("n"), count("m")
+        n, m = take("n", int), take("m", int)
         prof = normalize_profile(
-            piecewise_profile(n, m, 1.0, float(take("ratio", 200.0)),
-                              hermitian=hermitian))
+            piecewise_profile(n, m, 1.0, take("ratio", float, 200.0), hermitian=hermitian))
     elif kind == "bernoulli":
-        n, m = count("n"), count("m")
-        prof = bernoulli_profile(n, m, float(take("p")), _seed(take("seed")))
+        n, m = take("n", int), take("m", int)
+        prof = bernoulli_profile(n, m, take("p", float), take("seed", int))
     elif kind == "doubly-stochastic":
-        prof = doubly_stochastic_profile(count("n"), count("k", 1), _seed(take("seed")))
+        prof = doubly_stochastic_profile(take("n", int), take("k", int, 1), take("seed", int))
     else:
         raise ConfigError(f"unknown profile kind '{kind}'")
     if opts:
@@ -301,8 +312,6 @@ def _load_vector_csv(path: str, n: int, m: int | None):
 
 # ---------------------------------------------------------------- commands
 
-_PROFILE_FIELDS = ("kind", "n", "m", "p", "k", "seed", "value", "gamma_ratio",
-                   "hermitian", "normalize", "out")
 # profile command field -> option of a 'kind:key=value,...' profile spec
 _PROFILE_OPTIONS = {"n": "n", "m": "m", "p": "p", "k": "k", "seed": "seed",
                     "value": "value", "gamma_ratio": "ratio",
@@ -310,7 +319,7 @@ _PROFILE_OPTIONS = {"n": "n", "m": "m", "p": "p", "k": "k", "seed": "seed",
 
 
 def _cmd_profile(args) -> int:
-    cfg = _merge_config(args, _PROFILE_FIELDS)
+    cfg = _merge_config(args)
     kind = str(_require(cfg, "kind"))
     out = _require(cfg, "out")
     opts = {key: cfg[field] for field, key in _PROFILE_OPTIONS.items()
@@ -334,17 +343,11 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-_DENSITY_FIELDS = ("profile", "y", "grid", "eta", "tolerance", "max_iterations",
-                   "out")
-
-
 def _cmd_density(args) -> int:
-    cfg = _merge_config(args, _DENSITY_FIELDS)
+    cfg = _merge_config(args)
     profile = _parse_profile_spec(str(_require(cfg, "profile")))
     out = _require(cfg, "out")
     eta = float(_get(cfg, "eta", 0.01))
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise ConfigError("eta: must be finite and > 0")
     grid = _parse_grid(str(_require(cfg, "grid")), eta)
     solver = _solver_config(cfg)
 
@@ -388,12 +391,8 @@ def _cmd_density(args) -> int:
     return 0
 
 
-_OUTLIER_FIELDS = ("model", "y", "theta_list", "vectors", "threshold", "window",
-                   "scan_points", "eta_eval", "tolerance", "max_iterations", "out")
-
-
 def _cmd_outliers(args) -> int:
-    cfg = _merge_config(args, _OUTLIER_FIELDS)
+    cfg = _merge_config(args)
     profile = _parse_profile_spec(str(_require(cfg, "model")))
     out = _require(cfg, "out")
     thetas = [float(v) for v in str(_require(cfg, "theta_list")).split(",") if v]
@@ -403,15 +402,9 @@ def _cmd_outliers(args) -> int:
         raise ConfigError("theta_list: spike strengths must be finite")
     vectors = str(_get(cfg, "vectors", "constant"))
     threshold = float(_get(cfg, "threshold", 1e-3))
-    if not (np.isfinite(threshold) and threshold >= 0.0):
-        raise ConfigError("threshold: must be finite and >= 0")
     window = _parse_window(cfg["window"])
     scan_points = int(_get(cfg, "scan_points", 50))
-    if scan_points < 3:
-        raise ConfigError("scan_points: must be >= 3")
     eta_eval = float(_get(cfg, "eta_eval", 1e-3))
-    if not (np.isfinite(eta_eval) and eta_eval > 0.0):
-        raise ConfigError("eta_eval: must be finite and > 0")
     solver = _solver_config(cfg)
 
     rectangular = profile.mode == "rectangular"
@@ -424,18 +417,19 @@ def _cmd_outliers(args) -> int:
     else:
         u = _spike_vector(vectors, n)
         v = _spike_vector(vectors, m) if rectangular else None
+    # strength theta spikes the Hermitian model by U diag(signs * theta) U*
+    signs = np.ones(1)
+    if rectangular:
+        dilated = dilate_model(RectangularModel(
+            profile=profile, y=y, spikes=RectangularSpikes(u=u, theta=[1.0], v=v)))
+        profile, y, u, signs = dilated.profile, dilated.y, dilated.w, dilated.theta_signed
 
     cache: dict = {}
     reports = []
     try:
         for theta in thetas:
-            if rectangular:
-                spikes = RectangularSpikes(u=u, theta=[theta], v=v)
-                model = HermitianModel.from_dilated(dilate_model(
-                    RectangularModel(profile=profile, y=y, spikes=spikes)))
-            else:
-                model = HermitianModel(profile=profile, y=y,
-                                       spikes=SpikeSet(u=u, theta=[theta]))
+            model = HermitianModel(profile=profile, y=y,
+                                   spikes=SpikeSet(u=u, theta=signs * theta))
             reports.append(locate_outliers(
                 model, window=window, config=solver,
                 threshold=threshold, scan_points=scan_points,
@@ -484,17 +478,12 @@ def _cmd_outliers(args) -> int:
     return 0
 
 
-_SAMPLE_FIELDS = ("profile", "y", "count", "seed", "out")
-
-
 def _cmd_sample(args) -> int:
-    cfg = _merge_config(args, _SAMPLE_FIELDS)
+    cfg = _merge_config(args)
     profile = _parse_profile_spec(str(_require(cfg, "profile")))
     out = _require(cfg, "out")
     count = int(_get(cfg, "count", 1))
-    if count < 1:
-        raise ConfigError("count: must be >= 1")
-    seed = _seed(_require(cfg, "seed"))
+    seed = int(_require(cfg, "seed"))
 
     batch = SampleBatch(seed=seed, count=count, n=profile.rows)
     values = []
@@ -527,15 +516,13 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-_VALIDATE_FIELDS = ("what", "n", "samples", "d", "delta", "seed", "lambda_re",
-                    "lambda_im", "profile", "bound_factor", "min_pass_rate", "out")
 # validate --what -> the fields that check does not read
 _VALIDATE_UNUSED = {"master": ("d", "delta", "min_pass_rate"),
                     "concentration": ("bound_factor",)}
 
 
 def _cmd_validate(args) -> int:
-    cfg = _merge_config(args, _VALIDATE_FIELDS)
+    cfg = _merge_config(args)
     what = str(_require(cfg, "what"))
     if what not in _VALIDATE_UNUSED:
         raise ConfigError(f"what: unknown validation '{what}'")
@@ -546,12 +533,8 @@ def _cmd_validate(args) -> int:
         raise ConfigError("n: the profile fixes the dimension; give n or profile")
     out = _require(cfg, "out")
     n = int(_get(cfg, "n", 50))
-    if n < 1:
-        raise ConfigError("n: must be >= 1")
     samples = int(_get(cfg, "samples", 100))
-    if samples < 1:
-        raise ConfigError("samples: must be >= 1")
-    seed = _seed(_get(cfg, "seed", 0))
+    seed = int(_get(cfg, "seed", 0))
     if cfg["profile"] is not None:
         profile = _parse_profile_spec(str(cfg["profile"]))
         if profile.mode != "hermitian":
@@ -562,14 +545,8 @@ def _cmd_validate(args) -> int:
 
     lam_c = complex(float(_get(cfg, "lambda_re", 0.0)),
                     float(_get(cfg, "lambda_im", 1.0 if what == "master" else 0.5)))
-    if not np.isfinite(lam_c.real):
-        raise ConfigError("lambda_re: must be finite")
-    if not (np.isfinite(lam_c.imag) and lam_c.imag > 0.0):
-        raise ConfigError("lambda_im: must be finite and > 0")
     if what == "master":
         bound_factor = float(_get(cfg, "bound_factor", 5.0))
-        if not (np.isfinite(bound_factor) and bound_factor > 0.0):
-            raise ConfigError("bound_factor: must be finite and > 0")
         deviation = check_master_equality(profile, None, SpectralParameter.scalar(lam_c, n),
                                           SampleBatch(seed=seed, count=samples, n=n))
         bound = bound_factor / np.sqrt(samples)
@@ -580,13 +557,7 @@ def _cmd_validate(args) -> int:
         }
     else:
         min_rate = float(_get(cfg, "min_pass_rate", 0.95))
-        if not 0.0 <= min_rate <= 1.0:
-            raise ConfigError("min_pass_rate: must lie in [0, 1]")
         d, delta = float(_get(cfg, "d", 2.0)), float(_get(cfg, "delta", 0.5))
-        if not (np.isfinite(d) and d > 0.0):
-            raise ConfigError("d: must be finite and > 0")
-        if not 0.0 < delta < 1.0:
-            raise ConfigError("delta: must lie in (0, 1)")
         try:
             summary = validate_concentration(profile, None, lam_c, d=d, delta=delta,
                                              draws=samples, seed=seed)
@@ -639,7 +610,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--hermitian", action="store_const", const=True)
     p.add_argument("--normalize", type=float,
                    help="rescale to this average variance")
-    p.set_defaults(func=_cmd_profile)
+    p.set_defaults(func=_cmd_profile, fields=_field_types(p))
 
     p = commands.add_parser("density", help="deterministic density curve CSV")
     _add_common(p)
@@ -650,7 +621,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eta", type=float)
     p.add_argument("--tolerance", type=float)
     p.add_argument("--max-iterations", type=int)
-    p.set_defaults(func=_cmd_density)
+    p.set_defaults(func=_cmd_density, fields=_field_types(p))
 
     p = commands.add_parser("outliers", help="locate spike-induced outliers")
     _add_common(p)
@@ -664,7 +635,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eta-eval", type=float)
     p.add_argument("--tolerance", type=float)
     p.add_argument("--max-iterations", type=int)
-    p.set_defaults(func=_cmd_outliers)
+    p.set_defaults(func=_cmd_outliers, fields=_field_types(p))
 
     p = commands.add_parser("sample", help="Monte Carlo eigen/singular values")
     _add_common(p)
@@ -672,7 +643,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--y", help="zero | diag:v1,... | csv:path")
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, fields=_field_types(p))
 
     p = commands.add_parser("validate", help="Monte Carlo identity checks")
     _add_common(p)
@@ -687,7 +658,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--profile")
     p.add_argument("--bound-factor", type=float)
     p.add_argument("--min-pass-rate", type=float)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, fields=_field_types(p))
 
     return parser
 

@@ -46,8 +46,8 @@ class DensityCurve:
             raise ValueError("density grid must be one-dimensional")
         if self.values.shape != self.grid.shape or self.converged.shape != self.grid.shape:
             raise ValueError("grid, values and convergence flags must share a shape")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be > 0")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError("eta must be finite and > 0")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("density values must be finite")
         if np.any(self.values < -1e-12):
@@ -75,8 +75,8 @@ def density_curve(profile: VarianceProfile, y, grid, eta: float = 0.01,
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("density grid must be a non-empty vector")
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError("eta must be finite and > 0")
     model = _prepare(profile, y)
     lams = (SpectralParameter.scalar(t + 1j * eta, model.n) for t in grid)
     values = np.empty(grid.shape)

@@ -181,18 +181,21 @@ def det_beta_curve(model: HermitianModel, lambdas, config: SolverConfig | None =
     return dets, flags
 
 
-def _brent(f, a: float, b: float, xtol: float = 2e-12,
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float = 2e-12,
            rtol: float = 4 * float(np.finfo(float).eps), maxiter: int = 100) -> float:
-    """A zero of f between a and b, where f(a) and f(b) differ in sign.
+    """A zero of f between a and b, where ``fa`` = f(a) and ``fb`` = f(b)
+    differ in sign.
 
     Brent's method (Brent 1973, ch. 4) step for step as scipy's brentq.c
     runs it, at its defaults: a secant or inverse quadratic step when it is
     short enough, else bisection, until the bracket is narrower than
-    xtol + rtol |x|.  Raises ValueError without a sign change and
-    RuntimeError when ``maxiter`` steps do not converge.
+    xtol + rtol |x|.  brentq.c evaluates the two ends first; here the caller
+    passes them in, so f is called only inside the bracket.  Raises
+    ValueError without a sign change and RuntimeError when ``maxiter``
+    steps do not converge.
     """
     xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    fpre, fcur = float(fa), float(fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -256,11 +259,13 @@ def locate_outliers(model: HermitianModel, window=None,
     walk, run down from the row-sum bound in steps of 0.02.
 
     ``cache`` maps each real lambda solved to its real G (an
-    ``OperatorStieltjes``), or to None where the solve failed.  It depends
-    on the profile and Y only, so callers may share it across spike
-    strengths.  Raises ValueError for a non-finite or empty window, and
-    RuntimeError when no point of the walk converges, or when a solve
-    between two converged points fails.
+    ``OperatorStieltjes``), or to None where the solve failed.  Whether a
+    solve converges, and from which complex seed, depends on the profile,
+    Y, ``config`` and ``eta_eval``, so a cache may be shared only between
+    calls that agree on all four, such as a sweep over spike strengths.
+    Raises ValueError for a non-finite or empty window or a non-finite or
+    non-positive ``eta_eval``, and RuntimeError when no point of the walk
+    converges, or when a solve between two converged points fails.
     """
     if config is None:
         config = SolverConfig()
@@ -268,6 +273,8 @@ def locate_outliers(model: HermitianModel, window=None,
         raise ValueError("need at least 3 scan points")
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError("threshold must be finite and >= 0")
+    if not (math.isfinite(eta_eval) and eta_eval > 0.0):
+        raise ValueError("eta_eval must be finite and > 0")
     prepared, spikes = model._prepared, model.spikes
     cache = cache if cache is not None else {}
     seed = config.initial
@@ -336,7 +343,8 @@ def locate_outliers(model: HermitianModel, window=None,
         if a not in spectra or b not in spectra:
             continue
         for j in np.flatnonzero((spectra[a] < 0.0) & (spectra[b] >= 0.0)):
-            root = _brent(lambda t: spectrum(t, points[b])[j], a, b)
+            root = _brent(lambda t: spectrum(t, points[b])[j], a, b,
+                          spectra[a][j], spectra[b][j])
             value = det_abs(spectrum(root, points[b]))
             candidates.append(OutlierCandidate(lam=root, det_abs=value,
                                                accepted=value <= threshold))

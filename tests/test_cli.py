@@ -85,23 +85,6 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
         assert f"config: field '{field}' needs {needs}" in capsys.readouterr().err
 
 
-def test_config_field_types_match_the_flags():
-    from deteq.cli import _BOOL_FIELDS, _FLOAT_FIELDS, _INT_FIELDS, _build_parser
-
-    kinds = {int: _INT_FIELDS, float: _FLOAT_FIELDS}
-    commands = _build_parser()._subparsers._group_actions[0].choices
-    for parser in commands.values():
-        for action in parser._actions:
-            if action.dest in ("help", "config"):
-                continue
-            if action.const is True:
-                assert action.dest in _BOOL_FIELDS
-            elif action.type in kinds:
-                assert action.dest in kinds[action.type]
-            else:
-                assert action.dest not in _INT_FIELDS + _FLOAT_FIELDS + _BOOL_FIELDS
-
-
 def test_missing_required_field_exits_one(tmp_path):
     assert _run("profile", "--kind", "constant", "--n", "4", "--m", "4") == 1
     assert _run("profile", "--out", str(tmp_path / "p.csv")) == 1
@@ -419,6 +402,76 @@ def test_zero_and_unused_flags_are_validated_not_defaulted(tmp_path, capsys, arg
     # the message opens with the name of a field that was given
     field = capsys.readouterr().err.strip().removeprefix("error: ").split(":")[0]
     assert field in {flag[2:].replace("-", "_") for flag in argv if flag.startswith("--")}
+
+
+_CONC = ("validate", "--what", "concentration")
+_MASTER = ("validate", "--what", "master")
+_OUTLIERS46 = ("outliers", "--model", "constant:n=4,m=6", "--theta-list", "2.0",
+               "--window", "1.5:3.0")
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5"), "eta", 0.0),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5"), "eta", float("nan")),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5"), "tolerance", 0.0),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5"), "tolerance", float("nan")),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5"), "max_iterations", 0),
+    (_OUTLIERS46, "scan_points", 0),
+    (_OUTLIERS46, "scan_points", 2),
+    (_OUTLIERS46, "eta_eval", 0.0),
+    (_OUTLIERS46, "threshold", -1.0),
+    (_OUTLIERS46, "threshold", float("nan")),
+    (("sample", "--profile", _HERM4, "--seed", "1"), "count", 0),
+    (("sample", "--profile", _HERM4), "seed", -1),
+    (_MASTER, "lambda_im", 0.0),
+    (_CONC, "lambda_im", 0.0),
+    (_MASTER, "lambda_im", float("inf")),
+    (_MASTER, "lambda_re", float("nan")),
+    (_MASTER, "n", 0),
+    (_MASTER, "samples", 0),
+    (_MASTER, "seed", -4),
+    (_CONC, "d", 0.0),
+    (_CONC, "d", float("inf")),
+    (_CONC, "d", float("nan")),
+    (_CONC, "delta", 0.0),
+    (_MASTER, "bound_factor", -1.0),
+    (_MASTER, "bound_factor", 0.0),
+    (_CONC, "min_pass_rate", -1.0),
+    (_CONC, "min_pass_rate", 2.0),
+    (("profile", "--kind", "doubly-stochastic", "--n", "4", "--seed", "1"), "k", 0),
+    (("profile", "--kind", "doubly-stochastic", "--n", "4"), "seed", -2),
+    (("profile", "--kind", "constant", "--m", "4"), "n", 0),
+])
+def test_a_range_holds_alike_for_flags_and_config_values(tmp_path, capsys, argv, field,
+                                                         value):
+    out = str(tmp_path / "out")
+    assert _run(*argv, "--" + field.replace("_", "-"), str(value), "--out", out) == 1
+    message = capsys.readouterr().err
+    assert message.startswith(f"error: {field}: ")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert _run(*argv, "--config", str(cfg), "--out", out) == 1
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("kind, opts, field", [
+    ("constant", {"n": 0, "m": 4}, "n"),
+    ("constant", {"n": 4, "m": 0}, "m"),
+    ("doubly-stochastic", {"n": 4, "k": 0, "seed": 1}, "k"),
+    ("bernoulli", {"n": 4, "m": 4, "p": 0.5, "seed": -1}, "seed"),
+])
+def test_a_range_holds_alike_for_profile_spec_options(tmp_path, capsys, kind, opts, field):
+    out = str(tmp_path / "out")
+    flags = [arg for key, value in opts.items() for arg in (f"--{key}", str(value))]
+    assert _run("profile", "--kind", kind, *flags, "--out", out) == 1
+    message = capsys.readouterr().err.strip().removeprefix("error: ")
+    assert message.startswith(f"{field}: must be")
+    spec = kind + ":" + ",".join(f"{key}={value}" for key, value in opts.items())
+    for argv in (("density", "--profile", spec, "--grid", "0:1:0.5"),
+                 ("sample", "--profile", spec, "--seed", "1"),
+                 ("outliers", "--model", spec, "--theta-list", "2.0")):
+        assert _run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err.strip() == f"error: profile: {message}"
 
 
 def test_density_at_a_tiny_eta_is_finite(tmp_path):

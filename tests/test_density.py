@@ -75,6 +75,16 @@ def test_density_curve_validation():
                      eta=0.1, converged=np.array([True]), tolerance=1e-12)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_eta_is_checked_on_entry(eta):
+    prof = constant_profile(4, 4, 1.0, hermitian=True)
+    with pytest.raises(ValueError, match="^eta must be finite and > 0$"):
+        density_curve(prof, None, np.linspace(0, 1, 4), eta=eta)
+    with pytest.raises(ValueError, match="^eta must be finite and > 0$"):
+        DensityCurve(grid=np.array([0.0, 1.0]), values=np.array([0.0, 0.0]),
+                     eta=eta, converged=np.array([True, True]), tolerance=1e-12)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_density_curve_rejects_non_finite_values(bad):
     with pytest.raises(ValueError):

@@ -270,6 +270,13 @@ def test_non_finite_strengths_and_thresholds_are_rejected():
             locate_outliers(model, window=(1.5, 3.0), threshold=threshold)
 
 
+@pytest.mark.parametrize("eta_eval", [np.nan, np.inf, 0.0, -1e-3])
+def test_eta_eval_is_checked_on_entry(eta_eval):
+    model = _dilated_constant_model(8, 12, 2.0)
+    with pytest.raises(ValueError, match="^eta_eval must be finite and > 0$"):
+        locate_outliers(model, window=(1.5, 3.0), eta_eval=eta_eval)
+
+
 def test_locate_raises_when_nothing_converges():
     model = _dilated_constant_model(16, 20, 2.0)
     with pytest.raises(RuntimeError):
@@ -366,17 +373,39 @@ def test_brent_takes_the_steps_of_scipy_brentq(r, log_s, p, c, log_below, log_ab
         expected = brentq(f, a, b, maxiter=maxiter)
     except RuntimeError:
         with pytest.raises(RuntimeError):
-            _brent(f, a, b, maxiter=maxiter)
+            _brent(f, a, b, f(a), f(b), maxiter=maxiter)
     else:
-        root = _brent(f, a, b, maxiter=maxiter)
+        root = _brent(f, a, b, f(a), f(b), maxiter=maxiter)
         assert type(root) is float and root == expected
 
 
 def test_brent_returns_a_zero_endpoint_and_needs_a_sign_change():
-    assert _brent(lambda t: np.float64(t - 1.0), 1.0, 2.0) == 1.0
-    assert _brent(lambda t: t - 2.0, 1.0, 2.0) == 2.0
+    assert _brent(lambda t: np.float64(t - 1.0), 1.0, 2.0, np.float64(0.0), 1.0) == 1.0
+    assert _brent(lambda t: t - 2.0, 1.0, 2.0, -1.0, 0.0) == 2.0
     with pytest.raises(ValueError):
-        _brent(lambda t: t, 1.0, 2.0)
+        _brent(lambda t: t, 1.0, 2.0, 1.0, 2.0)
+
+
+def test_brent_reuses_the_spectra_at_its_bracket_ends(monkeypatch):
+    """One _core call per converged solve, plus one more at each root for its
+    det_abs: Brent evaluates only inside the bracket."""
+    from deteq import outliers
+
+    lams = []
+    core = outliers._core
+
+    def counted(spikes, model, lam, g):
+        lams.append(lam)
+        return core(spikes, model, lam, g)
+
+    monkeypatch.setattr(outliers, "_core", counted)
+    cache: dict = {}
+    report = locate_outliers(_dilated_constant_model(16, 20, 2.0), window=(1.5, 4.0),
+                             scan_points=12, cache=cache)
+    roots = [c.lam for c in report.candidates]
+    assert report.accepted() and len(roots) == 1
+    assert len(lams) == sum(g is not None for g in cache.values()) + len(roots)
+    assert [lam for lam in set(lams) if lams.count(lam) > 1] == roots
 
 
 def test_criterion_3_root_is_unchanged_to_the_last_bit():
