@@ -424,12 +424,13 @@ def _cmd_outliers(args) -> int:
             profile=profile, y=y, spikes=RectangularSpikes(u=u, theta=[1.0], v=v)))
         profile, y, u, signs = dilated.profile, dilated.y, dilated.w, dilated.theta_signed
 
+    # one prepared model serves every strength; only the spikes change
+    model = HermitianModel(profile=profile, y=y, spikes=SpikeSet(u=u, theta=signs * thetas[0]))
     cache: dict = {}
     reports = []
     try:
         for theta in thetas:
-            model = HermitianModel(profile=profile, y=y,
-                                   spikes=SpikeSet(u=u, theta=signs * theta))
+            model = model._with_spikes(SpikeSet(u=u, theta=signs * theta))
             reports.append(locate_outliers(
                 model, window=window, config=solver,
                 threshold=threshold, scan_points=scan_points,

@@ -22,6 +22,7 @@ counts and polishes those crossings along the real axis.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -71,6 +72,11 @@ class SpikeSet:
         return self.theta.size
 
 
+def _check_spike_dimension(spikes: SpikeSet, n: int) -> None:
+    if spikes.u.shape[0] != n:
+        raise ValueError("spike vectors do not match the profile dimension")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianModel:
     """Hermitian ensemble (profile noise + deformation Y) with a spike set.
@@ -86,10 +92,16 @@ class HermitianModel:
 
     def __post_init__(self) -> None:
         prepared = _prepare(self.profile, self.y)
-        if self.spikes.u.shape[0] != prepared.n:
-            raise ValueError("spike vectors do not match the profile dimension")
+        _check_spike_dimension(self.spikes, prepared.n)
         object.__setattr__(self, "y", prepared.y)
         object.__setattr__(self, "_prepared", prepared)
+
+    def _with_spikes(self, spikes: SpikeSet) -> "HermitianModel":
+        """This model with other spikes, sharing its prepared profile and Y."""
+        _check_spike_dimension(spikes, self._prepared.n)
+        model = copy.copy(self)
+        object.__setattr__(model, "spikes", spikes)
+        return model
 
     @classmethod
     def from_dilated(cls, dilated: DilatedModel) -> "HermitianModel":
@@ -142,14 +154,21 @@ def _beta_from_g(spikes: SpikeSet, model: _Prepared, lam_value: complex,
     return np.eye(spikes.k, dtype=np.complex128) - core * spikes.theta[np.newaxis, :]
 
 
+def _check_eta_eval(eta_eval: float) -> None:
+    if not (math.isfinite(eta_eval) and eta_eval > 0.0):
+        raise ValueError("eta_eval must be finite and > 0")
+
+
 def beta_square(lam, spikes: SpikeSet, profile: VarianceProfile, y=None,
                 config: SolverConfig | None = None, eta_eval: float = 1e-3) -> np.ndarray:
     """k x k determinant matrix at lambda for any Hermitian deformation Y.
 
     Absent or diagonal Y gives I - U* G(lambda I) U Theta; dense Y gives
     I - U* (Omega(lambda I) - Y)^(-1) U Theta.  Real ``lam`` is evaluated
-    just above the axis at lam + i eta_eval.
+    just above the axis at lam + i eta_eval.  Raises ValueError for a
+    non-finite or non-positive ``eta_eval``.
     """
+    _check_eta_eval(eta_eval)
     lam_c = complex(lam)
     if lam_c.imag < 0.0:
         raise ValueError("spectral arguments must satisfy Im lambda >= 0")
@@ -169,8 +188,10 @@ def det_beta_curve(model: HermitianModel, lambdas, config: SolverConfig | None =
     """det beta(lambda + i eta_eval) over a real grid.
 
     Each solve is warm-started from the previous grid point.  Returns
-    (complex determinants, per-point convergence flags).
+    (complex determinants, per-point convergence flags).  Raises ValueError
+    for a non-finite or non-positive ``eta_eval``.
     """
+    _check_eta_eval(eta_eval)
     lams = [complex(lam, eta_eval) for lam in np.asarray(lambdas, dtype=np.float64)]
     dets = np.empty(len(lams), dtype=np.complex128)
     flags = np.empty(len(lams), dtype=bool)
@@ -273,8 +294,7 @@ def locate_outliers(model: HermitianModel, window=None,
         raise ValueError("need at least 3 scan points")
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError("threshold must be finite and >= 0")
-    if not (math.isfinite(eta_eval) and eta_eval > 0.0):
-        raise ValueError("eta_eval must be finite and > 0")
+    _check_eta_eval(eta_eval)
     prepared, spikes = model._prepared, model.spikes
     cache = cache if cache is not None else {}
     seed = config.initial

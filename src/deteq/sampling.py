@@ -7,6 +7,12 @@ scaled by gamma(i, j) / sqrt(N).  Rectangular draws use gamma(i, j)
 x_ij / sqrt(M) with the same complex entry convention.  Batches derive one
 independent child stream per draw from the batch seed via
 numpy.random.SeedSequence.spawn, so draw j is reproducible on its own.
+
+One builder, ``_gue_draw``, writes a seeded Hermitian draw into buffers its
+caller owns.  ``sample_gue_profile`` allocates them per draw; the two
+validation loops allocate their workspaces once and reuse them for every
+draw.  The concentration loop writes lambda - H - Y straight into a
+Fortran-ordered buffer, so LAPACK factors and inverts it in place.
 """
 
 from __future__ import annotations
@@ -61,6 +67,34 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+# numpy divides a complex array by the real sqrt(2) as a complex (Smith)
+# division, which multiplies each part by this rounded reciprocal; every
+# seeded draw, and each result built on one, depends on that rounding.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def _gue_draw(rng: np.random.Generator, gamma: np.ndarray, normals: np.ndarray,
+              z: np.ndarray, diag: np.ndarray) -> None:
+    """Write one Hermitian draw into buffers the caller owns.
+
+    ``z`` (n x n complex) receives gamma(i, j) x_ij / sqrt(N) at every i, j,
+    of which the strict upper triangle is the draw; ``diag`` (n, float64)
+    receives the real diagonal.  ``normals`` is float64 (2, n, n) scratch for
+    the real and the imaginary Gaussian fields, drawn in that order before
+    the diagonal, and must not overlap ``z``.  ``gamma`` is sqrt(profile).
+    """
+    scale = 1.0 / np.sqrt(gamma.shape[0])
+    rng.standard_normal(out=normals[0])
+    rng.standard_normal(out=normals[1])
+    rng.standard_normal(out=diag)
+    np.multiply(normals[0], _INV_SQRT2, out=z.real)
+    np.multiply(normals[1], _INV_SQRT2, out=z.imag)
+    z *= gamma  # complex products, as the draw has always rounded them
+    z *= scale
+    np.multiply(np.diagonal(gamma), diag, out=diag)
+    diag *= scale
+
+
 def sample_gue_profile(profile: VarianceProfile, seed) -> np.ndarray:
     """One Hermitian draw H = (gamma(i, j) x_ij / sqrt(N))_ij.
 
@@ -69,19 +103,13 @@ def sample_gue_profile(profile: VarianceProfile, seed) -> np.ndarray:
     """
     if profile.mode != "hermitian":
         raise ValueError("sample_gue_profile needs a hermitian-mode profile")
-    rng = _rng(seed)
     n = profile.rows
-    gamma = np.sqrt(profile.entries)
-    scale = 1.0 / np.sqrt(n)
-    # The complex divide by sqrt(2) rounds differently from a real divide;
-    # every seeded draw, and each result built on one, depends on it.
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    x_diag = rng.standard_normal(n)
-    z *= gamma
-    z *= scale
+    z = np.empty((n, n), dtype=np.complex128)
+    diag = np.empty(n)
+    _gue_draw(_rng(seed), np.sqrt(profile.entries), np.empty((2, n, n)), z, diag)
     h = np.triu(z, 1)
     h += h.conj().T
-    np.fill_diagonal(h, np.diag(gamma) * x_diag * scale)
+    np.fill_diagonal(h, diag)
     return h
 
 
@@ -122,36 +150,49 @@ def empirical_spectrum(h: np.ndarray, lam: complex):
     return g_emp, eigs
 
 
+def _inverse_trace(a: np.ndarray, lower: np.ndarray, strict_lower: np.ndarray) -> complex:
+    """(1/n) tr a^(-1) of a Fortran-ordered complex n x n ``a``, factored in place.
+
+    With the partial-pivoting LU factorization P a = L U, the inverse is
+    U^(-1) L^(-1) P, so its trace is sum_kj U^(-1)[p_k, j] L^(-1)[j, k]: two
+    triangular inverses and no product, half the flops of the full inverse.
+    LAPACK overwrites ``a`` with U^(-1) over L^(-1); L^(-1)'s strict lower
+    triangle moves into ``lower`` (n x n complex, Fortran-ordered, zero
+    elsewhere), and ``zlaswp`` applies the row interchanges to U^(-1), which
+    is the gather U^(-1)[p] done in place.  ``strict_lower`` is the n x n
+    mask of the strict lower triangle.  Both workspaces are overwritten.
+    """
+    # imported here so that only the concentration check loads scipy
+    from scipy.linalg.lapack import zgetrf, zlaswp, ztrtri
+
+    _, swaps, info = zgetrf(a, overwrite_a=True)
+    if info == 0:  # U^(-1) over U in the upper triangle, then L^(-1) below it
+        _, info = ztrtri(a, lower=0, overwrite_c=True)
+    if info == 0:
+        _, info = ztrtri(a, lower=1, unitdiag=1, overwrite_c=True)
+    if info != 0:
+        raise np.linalg.LinAlgError("lam - H is singular")
+    lower.fill(0.0)
+    np.copyto(lower, a, where=strict_lower)
+    np.copyto(a, 0.0, where=strict_lower)
+    zlaswp(a, swaps, overwrite_a=True)  # LAPACK's row interchanges, in order
+    # L^(-1) has a unit diagonal, which contributes trace(U^(-1)[p])
+    return complex((np.einsum("kj,jk->", a, lower) + a.trace()) / a.shape[0])
+
+
 def _empirical_trace(h: np.ndarray, lam: complex) -> complex:
     """The empirical Stieltjes trace (1/n) tr (lam - H)^(-1) of a Hermitian H.
 
-    Equals the g_emp of ``empirical_spectrum`` without the eigenvalues.  With
-    the partial-pivoting LU factorization P (lam - H) = L U, the inverse is
-    U^(-1) L^(-1) P, so its trace is sum_kj U^(-1)[p_k, j] L^(-1)[j, k]: two
-    triangular inverses and no product, half the flops of the full inverse.
-    lam - H has every singular value >= Im lam, so the pivoting is well
-    conditioned.
+    Equals the g_emp of ``empirical_spectrum`` without the eigenvalues.
+    lam - H has every singular value >= Im lam, so the pivoting of its LU
+    factorization is well conditioned.
     """
-    # imported here so that only the concentration check loads scipy
-    from scipy.linalg.lapack import zgetrf, ztrtri
-
     h, lam = _checked(h, lam, "the empirical trace")
     n = h.shape[0]
-    a = np.negative(h, dtype=np.complex128)
-    a.flat[::n + 1] += lam
-    lu, swaps, info = zgetrf(a, overwrite_a=True)
-    if info == 0:  # U^(-1) over U in the upper triangle, then L^(-1) below it
-        lu, info = ztrtri(lu, lower=0, overwrite_c=True)
-    if info == 0:
-        lu, info = ztrtri(lu, lower=1, unitdiag=1, overwrite_c=True)
-    if info != 0:
-        raise np.linalg.LinAlgError("lam - H is singular")
-    p = np.arange(n)
-    for k, j in enumerate(swaps):  # LAPACK's row interchanges, in order
-        p[k], p[j] = p[j], p[k]
-    u_inv = np.triu(lu)[p]
-    # L^(-1) has a unit diagonal, which contributes trace(u_inv)
-    return complex((np.einsum("kj,jk->", u_inv, np.tril(lu, -1)) + u_inv.trace()) / n)
+    a = np.empty((n, n), dtype=np.complex128, order="F")
+    np.negative(h, out=a, dtype=np.complex128)
+    a.T.flat[::n + 1] += lam
+    return _inverse_trace(a, np.empty_like(a), np.tri(n, k=-1, dtype=bool))
 
 
 def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
@@ -172,11 +213,15 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
     lam_mat = np.diag(lam.diag)
     lhs = np.zeros((n, n), dtype=np.complex128)
     rhs = np.zeros((n, n), dtype=np.complex128)
+    shifted = np.empty_like(lhs)  # Lambda - H, then each draw's product terms
     for child in batch.child_seeds():
         x = sample_gue_profile(profile, child)
-        resolvent = np.linalg.inv(lam_mat - x - y_mat)
-        lhs += x @ resolvent
-        rhs += _apply_r(w, resolvent.diagonal())[:, np.newaxis] * resolvent
+        np.subtract(lam_mat, x, out=shifted)
+        shifted -= y_mat
+        resolvent = np.linalg.inv(shifted)
+        lhs += np.matmul(x, resolvent, out=shifted)
+        rhs += np.multiply(_apply_r(w, resolvent.diagonal())[:, np.newaxis], resolvent,
+                           out=shifted)
     return float(np.linalg.norm((lhs - rhs) / batch.count, 2))
 
 
@@ -204,12 +249,32 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
         raise RuntimeError("Dyson solve did not converge; cannot validate")
     g_det = complex(sol.g_square.diag.mean())
 
-    y_add = _deformation_matrix(model.y)
-    batch = SampleBatch(seed=seed, count=draws, n=n)
+    # Two workspaces serve every draw.  ``a`` holds lambda - H - Y in Fortran
+    # order, and its memory holds the draw's Gaussian fields before that;
+    # ``lower`` holds the draw's entries z, then L^(-1).  a.T is C-ordered,
+    # and off the diagonal a.T = conj(-H) - Y^T: -conj(z) above the diagonal,
+    # -z^T below it.  H is Hermitian by construction, and _prepare has
+    # checked Y, so neither is checked again.
+    dense_y = model.y if model.y is not None and model.y.ndim == 2 else None
+    y_diag = model.y if model.y is not None and model.y.ndim == 1 else 0.0
+    gamma = np.sqrt(profile.entries)
+    a = np.empty((n, n), dtype=np.complex128, order="F")
+    lower = np.empty_like(a)
+    normals = a.reshape(-1, order="F").view(np.float64).reshape(2, n, n)
+    a_t, z = a.T, lower.T
+    diag = np.empty(n)
+    strict_lower = np.tri(n, k=-1, dtype=bool)
     deviations = np.empty(draws)
-    for j, child in enumerate(batch.child_seeds()):
-        h = sample_gue_profile(profile, child) + y_add
-        deviations[j] = abs(_empirical_trace(h, lam) - g_det)
+    for j, child in enumerate(SampleBatch(seed=seed, count=draws, n=n).child_seeds()):
+        _gue_draw(np.random.default_rng(child), gamma, normals, z, diag)
+        np.negative(z.real, out=a_t.real)
+        np.copyto(a_t.imag, z.imag)
+        np.negative(z.T, out=a_t, where=strict_lower)
+        a_t.flat[::n + 1] = -(diag + y_diag)
+        if dense_y is not None:
+            a_t -= dense_y.T
+        a_t.flat[::n + 1] += lam
+        deviations[j] = abs(_inverse_trace(a, lower, strict_lower) - g_det)
     passes = int(np.sum(deviations <= bound.epsilon_tilde))
     return {
         "draws": draws,

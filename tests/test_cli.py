@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from deteq.cli import main
+from deteq import outliers
+from deteq.cli import _parse_profile_spec, _spike_vector, _write_json, main
+from deteq.dilation import RectangularModel, RectangularSpikes, dilate_model
+from deteq.outliers import HermitianModel, SpikeSet, locate_outliers
 from deteq.profiles import read_profile_csv
 
 # Outlier location for theta = 2 at aspect ratio 16/20.
@@ -169,6 +172,37 @@ def test_outliers_sweep_writes_one_row_per_strength(tmp_path):
     by_theta = {float(r[0]): int(r[3]) for r in rows}
     assert by_theta[0.5] == 0  # below the detection threshold (16/20)^(1/4)
     assert by_theta[2.0] == 1
+
+
+def test_outliers_prepares_the_model_once_for_every_strength(tmp_path, monkeypatch):
+    spec, thetas = "bernoulli:n=180,m=200,p=0.3,seed=1", [0.8, 1.5, 3.0]
+    calls = []
+    prepare = outliers._prepare
+
+    def counted(*args):
+        calls.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(outliers, "_prepare", counted)
+    out = tmp_path / "sweep.json"
+    assert _run("outliers", "--model", spec, "--theta-list", ",".join(map(str, thetas)),
+                "--out", str(out)) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    # the reference prepares one model per strength, sharing one cache
+    profile = _parse_profile_spec(spec)
+    dilated = dilate_model(RectangularModel(profile=profile, y=None, spikes=RectangularSpikes(
+        u=_spike_vector("constant", 180), theta=[1.0], v=_spike_vector("constant", 200))))
+    cache: dict = {}
+    reports = [locate_outliers(HermitianModel(
+        profile=dilated.profile, y=dilated.y,
+        spikes=SpikeSet(u=dilated.w, theta=dilated.theta_signed * theta)), cache=cache)
+        for theta in thetas]
+    payload = json.loads(out.read_text())
+    payload["reports"] = [r.to_json_dict() for r in reports]
+    _write_json(tmp_path / "reference.json", payload)
+    assert out.read_bytes() == (tmp_path / "reference.json").read_bytes()
 
 
 def test_outliers_hermitian_profile_with_e1_vectors(tmp_path):

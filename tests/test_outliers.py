@@ -275,6 +275,12 @@ def test_eta_eval_is_checked_on_entry(eta_eval):
     model = _dilated_constant_model(8, 12, 2.0)
     with pytest.raises(ValueError, match="^eta_eval must be finite and > 0$"):
         locate_outliers(model, window=(1.5, 3.0), eta_eval=eta_eval)
+    with pytest.raises(ValueError, match="^eta_eval must be finite and > 0$"):
+        det_beta_curve(model, [2.0, 2.5], eta_eval=eta_eval)
+    # a complex lam never reads eta_eval, and is rejected all the same
+    for lam in (2.5, 2.5 + 0.1j):
+        with pytest.raises(ValueError, match="^eta_eval must be finite and > 0$"):
+            beta_square(lam, model.spikes, model.profile, model.y, eta_eval=eta_eval)
 
 
 def test_locate_raises_when_nothing_converges():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import lapack
 
+from deteq import sampling
 from deteq.cli import main
-from deteq.dyson import SpectralParameter
+from deteq.dyson import SpectralParameter, _apply_r, solve_dyson
 from deteq.profiles import VarianceProfile, constant_profile
 from deteq.sampling import (SampleBatch, _empirical_trace, check_master_equality,
                             empirical_spectrum, sample_gue_profile,
@@ -158,6 +159,84 @@ def test_concentration_factorizes_each_draw_once(monkeypatch):
                                  0.8j, d=2.0, delta=0.5, draws=7, seed=4)
     assert out["draws"] == 7
     assert calls == [(40, 40)] * 7
+
+
+def _reference_trace(h: np.ndarray, lam: complex) -> complex:
+    """The LU trace as first written: a factorization of a C-ordered copy and
+    a gather of U^(-1)'s rows by the pivot permutation."""
+    n = h.shape[0]
+    a = np.negative(h, dtype=np.complex128)
+    a.flat[::n + 1] += lam
+    lu, swaps, _ = lapack.zgetrf(a)
+    lu, _ = lapack.ztrtri(lu, lower=0)
+    lu, _ = lapack.ztrtri(lu, lower=1, unitdiag=1)
+    p = np.arange(n)
+    for k, j in enumerate(swaps):
+        p[k], p[j] = p[j], p[k]
+    u_inv = np.triu(lu)[p]
+    return complex((np.einsum("kj,jk->", u_inv, np.tril(lu, -1)) + u_inv.trace()) / n)
+
+
+def _dense_hermitian(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (2.0 * n)
+    return a + a.conj().T
+
+
+_LOOP_CASES = [
+    (constant_profile(400, 400, 1.0, hermitian=True), None, 0.5j, 3),
+    (_symmetric_profile(37, 2), np.linspace(-1.0, 1.0, 37), 0.3 + 0.7j, 20),
+    (constant_profile(12, 12, 1.0, hermitian=True), _dense_hermitian(12, 4), -0.2 + 0.9j, 20),
+]
+
+
+@pytest.mark.parametrize("profile,y,lam,draws", _LOOP_CASES,
+                         ids=["constant-400", "symmetric-diagonal-y", "dense-y"])
+def test_loops_match_the_draw_by_draw_reference_bit_for_bit(monkeypatch, profile, y, lam,
+                                                          draws):
+    n = profile.rows
+    y_mat = 0.0 if y is None else np.diag(y) if y.ndim == 1 else y
+    batch = SampleBatch(seed=12, count=draws, n=n)
+    g_det = complex(solve_dyson(profile, y, SpectralParameter.scalar(lam, n)).g_square.diag.mean())
+    traces = [_reference_trace(sample_gue_profile(profile, child) + y_mat, lam)
+              for child in batch.child_seeds()]
+    seen = []
+    inverse_trace = sampling._inverse_trace
+
+    def recorded(*args):
+        seen.append(inverse_trace(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(sampling, "_inverse_trace", recorded)
+    out = validate_concentration(profile, y, lam, d=2.0, delta=0.5, draws=draws, seed=12)
+    assert seen == traces  # every draw's trace, not only the largest deviation
+    assert out["max_deviation"] == max(abs(t - g_det) for t in traces)
+    assert [_empirical_trace(sample_gue_profile(profile, child) + y_mat, lam)
+            for child in batch.child_seeds()] == traces
+
+    w = profile.entries / n
+    lam_mat = np.diag(np.full(n, lam))
+    lhs = np.zeros((n, n), dtype=np.complex128)
+    rhs = np.zeros((n, n), dtype=np.complex128)
+    for child in batch.child_seeds():
+        x = sample_gue_profile(profile, child)
+        resolvent = np.linalg.inv(lam_mat - x - y_mat)
+        lhs += x @ resolvent
+        rhs += _apply_r(w, resolvent.diagonal())[:, np.newaxis] * resolvent
+    assert check_master_equality(profile, y, SpectralParameter.scalar(lam, n), batch) == \
+        float(np.linalg.norm((lhs - rhs) / draws, 2))
+
+
+@pytest.mark.parametrize("y", [np.triu(np.full((8, 8), 0.1)), np.diag([np.nan] + [0.0] * 7)],
+                         ids=["non-hermitian", "non-finite"])
+def test_concentration_checks_y_before_the_first_factorization(monkeypatch, y):
+    def refused(*args, **kwargs):
+        raise AssertionError("a bad Y must be rejected before any draw is factored")
+
+    monkeypatch.setattr(lapack, "zgetrf", refused)
+    with pytest.raises(ValueError, match="deformation"):
+        validate_concentration(constant_profile(8, 8, 1.0, hermitian=True), y, 1.5j,
+                               d=2.0, delta=0.5, draws=3, seed=1)
 
 
 def test_sample_command_writes_the_reference_eigenvalues(tmp_path):
