@@ -308,10 +308,11 @@ def _classify_deformation(y, n: int):
 def _psi_raw(w, lam_diag, g, y, inertia=False):
     """psi(g) = diag[(lambda - R(g) - Y)^(-1)] on class values.
 
-    With ``inertia`` (real lambda, so the matrix is Hermitian) it also
-    returns the inertia a real-axis solve compares: the sign pattern of
-    psi(g) for absent or diagonal Y, the count of positive eigenvalues of
-    lambda - R(g) - Y for dense Y.
+    With ``inertia`` (real lambda, so the matrix is Hermitian) it returns
+    the triple (psi, inertia, M) a real-axis solve reads: the inertia is the
+    sign pattern of psi(g) for absent or diagonal Y and the count of
+    positive eigenvalues of lambda - R(g) - Y for dense Y, and M is that
+    matrix's inverse for dense Y, None otherwise.
     """
     shift = lam_diag - _apply_r(w, g)
     if y is not None and y.ndim == 2:
@@ -319,16 +320,16 @@ def _psi_raw(w, lam_diag, g, y, inertia=False):
             return _hermitian_inverse_diagonal(np.diag(shift) - y)
         return np.linalg.inv(np.diag(shift) - y).diagonal().copy()
     psi = 1.0 / (shift if y is None else shift - y)
-    return (psi, psi > 0.0) if inertia else psi
+    return (psi, psi > 0.0, None) if inertia else psi
 
 
 def _hermitian_inverse_diagonal(a: np.ndarray):
-    """diag(a^(-1)) and the count of positive eigenvalues of a Hermitian a.
+    """diag(a^(-1)), the count of positive eigenvalues and a^(-1), for a Hermitian a.
 
-    Both come from one Bunch-Kaufman factorization a = U D U*, where D has
-    the inertia of a (Sylvester).  Bunch-Kaufman takes a 2 x 2 pivot only
-    when its determinant is negative, so each 2 x 2 block of D holds one
-    positive eigenvalue.  A singular a gives a NaN diagonal.
+    All three come from one Bunch-Kaufman factorization a = U D U*, where D
+    has the inertia of a (Sylvester).  Bunch-Kaufman takes a 2 x 2 pivot
+    only when its determinant is negative, so each 2 x 2 block of D holds
+    one positive eigenvalue.  A singular a gives a NaN diagonal and inverse.
     """
     # imported here so that only dense-Y real-axis solves load scipy
     from scipy.linalg.lapack import dsytrf, dsytri, zhetrf, zhetri
@@ -337,12 +338,24 @@ def _hermitian_inverse_diagonal(a: np.ndarray):
     # a workspace of 64 n lets LAPACK factor in blocks of 64 columns
     lu, ipiv, info = trf(a, lwork=64 * a.shape[0], overwrite_a=1)
     if info != 0:
-        return np.full(a.shape[0], np.nan), -1
+        return np.full(a.shape[0], np.nan), -1, np.full(a.shape, np.nan)
     # ipiv > 0 marks a 1 x 1 block; a 2 x 2 block has two negative entries
     positive = np.count_nonzero(lu.diagonal()[ipiv > 0].real > 0.0) \
         + np.count_nonzero(ipiv < 0) // 2
     inv, _ = tri(lu, ipiv, overwrite_a=1)
-    return inv.diagonal().real.copy(), positive
+    # the inverse is in the upper triangle; mirror it into the lower one
+    inv = np.triu(inv) + np.triu(inv, 1).conj().T
+    return inv.diagonal().real.copy(), positive, inv
+
+
+def _jacobian_apply(w, psi, m, x):
+    """J x for the Jacobian J of psi at a real lambda, which is >= 0 entrywise.
+
+    J = diag(psi^2) W for absent or diagonal Y, and J = |M|^2 W for dense Y,
+    where M = (lambda - R(g) - Y)^(-1) and |M|^2 squares each entry's modulus.
+    """
+    wx = w @ x
+    return psi * psi * wx if m is None else np.abs(m) ** 2 @ wx
 
 
 def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,
@@ -393,17 +406,32 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
     """Yield one ``DysonSolution`` for each point of ``lams`` in turn.
 
     A point is a ``SpectralParameter``, solved as ``solve_dyson`` describes,
-    or a float, a real lambda solved by plain iteration.  Each solve starts
-    from the previous point's G, the first from ``config.initial``; a real
-    lambda needs one.  On the real axis psi is order-preserving (its
-    Jacobian |M_ik|^2 W_kj is nonnegative, M = (lambda - R(g) - Y)^(-1)), so
-    from G at a point of the same gap the iterates move monotonically to
-    G(lambda) and keep the inertia that ``_psi_raw`` reports; inside the
-    support they cross a pole of psi.  A real solve iterates on the real
-    part of its start and stops at the first iterate whose inertia differs
-    from the start's, or whose psi is non-finite: it is then unconverged and
+    or a float, a real lambda.  Each solve starts from the previous point's
+    G, the first from ``config.initial``; a real lambda needs one.
+
+    A real solve iterates on the real part of its start.  There psi is
+    order-preserving: its Jacobian J = |M_ik|^2 W_kj, with
+    M = (lambda - R(g) - Y)^(-1), is nonnegative.  So from G at a point of
+    the same gap the iterates move monotonically to G(lambda) and keep the
+    inertia that ``_psi_raw`` reports; inside the support they cross a pole
+    of psi.  The solve stops at the first iterate whose inertia differs from
+    the first one's, or whose psi is non-finite: it is then unconverged and
     yields its start unchanged, placing lambda in the support.
-    ``max_iterations`` is a backstop there.
+
+    The step is g <- psi(g), except at a subsolution, b = psi(g) - g >= 0,
+    in the top gap, where lambda - R(g) - Y is positive definite and psi is
+    also convex.  There it is the two-step Collatz-Wielandt extrapolation
+    g <- g + (b + J b) / (1 - mu), with mu = min over b_i > 0 of
+    (J^2 b)_i / b_i.  Since J^2 b >= mu b, the step is at least the plain
+    step b and at most the Newton step (I - J)^(-1) b, which does not pass
+    G(lambda), and the new g is again a subsolution: the iterates rise to
+    G(lambda) without passing it or a pole.  mu >= 1 shows rho(J)^2 >= 1,
+    which no g below a stable G(lambda) has (Alt, Erdos & Kruger,
+    arXiv:1804.07752), so the solve stops unconverged there, as at a pole
+    crossing.  For one class, and for the two classes of a dilated constant
+    profile, J^2 = rho^2 I and the step is Newton's.  Next to a square-root
+    edge, where rho -> 1 and plain steps stall, it takes a few steps.
+    ``max_iterations`` is a backstop.
     """
     if config is None:
         config = SolverConfig()
@@ -442,14 +470,28 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
             residuals, signs = [], None
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 while len(residuals) < config.max_iterations:
-                    psi_g, inertia = _psi_raw(part.w, lam_c, g, y_c, True)
-                    residuals.append(float(np.abs(g - psi_g).max()))
+                    psi_g, inertia, m = _psi_raw(part.w, lam_c, g, y_c, True)
+                    b = psi_g - g
+                    residuals.append(float(np.abs(b).max()))
                     signs = inertia if signs is None else signs
-                    crossed = not np.all(np.isfinite(psi_g)) or np.any(inertia != signs)
-                    if crossed or residuals[-1] <= config.tolerance:
+                    inside = not np.all(np.isfinite(psi_g)) or np.any(inertia != signs)
+                    if inside or residuals[-1] <= config.tolerance:
                         break
-                    g = psi_g
-            converged = not crossed and residuals[-1] <= config.tolerance
+                    top = np.all(inertia) if m is None else inertia == g.size
+                    if not (top and np.all(b >= 0.0)):
+                        g = psi_g
+                        continue
+                    # a subsolution in the top gap: the two-step extrapolation
+                    u = _jacobian_apply(part.w, psi_g, m, b)
+                    v = _jacobian_apply(part.w, psi_g, m, u)
+                    rising = b > 0.0
+                    mu = float(np.min(v[rising] / b[rising]))
+                    if mu >= 1.0:  # rho(J)^2 >= mu: no fixed point lies above g
+                        inside = True
+                        break
+                    # a NaN mu (J b overflowed next to a pole) leaves the plain step
+                    g = g + (b + u) / (1.0 - mu) if mu < 1.0 else psi_g
+            converged = not inside and residuals[-1] <= config.tolerance
         else:
             g = -1j / lam_c.imag if start is None else start.diag[part.first]
             # Class c stands for sizes[c] equal rows: weighting its least-squares

@@ -259,15 +259,18 @@ def locate_outliers(model: HermitianModel, window=None,
     """Locate the real zeros of det beta inside a search window by counting.
 
     Walks ``scan_points`` equispaced points down from the top of the window,
-    solving the Dyson equation on the real axis (``dyson._solve_path``
-    places a point in the support when its plain iteration crosses a pole
-    of psi), and bisects each boundary between a converged and a failed
-    point down to a width of 1e-4.  Between two adjacent converged points,
+    solving the Dyson equation on the real axis, and bisects each boundary
+    between a converged and a failed point down to a width of 1e-4.
+    ``dyson._solve_path`` places a point in the support when its iteration
+    crosses a pole of psi or, above the spectrum, when the Collatz-Wielandt
+    bound mu >= 1 shows that no fixed point lies above its start.  Between two adjacent converged points,
     every eigenvalue of Theta^(-1) - U* G U that turns from negative to
     nonnegative marks one root, which Brent's method (``_brent``) polishes.
     Each real solve names its start: a walk point the previous walk point's
     G, a bisection midpoint the converged end of its bracket, a Brent point
-    the upper end of its bracket.  A point without one (the top point, and
+    the upper end of its bracket.  Above the spectrum each such start lies
+    below G(lambda), so the solve takes the extrapolated steps that reach
+    G(lambda) next to an edge in a few iterations.  A point without one (the top point, and
     any after a point in the support) is solved on the path
     [lambda + i eta_eval, lambda], whose complex solve starts from the
     previous such one.  All solves run at ``config``.

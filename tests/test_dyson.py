@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -310,6 +312,102 @@ def test_real_axis_walk_splits_at_the_exact_edge(data, n, k, s, c, points, dense
             warm = sol.g_square
 
 
+def _plain_real_solve(w, y, lam, g, cap, tolerance):
+    """The real-axis solve by plain steps g <- psi(g) on every row: the reference.
+
+    Returns (G, decided): G once the residual is at most ``tolerance``, None
+    once psi crosses a pole (its inertia changes or it is non-finite).  Y is
+    a diagonal vector or a dense matrix; a dense Y's inertia is the count of
+    positive eigenvalues of lambda - R(g) - Y.
+    """
+    signs = None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(cap):
+            if y.ndim == 1:
+                psi = 1.0 / (lam - w @ g - y)
+                inertia = psi > 0.0
+            else:
+                e, v = np.linalg.eigh(np.diag(lam - w @ g) - y)
+                psi = (v * v / e).sum(axis=1)
+                inertia = np.count_nonzero(e > 0.0)
+            signs = inertia if signs is None else signs
+            if not np.all(np.isfinite(psi)) or np.any(inertia != signs):
+                return None, True
+            if np.max(np.abs(psi - g)) <= tolerance:
+                return g, True
+            g = psi
+    return None, False
+
+
+def _real_error_bound(w, y, lam, g, tolerance):
+    """How far G may lie from a g whose residual is at most ``tolerance``:
+    tolerance ||(I - J)^(-1)||_inf, with J = |M|^2 W the Jacobian of psi."""
+    m = np.linalg.inv(np.diag(lam - w @ g) - (np.diag(y) if y.ndim == 1 else y))
+    with np.errstate(over="ignore"):  # next to a pole the bound is infinite
+        jac = np.abs(m) ** 2 @ w
+        if not np.all(np.isfinite(jac)):
+            return np.inf
+        return tolerance * np.abs(np.linalg.inv(np.eye(g.size) - jac)).sum(axis=1).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 6), n=st.integers(1, 12),
+       sparse=st.booleans(), dense=st.booleans(), lam=st.floats(-6.0, 8.0),
+       drop=st.floats(0.01, 2.0))
+def test_a_real_solve_decides_like_plain_steps(seed, r, n, sparse, dense, lam, drop):
+    # Above the spectrum a subsolution takes the two-step extrapolation.  A
+    # walk down and back up, each point from the last converged G (the first
+    # from 0, the last from above G), must decide in or out as plain steps
+    # do, agree with them on G within their error bound, and never step
+    # short of psi(g) or past G.
+    # The entries are seeded draws: hypothesis's round values would put Y's
+    # eigenvalues and the support's edges exactly on lambda.
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.0, 4.0, (r, r)) * (rng.random((r, r)) < 0.5 if sparse else 1.0)
+    assume(b.max() > 0.0)  # a noise-free model is solved exactly, without steps
+    if dense:
+        n = r
+        w = (b + b.T) / (2.0 * n)
+        q = rng.uniform(-1.0, 1.0, (n, n))
+        y = (q + q.T) / 2.0
+        model = _row_by_row(w, y)
+    else:
+        n = max(n, r)
+        labels = rng.permutation(np.arange(n) % r)
+        prof = VarianceProfile(((b + b.T) / 2.0)[np.ix_(labels, labels)], "hermitian")
+        y = rng.uniform(-2.0, 2.0, r)[labels]
+        w = prof.entries / n
+        model = _prepare(prof, y)
+    tolerance = 1e-10
+    start = OperatorStieltjes(np.zeros(n))
+    psi_raw = dyson._psi_raw
+    for point in (lam, lam - drop, lam + drop):
+        steps = []
+
+        def recorded(*args):
+            out = psi_raw(*args)
+            steps.append((args[2], out[0]))
+            return out
+
+        with mock.patch.object(dyson, "_psi_raw", recorded):
+            sol = _real_solve(model, point, start, 10 ** 5, tolerance)
+        ref, decided = _plain_real_solve(w, y, point, start.diag.real, 10 ** 5, tolerance)
+        if decided:
+            assert sol.converged == (ref is not None)
+        bound = None
+        if ref is not None:
+            bound = 2.0 * _real_error_bound(w, y, point, ref, tolerance) + 1e-14
+            if sol.converged:
+                assert np.max(np.abs(sol.g_square.diag.real - ref)) <= bound
+        for (_, psi_g), (g, _) in zip(steps, steps[1:]):
+            if not np.array_equal(g, psi_g):  # an extrapolated iterate
+                assert np.all(g >= psi_g - 1e-15 * np.abs(psi_g))
+                if bound is not None:
+                    assert np.all(g[model.labels] <= ref + bound)
+        if sol.converged:
+            start = sol.g_square
+
+
 def test_a_real_point_in_the_support_returns_its_start():
     prof = constant_profile(30, 30, 1.0, hermitian=True)
     model = _prepare(prof, None)
@@ -319,8 +417,8 @@ def test_a_real_point_in_the_support_returns_its_start():
                                                         abs=1e-11)
     inside = _real_solve(model, 1.0, outside.g_square, 1000)
     assert not inside.converged and not inside.contraction_certified
-    # the pole crossing stops it, not the cap
-    assert inside.iterations == 2
+    # the mu >= 1 certificate stops it at the first step, not the cap
+    assert inside.iterations == 1
     assert inside.g_square is outside.g_square
     assert inside.residual == inside.residual_history[0]
     # the path goes on from the same start
@@ -744,8 +842,9 @@ def test_hermitian_inverse_diagonal_and_inertia(n):
         if hollow and n > 1:
             # a zero diagonal makes Bunch-Kaufman take 2 x 2 pivots
             a -= np.diag(np.diag(a))
-        diag, positive = _hermitian_inverse_diagonal(a.copy())
+        diag, positive, inv = _hermitian_inverse_diagonal(a.copy())
         assert np.max(np.abs(diag - np.linalg.inv(a).diagonal().real)) <= 1e-10
+        assert np.max(np.abs(inv - np.linalg.inv(a))) <= 1e-10
         assert positive == np.count_nonzero(np.linalg.eigvalsh(a) > 0.0)
 
 

