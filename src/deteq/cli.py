@@ -34,9 +34,8 @@ from .outliers import (HermitianModel, SpikeSet, det_beta_curve, locate_outliers
 from .profiles import (VarianceProfile, bernoulli_profile, constant_profile,
                        doubly_stochastic_profile, normalize_profile,
                        piecewise_profile, read_profile_csv, write_profile_csv)
-from .sampling import (SampleBatch, _deformation_matrix, check_master_equality,
-                       sample_gue_profile, sample_rect_gaussian,
-                       validate_concentration)
+from .sampling import (SampleBatch, check_master_equality, sample_gue_profile,
+                       sample_rect_gaussian, validate_concentration)
 
 __all__ = ["main", "ConfigError"]
 
@@ -220,7 +219,7 @@ def _parse_y_spec(spec: str | None, rows: int, cols: int | None = None):
     """'zero', 'diag:v1,v2,...' (a single value broadcasts) or 'csv:path'.
 
     ``cols`` marks a rectangular model, whose Y must be 'zero' or a csv
-    matrix.
+    matrix.  A Hermitian model's Y is checked as the solver reads it.
     """
     if spec is None or spec == "zero":
         return None
@@ -243,7 +242,12 @@ def _parse_y_spec(spec: str | None, rows: int, cols: int | None = None):
             raise ConfigError(f"y: matrix has shape {y.shape}, expected {expect}")
     else:
         raise ConfigError(f"y: unknown specification '{spec}'")
-    if not np.all(np.isfinite(y)):
+    if cols is None:
+        try:
+            _classify_deformation(y, rows)
+        except ValueError as exc:
+            raise ConfigError(f"y: {exc}")
+    elif not np.all(np.isfinite(y)):
         raise ConfigError("y: deformation must be finite")
     return y
 
@@ -490,9 +494,10 @@ def _cmd_sample(args) -> int:
     values = []
     if profile.mode == "hermitian":
         y = _parse_y_spec(cfg["y"], profile.rows)
-        y_add = _deformation_matrix(_classify_deformation(y, profile.rows))
+        deformation = _classify_deformation(y, profile.rows)
         for child in batch.child_seeds():
-            h = sample_gue_profile(profile, child) + y_add
+            h = sample_gue_profile(profile, child)
+            deformation.combine(h, np.add)
             values.append(np.linalg.eigvalsh(h))
     else:
         y = _parse_y_spec(cfg["y"], profile.rows, profile.cols)

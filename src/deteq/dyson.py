@@ -156,7 +156,9 @@ class _Prepared:
     G is constant on the classes (``_classes``), so the solver iterates on one
     value per class.  Row i is in class ``labels[i]``; class c has first row
     ``first[c]`` and ``sizes[c]`` rows, and ``w[c, d]`` = (exact mean of row
-    first[c] over class d) |d| / N.  A dense Y makes every row a class.
+    first[c] over class d) |d| / N.  ``y`` is the form of Y that
+    ``_classify_deformation`` returned, and ``class_y`` is Y on the classes,
+    built once.  A dense Y makes every row a class.
     """
 
     n: int
@@ -164,9 +166,13 @@ class _Prepared:
     first: np.ndarray
     sizes: np.ndarray
     w: np.ndarray
-    y: np.ndarray | None
+    y: _DiagonalY | _DenseY
     gamma_max_sq: float
     entries: np.ndarray
+    class_y: _DiagonalY | _DenseY = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "class_y", self.y.on_classes(self.first))
 
     def refined(self, *vectors) -> "_Prepared":
         """The model on the coarsest equitable refinement on which every vector is constant."""
@@ -183,9 +189,7 @@ def _prepare(profile: VarianceProfile, y) -> _Prepared:
         raise ValueError("the Dyson equation needs a hermitian-mode profile")
     n = profile.rows
     y = _classify_deformation(y, n)
-    # a dense Y couples every row, so each starts as its own class
-    keys = np.zeros(n) if y is None else np.arange(n) if y.ndim == 2 else y
-    return _classes(profile.entries, [keys], y, profile.gamma_max_sq)
+    return _classes(profile.entries, [y.keys], y, profile.gamma_max_sq)
 
 
 def _classes(entries: np.ndarray, keys, y, gamma_max_sq: float) -> _Prepared:
@@ -280,13 +284,15 @@ def _apply_r(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _classify_deformation(y, n: int):
     """The one reading of a deformation Y on an n-dimensional space.
 
-    Returns None when Y is absent, a real float64 vector when Y is diagonal
-    (given as a vector or as a matrix with zero off-diagonal part), and the
-    n x n Hermitian matrix otherwise.  Raises ValueError for a wrong shape,
-    a non-finite entry, a complex diagonal or a non-Hermitian matrix.
+    Returns a ``_DiagonalY`` when Y is absent (the zero diagonal) or diagonal
+    (given as a vector or as a matrix with zero off-diagonal part), and a
+    ``_DenseY`` holding the n x n Hermitian matrix otherwise.  Raises
+    ValueError for a wrong shape, a non-finite entry, a complex diagonal or a
+    non-Hermitian matrix.  No other code looks at the form of Y: it asks the
+    object returned here.
     """
     if y is None:
-        return None
+        return _DiagonalY(np.zeros(n), given=False)
     y = np.asarray(y)
     if not np.all(np.isfinite(y)):
         raise ValueError("deformation must be finite")
@@ -295,32 +301,127 @@ def _classify_deformation(y, n: int):
             raise ValueError(f"diagonal deformation has length {y.shape[0]}, expected {n}")
         if np.iscomplexobj(y) and np.any(y.imag != 0.0):
             raise ValueError("diagonal deformation must be real")
-        return y.real.astype(np.float64)
+        return _DiagonalY(y.real.astype(np.float64))
     if y.shape != (n, n):
         raise ValueError(f"deformation has shape {y.shape}, expected ({n}, {n})")
     if not np.allclose(y, np.conj(y.T), rtol=0.0, atol=1e-12):
         raise ValueError("deformation matrix must be Hermitian")
     if not np.any(y - np.diag(np.diag(y))):
-        return np.diag(y).real.astype(np.float64)
-    return y
+        return _DiagonalY(np.diag(y).real.astype(np.float64))
+    return _DenseY(y)
+
+
+@dataclass(frozen=True, eq=False)
+class _DiagonalY:
+    """Y = diag(values), one real value per row.
+
+    An absent Y is the zero diagonal, with ``given`` False: x - 0.0 is x in
+    IEEE arithmetic, signed zeros included, so every result is the one
+    computed without Y.  Each member answers a question that the solver,
+    ``outliers`` or ``sampling`` asks of Y; ``_DenseY`` answers the same ones.
+    """
+
+    values: np.ndarray
+    given: bool = True
+    dense = False
+
+    @property
+    def array(self):
+        """Y as a model reports it: None when absent, else the diagonal."""
+        return self.values if self.given else None
+
+    @property
+    def keys(self):
+        """The row keys that the row classes refine."""
+        return self.values
+
+    def on_classes(self, first):
+        """Y on the class values, each class read at its first row."""
+        return _DiagonalY(self.values[first], self.given)
+
+    def psi(self, shift, inertia=False):
+        """diag[(diag(shift) - Y)^(-1)].
+
+        With ``inertia`` (a real shift) it returns (psi, inertia, top, M): the
+        sign pattern of psi, whether diag(shift) - Y is positive definite,
+        and M = (diag(shift) - Y)^(-1), held as its diagonal psi.
+        """
+        psi = 1.0 / (shift - self.values)
+        if not inertia:
+            return psi
+        positive = psi > 0.0
+        return psi, positive, positive.all(), psi
+
+    def jacobian_apply(self, w, m, x):
+        """J x = |M|^2 W x, for the M that ``psi`` returned."""
+        return m * m * (w @ x)
+
+    def core(self, u, w, lam, g):
+        """U* (Omega - Y)^(-1) U at the fixed point G, given on all rows: U* diag(G) U."""
+        return (u.conj().T * g[np.newaxis, :]) @ u
+
+    @property
+    def norm(self):
+        return float(np.abs(self.values).max())
+
+    def combine(self, a, op):
+        """a = op(a, Y) in place, for op np.add or np.subtract; Y is zero off the diagonal."""
+        a.flat[::a.shape[0] + 1] = op(a.diagonal(), self.values)
+
+
+@dataclass(frozen=True, eq=False)
+class _DenseY:
+    """A Hermitian Y with a nonzero off-diagonal part, held as its matrix.
+
+    It couples every row, so each row is its own class.  ``psi`` reports as
+    inertia the count of positive eigenvalues of diag(shift) - Y, which one
+    Bunch-Kaufman factorization gives together with M.
+    """
+
+    matrix: np.ndarray
+    dense = True
+
+    @property
+    def array(self):
+        return self.matrix
+
+    @property
+    def keys(self):
+        return np.arange(self.matrix.shape[0])
+
+    def on_classes(self, first):
+        return self
+
+    def psi(self, shift, inertia=False):
+        a = np.diag(shift) - self.matrix
+        if not inertia:
+            return np.linalg.inv(a).diagonal().copy()
+        diag, positive, inv = _hermitian_inverse_diagonal(a)
+        return diag, positive, positive == a.shape[0], inv
+
+    def jacobian_apply(self, w, m, x):
+        return np.abs(m) ** 2 @ (w @ x)
+
+    def core(self, u, w, lam, g):
+        omega = lam - _apply_r(w, g)  # every row is a class, so w is Gamma / N
+        return u.conj().T @ np.linalg.solve(np.diag(omega) - self.matrix, u)
+
+    @property
+    def norm(self):
+        return float(np.linalg.norm(self.matrix, 2))
+
+    def combine(self, a, op):
+        op(a, self.matrix, out=a)
 
 
 def _psi_raw(w, lam_diag, g, y, inertia=False):
-    """psi(g) = diag[(lambda - R(g) - Y)^(-1)] on class values.
+    """psi(g) = diag[(lambda - R(g) - Y)^(-1)] on class values, for Y on the classes.
 
     With ``inertia`` (real lambda, so the matrix is Hermitian) it returns
-    the triple (psi, inertia, M) a real-axis solve reads: the inertia is the
-    sign pattern of psi(g) for absent or diagonal Y and the count of
-    positive eigenvalues of lambda - R(g) - Y for dense Y, and M is that
-    matrix's inverse for dense Y, None otherwise.
+    the quadruple (psi, inertia, top, M) a real-axis solve reads, as the
+    deformation's ``psi`` describes it.
     """
-    shift = lam_diag - _apply_r(w, g)
-    if y is not None and y.ndim == 2:
-        if inertia:
-            return _hermitian_inverse_diagonal(np.diag(shift) - y)
-        return np.linalg.inv(np.diag(shift) - y).diagonal().copy()
-    psi = 1.0 / (shift if y is None else shift - y)
-    return (psi, psi > 0.0, None) if inertia else psi
+    return y.psi(lam_diag - _apply_r(w, g), inertia)
 
 
 def _hermitian_inverse_diagonal(a: np.ndarray):
@@ -346,16 +447,6 @@ def _hermitian_inverse_diagonal(a: np.ndarray):
     # the inverse is in the upper triangle; mirror it into the lower one
     inv = np.triu(inv) + np.triu(inv, 1).conj().T
     return inv.diagonal().real.copy(), positive, inv
-
-
-def _jacobian_apply(w, psi, m, x):
-    """J x for the Jacobian J of psi at a real lambda, which is >= 0 entrywise.
-
-    J = diag(psi^2) W for absent or diagonal Y, and J = |M|^2 W for dense Y,
-    where M = (lambda - R(g) - Y)^(-1) and |M|^2 squares each entry's modulus.
-    """
-    wx = w @ x
-    return psi * psi * wx if m is None else np.abs(m) ** 2 @ wx
 
 
 def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,
@@ -455,13 +546,11 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
             certified = math.sqrt(model.gamma_max_sq) < lam.im_min
             part = model.refined(lam.diag) if start is None else model.refined(lam.diag, start.diag)
             lam_c = lam.diag[part.first]
-        # Y as the class equations read it: None, one value per class, or the dense matrix
-        y_c = part.y if part.y is None or part.y.ndim == 2 else part.y[part.first]
         if model.gamma_max_sq == 0.0:
             # Noise-free model: the equation degenerates to G = diag[(Lambda - Y)^(-1)],
             # which is infinite where a real lambda meets an eigenvalue of Y.
             with np.errstate(divide="ignore"):
-                g = _psi_raw(part.w, lam_c, np.zeros(part.sizes.size), y_c, real)
+                g = _psi_raw(part.w, lam_c, np.zeros(part.sizes.size), part.class_y, real)
             g = g[0] if real else g
             converged = bool(np.all(np.isfinite(g)))
             residuals = [0.0 if converged else math.inf]
@@ -470,20 +559,19 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
             residuals, signs = [], None
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 while len(residuals) < config.max_iterations:
-                    psi_g, inertia, m = _psi_raw(part.w, lam_c, g, y_c, True)
+                    psi_g, inertia, top, m = _psi_raw(part.w, lam_c, g, part.class_y, True)
                     b = psi_g - g
                     residuals.append(float(np.abs(b).max()))
                     signs = inertia if signs is None else signs
                     inside = not np.all(np.isfinite(psi_g)) or np.any(inertia != signs)
                     if inside or residuals[-1] <= config.tolerance:
                         break
-                    top = np.all(inertia) if m is None else inertia == g.size
                     if not (top and np.all(b >= 0.0)):
                         g = psi_g
                         continue
                     # a subsolution in the top gap: the two-step extrapolation
-                    u = _jacobian_apply(part.w, psi_g, m, b)
-                    v = _jacobian_apply(part.w, psi_g, m, u)
+                    u = part.class_y.jacobian_apply(part.w, m, b)
+                    v = part.class_y.jacobian_apply(part.w, m, u)
                     rising = b > 0.0
                     mu = float(np.min(v[rising] / b[rising]))
                     if mu >= 1.0:  # rho(J)^2 >= mu: no fixed point lies above g
@@ -508,7 +596,7 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
             d_g, d_f = [], []
             extrapolated = False
             while True:
-                psi_g = _psi_raw(part.w, lam_c, g, y_c)
+                psi_g = _psi_raw(part.w, lam_c, g, part.class_y)
                 if not np.all(np.isfinite(psi_g)):
                     raise DysonDivergenceError(
                         f"fixed-point iterate became non-finite at iteration "
@@ -637,11 +725,7 @@ def concentration_bound(params: ConcentrationBound) -> ConcentrationResult:
     prefactor = 1.0 + gam * gam * s * s / params.delta
     if params.diagonal_y:
         tail = prefactor * gam ** 4 * s ** 5 / n ** 1.5
-        eps = lead + tail
-        eps_tilde = lead_tilde + tail
     else:
         tail = prefactor * 2.0 * gam ** 3 * s ** 4 / n
-        eps = lead + tail
-        eps_tilde = lead_tilde + tail
-    return ConcentrationResult(epsilon=eps, epsilon_tilde=eps_tilde,
+    return ConcentrationResult(epsilon=lead + tail, epsilon_tilde=lead_tilde + tail,
                                admissible=params.admissible)

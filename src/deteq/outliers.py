@@ -11,7 +11,8 @@ deformation Y the same determinant reads
     det(I_k - U* (Omega(lambda I) - Y)^(-1) U Theta),
 
 with Omega(Lambda) = Lambda - R(G(Lambda)); for diagonal Y the two forms
-coincide, so the code picks the cheaper one from the kind of Y.
+coincide, and the deformation object that ``dyson._classify_deformation``
+returns evaluates the cheaper one for its form.
 
 Outside the support G(lambda) is real and decreasing, so the eigenvalues of
 the Hermitian k x k matrix Theta^(-1) - U* G U increase with lambda and, by
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dilation import DilatedModel, _check_frame
-from .dyson import (SolverConfig, SpectralParameter, _apply_r, _prepare, _Prepared,
-                    _solve_path)
+from .dyson import SolverConfig, SpectralParameter, _prepare, _Prepared, _solve_path
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -93,7 +93,7 @@ class HermitianModel:
     def __post_init__(self) -> None:
         prepared = _prepare(self.profile, self.y)
         _check_spike_dimension(self.spikes, prepared.n)
-        object.__setattr__(self, "y", prepared.y)
+        object.__setattr__(self, "y", prepared.y.array)
         object.__setattr__(self, "_prepared", prepared)
 
     def _with_spikes(self, spikes: SpikeSet) -> "HermitianModel":
@@ -139,12 +139,8 @@ class OutlierReport:
 
 
 def _core(spikes: SpikeSet, model: _Prepared, lam_value, g: np.ndarray) -> np.ndarray:
-    """U* diag(G) U, or U* (Omega - Y)^(-1) U for dense Y; ``g`` has all n rows."""
-    if model.y is None or model.y.ndim == 1:
-        return (spikes.u.conj().T * g[np.newaxis, :]) @ spikes.u
-    # a dense Y makes every row its own class, so w is Gamma / N
-    omega = lam_value - _apply_r(model.w, g)
-    return spikes.u.conj().T @ np.linalg.solve(np.diag(omega) - model.y, spikes.u)
+    """U* (Omega - Y)^(-1) U at the fixed point G, which has all n rows in ``g``."""
+    return model.y.core(spikes.u, model.w, lam_value, g)
 
 
 def _beta_from_g(spikes: SpikeSet, model: _Prepared, lam_value: complex,
@@ -175,6 +171,7 @@ def beta_square(lam, spikes: SpikeSet, profile: VarianceProfile, y=None,
     if lam_c.imag == 0.0:
         lam_c = complex(lam_c.real, eta_eval)
     model = _prepare(profile, y)
+    _check_spike_dimension(spikes, model.n)
     sol = next(_solve_path(model, [SpectralParameter.scalar(lam_c, model.n)], config))
     if not sol.converged:
         raise RuntimeError(
@@ -317,10 +314,9 @@ def locate_outliers(model: HermitianModel, window=None,
 
     if window is None:
         # The row-sum bound 2 sqrt(max_i R(1)(i)) + ||Y|| dominates the spectrum.
-        profile, y = model.profile, prepared.y
+        profile = model.profile
         reach = 2.0 * math.sqrt(float((profile.entries.sum(axis=1) / profile.rows).max()))
-        if y is not None:
-            reach += float(np.abs(y).max() if y.ndim == 1 else np.linalg.norm(y, 2))
+        reach += prepared.y.norm
         grid = [float(t) for t in np.arange(reach + 0.02, -0.02, -0.02)]
         edge = next((t for i, t in enumerate(grid)
                      if solve(t, cache[grid[i - 1]] if i else None) is None), reach)

@@ -54,13 +54,6 @@ class SampleBatch:
         return np.random.SeedSequence(self.seed).spawn(self.count)
 
 
-def _deformation_matrix(y):
-    """A classified Y as a term to add to a draw: 0.0 when absent, else a matrix."""
-    if y is None:
-        return 0.0
-    return np.diag(y) if y.ndim == 1 else y
-
-
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -209,7 +202,7 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
     n = w.shape[0]
     if batch.n != n or lam.dim != n:
         raise ValueError("batch, profile and Lambda dimensions disagree")
-    y_mat = _deformation_matrix(_classify_deformation(y, n))
+    y = _classify_deformation(y, n)
     lam_mat = np.diag(lam.diag)
     lhs = np.zeros((n, n), dtype=np.complex128)
     rhs = np.zeros((n, n), dtype=np.complex128)
@@ -217,7 +210,7 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
     for child in batch.child_seeds():
         x = sample_gue_profile(profile, child)
         np.subtract(lam_mat, x, out=shifted)
-        shifted -= y_mat
+        y.combine(shifted, np.subtract)
         resolvent = np.linalg.inv(shifted)
         lhs += np.matmul(x, resolvent, out=shifted)
         rhs += np.multiply(_apply_r(w, resolvent.diagonal())[:, np.newaxis], resolvent,
@@ -239,7 +232,7 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
     n = model.n
     params = ConcentrationBound(gamma_max=np.sqrt(model.gamma_max_sq),
                                 delta=delta, d=d, n=n, im_lambda=complex(lam).imag,
-                                diagonal_y=model.y is None or model.y.ndim == 1)
+                                diagonal_y=not model.y.dense)
     if not params.admissible:
         raise ValueError(f"the concentration bound needs Im lambda >= "
                          f"{params.min_im_lambda:.6g} here, got {params.im_lambda:.6g}")
@@ -251,12 +244,10 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
 
     # Two workspaces serve every draw.  ``a`` holds lambda - H - Y in Fortran
     # order, and its memory holds the draw's Gaussian fields before that;
-    # ``lower`` holds the draw's entries z, then L^(-1).  a.T is C-ordered,
-    # and off the diagonal a.T = conj(-H) - Y^T: -conj(z) above the diagonal,
-    # -z^T below it.  H is Hermitian by construction, and _prepare has
+    # ``lower`` holds the draw's entries z, then L^(-1).  a.T is C-ordered
+    # and receives -H: -conj(z) above the diagonal, -z^T below it; Y is then
+    # subtracted from a.  H is Hermitian by construction, and _prepare has
     # checked Y, so neither is checked again.
-    dense_y = model.y if model.y is not None and model.y.ndim == 2 else None
-    y_diag = model.y if model.y is not None and model.y.ndim == 1 else 0.0
     gamma = np.sqrt(profile.entries)
     a = np.empty((n, n), dtype=np.complex128, order="F")
     lower = np.empty_like(a)
@@ -270,9 +261,8 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
         np.negative(z.real, out=a_t.real)
         np.copyto(a_t.imag, z.imag)
         np.negative(z.T, out=a_t, where=strict_lower)
-        a_t.flat[::n + 1] = -(diag + y_diag)
-        if dense_y is not None:
-            a_t -= dense_y.T
+        a_t.flat[::n + 1] = -diag
+        model.y.combine(a, np.subtract)
         a_t.flat[::n + 1] += lam
         deviations[j] = abs(_inverse_trace(a, lower, strict_lower) - g_det)
     passes = int(np.sum(deviations <= bound.epsilon_tilde))

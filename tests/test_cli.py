@@ -385,6 +385,36 @@ def test_a_non_finite_csv_deformation_is_named(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("density", "--profile", _HERM4, "--grid", "0:1:0.5"),
+    ("outliers", "--model", _HERM4, "--theta-list", "2.0"),
+    ("sample", "--profile", _HERM4, "--seed", "1"),
+])
+def test_a_non_hermitian_csv_deformation_is_named(tmp_path, capsys, argv):
+    y = tmp_path / "y.csv"
+    y.write_text("0,1,0,0\n2,0,0,0\n0,0,0,0\n0,0,0,0\n")
+    out = tmp_path / "out"
+    assert _run(*argv, "--y", f"csv:{y}", "--out", str(out)) == 1
+    assert capsys.readouterr().err.strip() == "error: y: deformation matrix must be Hermitian"
+    assert not out.exists()
+
+
+def test_a_zero_deformation_writes_the_files_of_an_absent_one(tmp_path):
+    # Y = 0 given as a diagonal is the absent Y, to the last bit
+    files = {}
+    for y in ("zero", "diag:0"):
+        out = tmp_path / y.replace(":", "")
+        out.mkdir()
+        assert _run("density", "--profile", _HERM4, "--grid=-3:3:0.25", "--y", y,
+                    "--out", str(out / "d.csv")) == 0
+        assert _run("outliers", "--model", _HERM4, "--vectors", "e1", "--theta-list", "2.0",
+                    "--y", y, "--out", str(out / "o.json")) == 0
+        report = json.loads((out / "o.json").read_text())
+        files[y] = ((out / "d.csv").read_bytes(), (out / "o.json.curve.csv").read_bytes(),
+                    json.dumps(report["reports"]))
+    assert files["zero"] == files["diag:0"]
+
+
+@pytest.mark.parametrize("argv", [
     ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--eta", "0"),
     ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--tolerance", "0"),
     ("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--max-iterations", "0"),

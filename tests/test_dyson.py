@@ -280,6 +280,7 @@ def _row_by_row(w, y) -> _Prepared:
     """
     n = w.shape[0]
     rows = np.arange(n)
+    y = (dyson._DenseY if y.ndim == 2 else dyson._DiagonalY)(y)
     return _Prepared(n, rows, rows, np.ones(n, dtype=np.int64), w, y,
                      float(w.max()) * n, w * n)
 
@@ -829,6 +830,67 @@ def test_refined_classes_follow_a_non_scalar_lambda_and_start():
     again = solve_dyson(prof, None, lam, SolverConfig(initial=start))
     assert again.converged
     assert np.max(np.abs(again.g_square.diag - g)) <= 1e-11
+
+
+def _close(a, b, tol=1e-12) -> bool:
+    """Agreement to ``tol`` relative to the larger magnitude of the two."""
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) <= tol * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), form=st.sampled_from(["absent", "diagonal", "real", "complex"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_each_deformation_form_answers_as_the_full_matrix(n, form, seed):
+    # The contract of the objects _classify_deformation returns: every member
+    # matches a reference built from the full matrix diag(shift) - Y.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    if form == "complex":
+        a = a + 1j * rng.standard_normal((n, n))
+    y = {"absent": None, "diagonal": rng.standard_normal(n),
+         "real": (a + a.T) / 2.0, "complex": (a + a.conj().T) / 2.0}[form]
+    full = np.zeros((n, n)) if y is None else np.diag(y) if y.ndim == 1 else y
+    deformation = dyson._classify_deformation(y, n)
+    assert (deformation.array is None) == (y is None)
+    if y is not None:  # a Y without off-diagonal part reads as its diagonal
+        diagonal = not np.any(full - np.diag(np.diag(full)))
+        assert np.array_equal(deformation.array, np.diag(full) if diagonal else full)
+    assert _close(deformation.norm, np.linalg.norm(full, 2))
+
+    shift = rng.standard_normal(n) + 1j * rng.uniform(0.5, 2.0, n)
+    assert _close(deformation.psi(shift.copy()), np.linalg.inv(np.diag(shift) - full).diagonal())
+
+    # a real shift, moved until diag(shift) - Y is at least 0.1 from singular
+    real = rng.uniform(-3.0, 3.0, n)
+    while np.min(np.abs(np.linalg.eigvalsh(np.diag(real) - full))) < 0.1:
+        real += 0.05
+    eigenvalues = np.linalg.eigvalsh(np.diag(real) - full)
+    m_ref = np.linalg.inv(np.diag(real) - full)
+    psi, inertia, top, m = deformation.psi(real.copy(), True)
+    assert _close(psi, m_ref.diagonal())
+    assert np.sum(inertia) == np.count_nonzero(eigenvalues > 0.0)
+    assert top == np.all(eigenvalues > 0.0)
+    w = rng.uniform(0.0, 1.0, (n, n)) / n
+    x = rng.standard_normal(n)
+    assert _close(deformation.jacobian_apply(w, m, x), np.abs(m_ref) ** 2 @ (w @ x))
+
+    # the core at the fixed point g = diag[(lam - W g - Y)^(-1)], which Im lam >= 2
+    # makes a contraction by 1/4
+    lam = complex(rng.uniform(-2.0, 2.0), rng.uniform(2.0, 3.0))
+    g = np.zeros(n, dtype=complex)
+    for _ in range(60):
+        g = np.linalg.inv(np.diag(lam - w @ g) - full).diagonal()
+    u = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    core = u.conj().T @ np.linalg.inv(np.diag(lam - w @ g) - full) @ u
+    assert _close(deformation.core(u, w, lam, g), core)
+
+    # a draw minus Y, and plus Y
+    draw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for op in (np.subtract, np.add):
+        out = draw.copy()
+        deformation.combine(out, op)
+        assert np.array_equal(out, op(draw, full))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30])

@@ -47,9 +47,14 @@ def test_importing_deteq_loads_no_scipy(tmp_path):
 
 
 def test_commands_without_lapack_calls_load_no_scipy(tmp_path):
+    # a dense Y off the real axis takes numpy's inverse, not Bunch-Kaufman
+    a = np.random.default_rng(0).standard_normal((8, 8))
+    np.savetxt(tmp_path / "y.csv", (a + a.T) / 8.0, delimiter=",")
     runs = (
         ["profile", "--kind", "constant", "--n", "4", "--m", "4", "--out", "p.csv"],
         ["density", "--profile", _HERM, "--grid", "0:1:0.5", "--out", "d.csv"],
+        ["density", "--profile", _HERM, "--y", "csv:y.csv", "--grid", "0:1:0.5",
+         "--out", "dy.csv"],
         # the sweeps find a root each, so Brent's method runs
         ["outliers", "--model", "constant:n=16,m=20", "--theta-list", "2.0,2.5",
          "--window", "1.5:4.0", "--out", "o.json"],

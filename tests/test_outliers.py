@@ -143,6 +143,15 @@ def test_beta_rejects_lower_half_plane():
         beta_square(complex(1.0, -0.1), spikes, prof)
 
 
+def test_beta_square_checks_the_spike_dimension():
+    # five-row spike vectors on a six-dimensional model, with absent and dense Y
+    prof = constant_profile(6, 6, 1.0, hermitian=True)
+    spikes = SpikeSet(u=np.eye(5)[:, :1], theta=[1.0])
+    for y in (None, np.full((6, 6), 0.1)):
+        with pytest.raises(ValueError, match="^spike vectors do not match the profile dimension$"):
+            beta_square(3.0, spikes, prof, y)
+
+
 def test_locate_doubly_stochastic_root():
     """Any doubly stochastic profile keeps the semicircle bulk, so the
     theta = 2 outlier sits at theta + 1/theta = 2.5."""
