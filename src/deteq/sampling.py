@@ -9,15 +9,35 @@ independent child stream per draw from the batch seed via
 numpy.random.SeedSequence.spawn, so draw j is reproducible on its own.
 
 One builder, ``_gue_draw``, writes a seeded Hermitian draw into buffers its
-caller owns.  ``sample_gue_profile`` allocates them per draw; the two
-validation loops allocate their workspaces once and reuse them for every
-draw.  The concentration loop writes lambda - H - Y straight into a
-Fortran-ordered buffer, so LAPACK factors and inverts it in place.
+caller owns.  ``sample_gue_profile`` allocates them per draw; the master
+check allocates its workspace once, and each concentration worker its own
+two, and reuses them for every draw.  The concentration loop writes
+lambda - H - Y straight into a Fortran-ordered buffer, so LAPACK factors and
+inverts it in place.
+
+The concentration draws are independent, so they run on one worker thread
+per CPU in the affinity set, each with two n x n complex workspaces;
+worker i takes draws i, i + workers, ... and writes each deviation into
+that draw's slot.  The LAPACK calls go through ``ctypes`` to the function
+pointers in ``scipy.linalg.cython_lapack``, which, unlike the f2py wrappers
+in ``scipy.linalg.lapack``, release the interpreter lock.  OpenBLAS runs
+them on one thread, because its threaded LU factorization rounds otherwise;
+the result then depends neither on the worker count nor on the BLAS thread
+setting.  The master check (2,000 draws at n = 50) stays serial.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +65,10 @@ class SampleBatch:
     n: int
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("a sample batch needs count >= 1")
+        # spawn() takes only an integer count, and only after the caller's set-up
+        if (isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer))
+                or self.count < 1):
+            raise ValueError("a sample batch needs an integer count >= 1")
         if self.n < 1:
             raise ValueError("a sample batch needs n >= 1")
 
@@ -143,6 +165,77 @@ def empirical_spectrum(h: np.ndarray, lam: complex):
     return g_emp, eigs
 
 
+class _Lapack(NamedTuple):
+    """LAPACK routines called through ``ctypes``, which releases the
+    interpreter lock for the length of each call."""
+
+    getrf: Callable
+    trtri: Callable
+    laswp: Callable
+    # OpenBLAS's openblas_set_num_threads_local, or None under another BLAS
+    set_blas_threads: Callable | None
+
+
+_LAPACK_NAME = "scipy.linalg.cython_lapack"
+_LOADING = threading.Lock()
+# cython_lapack's C argument types, each one passed as a pointer
+_C_TYPES = {"int *": ctypes.POINTER(ctypes.c_int), "char *": ctypes.c_char_p,
+            "__pyx_t_double_complex *": ctypes.c_void_p}
+
+
+def _cython_lapack():
+    """scipy's table of LAPACK function pointers, imported without
+    ``scipy.linalg``, whose ``__init__`` loads all of scipy.linalg (about
+    20 MB and 0.14 s more) where three routines are needed.  A later
+    ``import scipy.linalg`` works and finds this module in ``sys.modules``."""
+    module = sys.modules.get(_LAPACK_NAME)
+    if module is not None:
+        return module
+    roots = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None)
+    paths = [os.path.join(root, "linalg", "cython_lapack" + suffix) for root in roots or ()
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None:  # not laid out as scipy's wheels are: the plain import
+        return importlib.import_module(_LAPACK_NAME)
+    spec = importlib.util.spec_from_file_location(_LAPACK_NAME, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_LAPACK_NAME] = module
+    return module
+
+
+@functools.cache
+def _lapack() -> _Lapack:
+    """The routines the trace kernel calls, loaded once per process.
+
+    The lock keeps a second thread from seeing the module half loaded; the
+    concentration loop also loads it before it starts any worker.
+    """
+    with _LOADING:
+        module = _cython_lapack()
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+    def routine(name):
+        capsule = module.__pyx_capi__[name]
+        signature = capsule_name(capsule)  # the C signature, e.g. b"void (int *, ...)"
+        text = signature.decode()
+        args = text.removeprefix("void (").removesuffix(")").split(", ")
+        if not text.startswith("void (") or not set(args) <= _C_TYPES.keys():
+            raise ImportError(f"{_LAPACK_NAME}.{name} has the unexpected signature {text}")
+        return ctypes.CFUNCTYPE(None, *(_C_TYPES[a] for a in args))(
+            capsule_pointer(capsule, signature))
+
+    # dlsym on the extension's handle also searches the libraries it links,
+    # which include the OpenBLAS that scipy's wheels bundle
+    set_threads = getattr(ctypes.CDLL(module.__file__), "openblas_set_num_threads_local", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+    return _Lapack(routine("zgetrf"), routine("ztrtri"), routine("zlaswp"), set_threads)
+
+
 def _inverse_trace(a: np.ndarray, lower: np.ndarray, strict_lower: np.ndarray) -> complex:
     """(1/n) tr a^(-1) of a Fortran-ordered complex n x n ``a``, factored in place.
 
@@ -154,23 +247,31 @@ def _inverse_trace(a: np.ndarray, lower: np.ndarray, strict_lower: np.ndarray) -
     elsewhere), and ``zlaswp`` applies the row interchanges to U^(-1), which
     is the gather U^(-1)[p] done in place.  ``strict_lower`` is the n x n
     mask of the strict lower triangle.  Both workspaces are overwritten.
+    The LAPACK calls release the interpreter lock.
     """
-    # imported here so that only the concentration check loads scipy
-    from scipy.linalg.lapack import zgetrf, zlaswp, ztrtri
-
-    _, swaps, info = zgetrf(a, overwrite_a=True)
-    if info == 0:  # U^(-1) over U in the upper triangle, then L^(-1) below it
-        _, info = ztrtri(a, lower=0, overwrite_c=True)
-    if info == 0:
-        _, info = ztrtri(a, lower=1, unitdiag=1, overwrite_c=True)
-    if info != 0:
+    n = a.shape[0]
+    # LAPACK reads and writes a through its pointer
+    if (a.dtype != np.complex128 or a.shape != (n, n) or not a.flags.f_contiguous
+            or not a.flags.writeable):
+        raise ValueError("the trace kernel needs a writeable Fortran-ordered complex square array")
+    lapack = _lapack()
+    size, one, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int(0)
+    swaps = np.empty(n, dtype=np.intc)  # LAPACK's 1-based row interchanges
+    ref, data, pivots = ctypes.byref, a.ctypes.data, swaps.ctypes.data_as(_C_TYPES["int *"])
+    lapack.getrf(ref(size), ref(size), data, ref(size), pivots, ref(info))
+    if info.value == 0:  # U^(-1) over U in the upper triangle, then L^(-1) below it
+        lapack.trtri(b"U", b"N", ref(size), data, ref(size), ref(info))
+    if info.value == 0:
+        lapack.trtri(b"L", b"U", ref(size), data, ref(size), ref(info))
+    if info.value != 0:
         raise np.linalg.LinAlgError("lam - H is singular")
     lower.fill(0.0)
     np.copyto(lower, a, where=strict_lower)
     np.copyto(a, 0.0, where=strict_lower)
-    zlaswp(a, swaps, overwrite_a=True)  # LAPACK's row interchanges, in order
+    # LAPACK's row interchanges, in order
+    lapack.laswp(ref(size), data, ref(size), ref(one), ref(size), pivots, ref(one))
     # L^(-1) has a unit diagonal, which contributes trace(U^(-1)[p])
-    return complex((np.einsum("kj,jk->", a, lower) + a.trace()) / a.shape[0])
+    return complex((np.einsum("kj,jk->", a, lower) + a.trace()) / n)
 
 
 def _empirical_trace(h: np.ndarray, lam: complex) -> complex:
@@ -218,6 +319,20 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
     return float(np.linalg.norm((lhs - rhs) / batch.count, 2))
 
 
+def _worker_count(draws: int) -> int:
+    """One concentration worker per CPU this process may run on, and at most
+    one per draw; one in all where the BLAS cannot be held to one thread."""
+    if _lapack().set_blas_threads is None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, draws)
+
+
+# OpenBLAS's pthreads build sets its thread count for the whole process, so
+# two runs that each saved and restored it could leave it changed.
+_BLAS_PINNED = threading.Lock()
+
+
 def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
                            delta: float, draws: int, seed: int,
                            config: SolverConfig | None = None) -> dict:
@@ -226,8 +341,11 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
     Draws ``draws`` matrices, compares each empirical Stieltjes trace at
     ``lam`` with the Dyson value, and reports the fraction of draws whose
     deviation stays within epsilon_tilde.  Raises ValueError, before any
-    draw, when Im ``lam`` is too small for the bound to apply.
+    draw, when Im ``lam`` is too small for the bound to apply.  The draws
+    run on ``_worker_count`` threads, each with one OpenBLAS thread, so the
+    result depends neither on the worker count nor on the BLAS setting.
     """
+    batch = SampleBatch(seed=seed, count=draws, n=profile.rows)
     model = _prepare(profile, y)
     n = model.n
     params = ConcentrationBound(gamma_max=np.sqrt(model.gamma_max_sq),
@@ -242,29 +360,67 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
         raise RuntimeError("Dyson solve did not converge; cannot validate")
     g_det = complex(sol.g_square.diag.mean())
 
-    # Two workspaces serve every draw.  ``a`` holds lambda - H - Y in Fortran
-    # order, and its memory holds the draw's Gaussian fields before that;
-    # ``lower`` holds the draw's entries z, then L^(-1).  a.T is C-ordered
-    # and receives -H: -conj(z) above the diagonal, -z^T below it; Y is then
-    # subtracted from a.  H is Hermitian by construction, and _prepare has
-    # checked Y, so neither is checked again.
     gamma = np.sqrt(profile.entries)
-    a = np.empty((n, n), dtype=np.complex128, order="F")
-    lower = np.empty_like(a)
-    normals = a.reshape(-1, order="F").view(np.float64).reshape(2, n, n)
-    a_t, z = a.T, lower.T
-    diag = np.empty(n)
     strict_lower = np.tri(n, k=-1, dtype=bool)
+    children = batch.child_seeds()
     deviations = np.empty(draws)
-    for j, child in enumerate(SampleBatch(seed=seed, count=draws, n=n).child_seeds()):
-        _gue_draw(np.random.default_rng(child), gamma, normals, z, diag)
-        np.negative(z.real, out=a_t.real)
-        np.copyto(a_t.imag, z.imag)
-        np.negative(z.T, out=a_t, where=strict_lower)
-        a_t.flat[::n + 1] = -diag
-        model.y.combine(a, np.subtract)
-        a_t.flat[::n + 1] += lam
-        deviations[j] = abs(_inverse_trace(a, lower, strict_lower) - g_det)
+    workers = _worker_count(draws)
+    # OpenBLAS's threaded factorization rounds otherwise than its one-thread
+    # one, so every run, on any number of workers, uses one BLAS thread
+    set_blas_threads = _lapack().set_blas_threads
+    stop = threading.Event()
+    failures = []
+
+    def work(first: int) -> None:
+        """Draws first, first + workers, ..., each deviation into its own slot."""
+        try:
+            if set_blas_threads is not None:  # per thread in OpenMP builds
+                set_blas_threads(1)
+            # Two workspaces serve every draw.  ``a`` holds lambda - H - Y in
+            # Fortran order, and its memory holds the draw's Gaussian fields
+            # before that; ``lower`` holds the draw's entries z, then L^(-1).
+            # a.T is C-ordered and receives -H: -conj(z) above the diagonal,
+            # -z^T below it; Y is then subtracted from a.  H is Hermitian by
+            # construction, and _prepare has checked Y, so neither is checked
+            # again.
+            a = np.empty((n, n), dtype=np.complex128, order="F")
+            lower = np.empty_like(a)
+            normals = a.reshape(-1, order="F").view(np.float64).reshape(2, n, n)
+            a_t, z = a.T, lower.T
+            diag = np.empty(n)
+            for j in range(first, draws, workers):
+                if stop.is_set():
+                    return
+                _gue_draw(np.random.default_rng(children[j]), gamma, normals, z, diag)
+                np.negative(z.real, out=a_t.real)
+                np.copyto(a_t.imag, z.imag)
+                np.negative(z.T, out=a_t, where=strict_lower)
+                a_t.flat[::n + 1] = -diag
+                model.y.combine(a, np.subtract)
+                a_t.flat[::n + 1] += lam
+                deviations[j] = abs(_inverse_trace(a, lower, strict_lower) - g_det)
+        except BaseException as exc:  # re-raised by the calling thread
+            failures.append(exc)
+            stop.set()
+
+    with _BLAS_PINNED:
+        saved = None if set_blas_threads is None else set_blas_threads(1)
+        threads = []
+        try:
+            for i in range(workers):
+                thread = threading.Thread(target=work, args=(i,))
+                thread.start()
+                threads.append(thread)
+            for thread in threads:
+                thread.join()
+        finally:
+            stop.set()  # cuts the workers short only if this thread is leaving early
+            for thread in threads:
+                thread.join()
+            if saved is not None:
+                set_blas_threads(saved)
+    if failures:
+        raise failures[0]
     passes = int(np.sum(deviations <= bound.epsilon_tilde))
     return {
         "draws": draws,

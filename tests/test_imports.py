@@ -33,13 +33,18 @@ print(json.dumps(loaded))
 _HERM = "constant:n=8,m=8,hermitian=true"
 
 
-def _scipy_after(tmp_path, *argvs) -> list:
+def _last_line(tmp_path, script: str, argvs) -> str:
+    """The last line that ``script`` prints in a fresh interpreter."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(argvs)], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def _scipy_after(tmp_path, *argvs) -> list:
+    return json.loads(_last_line(tmp_path, _SCRIPT, argvs))
 
 
 def test_importing_deteq_loads_no_scipy(tmp_path):
@@ -71,15 +76,36 @@ def test_commands_without_lapack_calls_load_no_scipy(tmp_path):
     assert all(any(c["accepted"] for c in r["candidates"]) for r in report)
 
 
-@pytest.mark.parametrize("argv", [
-    ["outliers", "--model", _HERM, "--y", "csv:y.csv", "--vectors", "e1",
-     "--theta-list", "2.0,2.5", "--out", "o.json"],
-    ["validate", "--what", "concentration", "--n", "8", "--samples", "4", "--seed", "1",
-     "--lambda-im", "1", "--min-pass-rate", "0", "--out", "c.json"],
+_CONCENTRATION = ["validate", "--what", "concentration", "--n", "8", "--samples", "4",
+                  "--seed", "1", "--lambda-im", "1", "--min-pass-rate", "0", "--out", "c.json"]
+
+
+# the concentration check loads scipy's table of LAPACK function pointers from
+# its file, so scipy.linalg's __init__ does not run
+@pytest.mark.parametrize("argv,loaded,absent", [
+    (["outliers", "--model", _HERM, "--y", "csv:y.csv", "--vectors", "e1",
+      "--theta-list", "2.0,2.5", "--out", "o.json"], "scipy.linalg", None),
+    (_CONCENTRATION, "scipy.linalg.cython_lapack", "scipy.linalg"),
 ], ids=["outliers-dense-y", "validate-concentration"])
-def test_lapack_paths_load_scipy_linalg_but_not_optimize(tmp_path, argv):
+def test_lapack_paths_load_scipy_linalg_but_not_optimize(tmp_path, argv, loaded, absent):
     np.savetxt(tmp_path / "y.csv", np.full((8, 8), 0.05), delimiter=",")
     (_, before), (code, after) = _scipy_after(tmp_path, argv)
     assert before == [] and code == 0
-    assert "scipy.linalg" in after
+    assert loaded in after and absent not in after
     assert not [m for m in after if m.startswith("scipy.optimize")]
+
+
+def test_scipy_linalg_imports_after_the_concentration_check(tmp_path):
+    script = """
+import json, sys
+import numpy as np
+import deteq.cli
+code = deteq.cli.main(json.loads(sys.argv[1]))
+loaded = sys.modules["scipy.linalg.cython_lapack"]
+import scipy.linalg
+from scipy.linalg import cython_lapack
+# the one quirk: scipy.linalg never imported the submodule, so has no attribute for it
+print(json.dumps([code, cython_lapack is loaded, hasattr(scipy.linalg, "cython_lapack"),
+                  scipy.linalg.det(np.eye(2) * 3.0)]))
+"""
+    assert json.loads(_last_line(tmp_path, script, _CONCENTRATION)) == [0, True, False, 9.0]

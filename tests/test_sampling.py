@@ -1,4 +1,8 @@
+import itertools
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -145,16 +149,16 @@ def test_concentration_factorizes_each_draw_once(monkeypatch):
         raise AssertionError("the trace needs neither eigenvalues nor the full inverse")
 
     calls = []
-    getrf = lapack.zgetrf
+    inverse_trace = sampling._inverse_trace
 
-    def counted(a, **kwargs):
+    def counted(a, *args):
         calls.append(a.shape)
-        return getrf(a, **kwargs)
+        return inverse_trace(a, *args)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     monkeypatch.setattr(np.linalg, "inv", refused)
-    # _empirical_trace looks the routine up in scipy at call time
-    monkeypatch.setattr(lapack, "zgetrf", counted)
+    # the workers look the kernel up in the module at call time
+    monkeypatch.setattr(sampling, "_inverse_trace", counted)
     out = validate_concentration(constant_profile(40, 40, 1.0, hermitian=True), None,
                                  0.8j, d=2.0, delta=0.5, draws=7, seed=4)
     assert out["draws"] == 7
@@ -183,6 +187,20 @@ def _dense_hermitian(n: int, seed: int) -> np.ndarray:
     return a + a.conj().T
 
 
+@pytest.fixture
+def one_blas_thread():
+    """Runs the test on one OpenBLAS thread, as the concentration loop runs its
+    kernel: OpenBLAS's threaded LU factorization rounds otherwise, so a
+    reference computed on more threads can differ in the last bits."""
+    set_threads = sampling._lapack().set_blas_threads
+    saved = None if set_threads is None else set_threads(1)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            set_threads(saved)
+
+
 _LOOP_CASES = [
     (constant_profile(400, 400, 1.0, hermitian=True), None, 0.5j, 3),
     (_symmetric_profile(37, 2), np.linspace(-1.0, 1.0, 37), 0.3 + 0.7j, 20),
@@ -192,8 +210,8 @@ _LOOP_CASES = [
 
 @pytest.mark.parametrize("profile,y,lam,draws", _LOOP_CASES,
                          ids=["constant-400", "symmetric-diagonal-y", "dense-y"])
-def test_loops_match_the_draw_by_draw_reference_bit_for_bit(monkeypatch, profile, y, lam,
-                                                          draws):
+def test_loops_match_the_draw_by_draw_reference_bit_for_bit(monkeypatch, one_blas_thread,
+                                                          profile, y, lam, draws):
     n = profile.rows
     y_mat = 0.0 if y is None else np.diag(y) if y.ndim == 1 else y
     batch = SampleBatch(seed=12, count=draws, n=n)
@@ -204,12 +222,15 @@ def test_loops_match_the_draw_by_draw_reference_bit_for_bit(monkeypatch, profile
     inverse_trace = sampling._inverse_trace
 
     def recorded(*args):
-        seen.append(inverse_trace(*args))
-        return seen[-1]
+        trace = inverse_trace(*args)
+        seen.append(trace)
+        return trace
 
     monkeypatch.setattr(sampling, "_inverse_trace", recorded)
     out = validate_concentration(profile, y, lam, d=2.0, delta=0.5, draws=draws, seed=12)
-    assert seen == traces  # every draw's trace, not only the largest deviation
+    # every draw's trace, not only the largest deviation; the workers finish
+    # their draws in no fixed order
+    assert Counter(seen) == Counter(traces)
     assert out["max_deviation"] == max(abs(t - g_det) for t in traces)
     assert [_empirical_trace(sample_gue_profile(profile, child) + y_mat, lam)
             for child in batch.child_seeds()] == traces
@@ -233,10 +254,73 @@ def test_concentration_checks_y_before_the_first_factorization(monkeypatch, y):
     def refused(*args, **kwargs):
         raise AssertionError("a bad Y must be rejected before any draw is factored")
 
-    monkeypatch.setattr(lapack, "zgetrf", refused)
+    monkeypatch.setattr(sampling, "_inverse_trace", refused)
     with pytest.raises(ValueError, match="deformation"):
         validate_concentration(constant_profile(8, 8, 1.0, hermitian=True), y, 1.5j,
                                d=2.0, delta=0.5, draws=3, seed=1)
+
+
+def test_concentration_result_does_not_depend_on_the_worker_count(monkeypatch):
+    # n = 400: large enough that a threaded OpenBLAS factorization would round
+    # otherwise than the one-thread one the loop runs, on any worker count
+    profile = constant_profile(400, 400, 1.0, hermitian=True)
+    y = np.linspace(-0.5, 0.5, 400)  # every worker reads Y while the others run
+
+    def run():
+        return validate_concentration(profile, y, 0.2 + 0.9j, d=2.0, delta=0.5, draws=7, seed=8)
+
+    inverse_trace = sampling._inverse_trace
+    seen = []  # each run's per-draw traces
+
+    def recorded(*args):
+        trace = inverse_trace(*args)
+        seen[-1].append(trace)
+        return trace
+
+    monkeypatch.setattr(sampling, "_inverse_trace", recorded)
+    set_threads = sampling._lapack().set_blas_threads
+    saved = None if set_threads is None else set_threads(2)  # a setting each run restores
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+    try:
+        for workers in (1, 2, 3):  # 7 draws split unevenly, and more workers than cores
+            monkeypatch.setattr(sampling, "_worker_count", lambda draws, w=workers: w)
+            seen.append([])
+            outs.append(run())
+            assert set_threads is None or set_threads(2) == 2
+    finally:
+        sys.setswitchinterval(interval)
+        if saved is not None:
+            set_threads(saved)
+    assert outs[0] == outs[1] == outs[2]
+    assert Counter(seen[0]) == Counter(seen[1]) == Counter(seen[2])
+
+    calls = itertools.count()  # next() is atomic, so exactly one call fails
+
+    def failing(*args):
+        if next(calls) == 3:
+            raise FloatingPointError("one draw fails")
+        return inverse_trace(*args)
+
+    monkeypatch.setattr(sampling, "_inverse_trace", failing)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="one draw fails"):
+        run()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("draws", [-1, 0, 2.5, 3.0, True])
+def test_concentration_rejects_a_bad_draw_count_before_any_work(monkeypatch, draws):
+    def refused(*args, **kwargs):
+        raise AssertionError("a bad draw count must be rejected before the model is read")
+
+    monkeypatch.setattr(sampling, "_prepare", refused)
+    with pytest.raises(ValueError, match=r"^a sample batch needs an integer count >= 1$"):
+        validate_concentration(constant_profile(8, 8, 1.0, hermitian=True), None, 1.5j,
+                               d=2.0, delta=0.5, draws=draws, seed=1)
+    with pytest.raises(ValueError, match="integer count"):
+        SampleBatch(seed=1, count=draws, n=8)
 
 
 def test_sample_command_writes_the_reference_eigenvalues(tmp_path):
