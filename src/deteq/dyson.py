@@ -365,8 +365,10 @@ class _DiagonalY:
         return float(np.abs(self.values).max())
 
     def combine(self, a, op):
-        """a = op(a, Y) in place, for op np.add or np.subtract; Y is zero off the diagonal."""
-        a.flat[::a.shape[0] + 1] = op(a.diagonal(), self.values)
+        """a = op(a, Y) in place, for op np.add or np.subtract, on one matrix or
+        on each of a stack of them; Y is zero off the diagonal."""
+        diagonal = np.einsum("...ii->...i", a)  # a writeable view
+        op(diagonal, self.values, out=diagonal)
 
 
 @dataclass(frozen=True, eq=False)

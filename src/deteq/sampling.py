@@ -8,26 +8,39 @@ x_ij / sqrt(M) with the same complex entry convention.  Batches derive one
 independent child stream per draw from the batch seed via
 numpy.random.SeedSequence.spawn, so draw j is reproducible on its own.
 
-One builder, ``_gue_draw``, writes a seeded Hermitian draw into buffers its
-caller owns.  ``sample_gue_profile`` allocates them per draw; the master
-check allocates its workspace once, and each concentration worker its own
-two, and reuses them for every draw.  The concentration loop writes
-lambda - H - Y straight into a Fortran-ordered buffer, so LAPACK factors and
-inverts it in place.
+A Hermitian draw is built in two halves.  ``_gue_fill`` draws one seeded
+draw's Gaussian fields into buffers its caller owns; ``_gue_scale`` scales
+the fields of one draw, or of a stack of draws, into the entries and the
+real diagonal.  ``sample_gue_profile`` allocates the buffers per draw; each
+worker of the two checks allocates its own once and reuses them.  The
+concentration loop writes lambda - H - Y straight into a Fortran-ordered
+buffer, so LAPACK factors and inverts it in place.
 
-The concentration draws are independent, so they run on one worker thread
-per CPU in the affinity set, each with two n x n complex workspaces;
-worker i takes draws i, i + workers, ... and writes each deviation into
-that draw's slot.  The LAPACK calls go through ``ctypes`` to the function
-pointers in ``scipy.linalg.cython_lapack``, which, unlike the f2py wrappers
-in ``scipy.linalg.lapack``, release the interpreter lock.  OpenBLAS runs
-them on one thread, because its threaded LU factorization rounds otherwise;
-the result then depends neither on the worker count nor on the BLAS thread
-setting.  The master check (2,000 draws at n = 50) stays serial.
+Both checks run on one worker thread per CPU in the affinity set, started
+and joined by one runner, ``_run_workers``: the first failure stops every
+worker and is re-raised by the caller.  The concentration draws are
+independent; worker i takes draws i, i + workers, ... and writes each
+deviation into that draw's slot.  Their LAPACK calls go through ``ctypes`` to
+the function pointers in ``scipy.linalg.cython_lapack``, which, unlike the
+f2py wrappers in ``scipy.linalg.lapack``, release the interpreter lock.
+OpenBLAS runs them on one thread, because its threaded LU factorization
+rounds otherwise; the result then depends neither on the worker count nor on
+the BLAS thread setting.  ``_empirical_trace`` pins the same one thread.
+
+The master check cuts its draws into blocks of ``_block_draws(n)`` draws,
+each block one stack of about ``_STACK_BYTES``, and worker i takes blocks
+i, i + workers, ....  Each draw is seeded and filled on its own; every later
+step runs once over the block's stack, through numpy's own LU inverse, matrix
+product and matrix-vector products, which release the interpreter lock and
+round each draw as they round one matrix.  The blocks add their terms to the
+two running sums one at a time and in block order, so the sums are the ones
+the draw-by-draw loop adds up, bit for bit, on any number of workers and with
+any block size.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib
@@ -65,15 +78,21 @@ class SampleBatch:
     n: int
 
     def __post_init__(self) -> None:
-        # spawn() takes only an integer count, and only after the caller's set-up
-        if (isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer))
-                or self.count < 1):
+        # spawn() takes only an integer count and an integer seed >= 0, and
+        # would fail on either only after the caller's set-up
+        if not _is_integer(self.count) or self.count < 1:
             raise ValueError("a sample batch needs an integer count >= 1")
-        if self.n < 1:
-            raise ValueError("a sample batch needs n >= 1")
+        if not _is_integer(self.n) or self.n < 1:
+            raise ValueError("a sample batch needs an integer n >= 1")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError("a sample batch needs an integer seed >= 0")
 
     def child_seeds(self):
         return np.random.SeedSequence(self.seed).spawn(self.count)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -88,26 +107,46 @@ def _rng(seed) -> np.random.Generator:
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _gue_draw(rng: np.random.Generator, gamma: np.ndarray, normals: np.ndarray,
-              z: np.ndarray, diag: np.ndarray) -> None:
-    """Write one Hermitian draw into buffers the caller owns.
+def _gue_fill(rng: np.random.Generator, normals: np.ndarray, diag: np.ndarray) -> None:
+    """Draw one Hermitian draw's Gaussian fields into buffers the caller owns.
 
-    ``z`` (n x n complex) receives gamma(i, j) x_ij / sqrt(N) at every i, j,
-    of which the strict upper triangle is the draw; ``diag`` (n, float64)
-    receives the real diagonal.  ``normals`` is float64 (2, n, n) scratch for
-    the real and the imaginary Gaussian fields, drawn in that order before
-    the diagonal, and must not overlap ``z``.  ``gamma`` is sqrt(profile).
+    ``normals`` (float64, 2 x n x n) receives the real and then the imaginary
+    off-diagonal field, and ``diag`` (float64, n) the diagonal after them.
     """
-    scale = 1.0 / np.sqrt(gamma.shape[0])
     rng.standard_normal(out=normals[0])
     rng.standard_normal(out=normals[1])
     rng.standard_normal(out=diag)
-    np.multiply(normals[0], _INV_SQRT2, out=z.real)
-    np.multiply(normals[1], _INV_SQRT2, out=z.imag)
+
+
+def _gue_scale(gamma: np.ndarray, normals: np.ndarray, z: np.ndarray,
+               diag: np.ndarray) -> None:
+    """Scale the fields ``_gue_fill`` drew into one draw, or into a stack of them.
+
+    ``normals`` has shape (..., 2, n, n) and ``diag`` (..., n), one draw per
+    leading index.  ``z`` (..., n, n complex) receives gamma(i, j) x_ij /
+    sqrt(N) at every i, j, of which the strict upper triangle is the draw,
+    and must not overlap ``normals``; ``diag`` is scaled in place into the
+    real diagonal.  ``gamma`` is sqrt(profile).  Each entry is rounded as in a
+    draw built on its own.
+    """
+    scale = 1.0 / np.sqrt(gamma.shape[0])
+    np.multiply(normals[..., 0, :, :], _INV_SQRT2, out=z.real)
+    np.multiply(normals[..., 1, :, :], _INV_SQRT2, out=z.imag)
     z *= gamma  # complex products, as the draw has always rounded them
     z *= scale
     np.multiply(np.diagonal(gamma), diag, out=diag)
     diag *= scale
+
+
+def _hermitian(z: np.ndarray, diag: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = triu(z, 1) plus its conjugate transpose, with the real diagonal
+    ``diag``: the Hermitian draw, or stack of draws, whose strict upper
+    triangle is z's.  z's other entries are zeroed."""
+    np.copyto(z, 0.0, where=np.tri(z.shape[-1], dtype=bool))  # z is now triu(z, 1)
+    np.conjugate(np.swapaxes(z, -1, -2), out=out)
+    out += z
+    np.einsum("...ii->...i", out)[...] = diag
+    return out
 
 
 def sample_gue_profile(profile: VarianceProfile, seed) -> np.ndarray:
@@ -119,13 +158,12 @@ def sample_gue_profile(profile: VarianceProfile, seed) -> np.ndarray:
     if profile.mode != "hermitian":
         raise ValueError("sample_gue_profile needs a hermitian-mode profile")
     n = profile.rows
+    normals = np.empty((2, n, n))
     z = np.empty((n, n), dtype=np.complex128)
     diag = np.empty(n)
-    _gue_draw(_rng(seed), np.sqrt(profile.entries), np.empty((2, n, n)), z, diag)
-    h = np.triu(z, 1)
-    h += h.conj().T
-    np.fill_diagonal(h, diag)
-    return h
+    _gue_fill(_rng(seed), normals, diag)
+    _gue_scale(np.sqrt(profile.entries), normals, z, diag)
+    return _hermitian(z, diag, np.empty_like(z))
 
 
 def sample_rect_gaussian(profile: VarianceProfile, seed) -> np.ndarray:
@@ -279,14 +317,27 @@ def _empirical_trace(h: np.ndarray, lam: complex) -> complex:
 
     Equals the g_emp of ``empirical_spectrum`` without the eigenvalues.
     lam - H has every singular value >= Im lam, so the pivoting of its LU
-    factorization is well conditioned.
+    factorization is well conditioned.  It factors on one OpenBLAS thread,
+    as the concentration loop does, so it gives the loop's trace bit for bit.
     """
     h, lam = _checked(h, lam, "the empirical trace")
     n = h.shape[0]
     a = np.empty((n, n), dtype=np.complex128, order="F")
     np.negative(h, out=a, dtype=np.complex128)
     a.T.flat[::n + 1] += lam
-    return _inverse_trace(a, np.empty_like(a), np.tri(n, k=-1, dtype=bool))
+    with _one_blas_thread():
+        return _inverse_trace(a, np.empty_like(a), np.tri(n, k=-1, dtype=bool))
+
+
+# The master check's blocks of draws are sized so that one n x n complex
+# stack of them takes about this many bytes; each worker holds three such
+# stacks at a time: the two terms of each draw, and the inverses.
+_STACK_BYTES = 640_000
+
+
+def _block_draws(n: int) -> int:
+    """Draws per block of the master check: 16 at n = 50, one from n = 142."""
+    return max(1, _STACK_BYTES // (16 * n * n))
 
 
 def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
@@ -297,7 +348,9 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
 
     H = X + Y, estimated with ``batch.count`` Monte Carlo draws.  The
     deviation tends to 0 like count^(-1/2); both sides share every draw, so
-    the statistic is a pure fluctuation measure.
+    the statistic is a pure fluctuation measure.  The draws run in blocks on
+    ``_worker_count`` threads; the result depends on neither the worker count
+    nor the block size.
     """
     w = _variance_map(profile)
     n = w.shape[0]
@@ -305,32 +358,124 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
         raise ValueError("batch, profile and Lambda dimensions disagree")
     y = _classify_deformation(y, n)
     lam_mat = np.diag(lam.diag)
-    lhs = np.zeros((n, n), dtype=np.complex128)
-    rhs = np.zeros((n, n), dtype=np.complex128)
-    shifted = np.empty_like(lhs)  # Lambda - H, then each draw's product terms
-    for child in batch.child_seeds():
-        x = sample_gue_profile(profile, child)
-        np.subtract(lam_mat, x, out=shifted)
-        y.combine(shifted, np.subtract)
-        resolvent = np.linalg.inv(shifted)
-        lhs += np.matmul(x, resolvent, out=shifted)
-        rhs += np.multiply(_apply_r(w, resolvent.diagonal())[:, np.newaxis], resolvent,
-                           out=shifted)
+    gamma = np.sqrt(profile.entries)
+    children = batch.child_seeds()
+    size = _block_draws(n)
+    blocks = -(-batch.count // size)
+    workers = _worker_count(blocks)
+    sums = np.zeros((2, n, n), dtype=np.complex128)  # sum R(diag M) M and sum X M
+    added = [0]  # blocks whose terms are in the sums
+
+    def work(first: int, stop: threading.Event, baton: threading.Condition) -> None:
+        """Blocks first, first + workers, ..., each added to the sums in its turn."""
+        # terms[:, j] receives the two terms of a block's draw j.  Before
+        # that, terms[0] holds the block's Gaussian fields and then its draws
+        # X, and terms[1] its entries z and then Lambda - X - Y.
+        terms = np.empty((2, size, n, n), dtype=np.complex128)
+        diag = np.empty((size, n))
+        for k in range(first, blocks, workers):
+            if stop.is_set():
+                return
+            seeds = children[k * size:(k + 1) * size]
+            m = len(seeds)
+            x, shifted = terms[0, :m], terms[1, :m]
+            normals = x.view(np.float64).reshape(m, 2, n, n)
+            for j, child in enumerate(seeds):
+                _gue_fill(np.random.default_rng(child), normals[j], diag[j])
+            _gue_scale(gamma, normals, shifted, diag[:m])
+            _hermitian(shifted, diag[:m], x)
+            np.subtract(lam_mat, x, out=shifted)
+            y.combine(shifted, np.subtract)
+            resolvent = np.linalg.inv(shifted)
+            np.matmul(x, resolvent, out=shifted)
+            # one matrix-vector product per draw, as for one draw: a stacked
+            # (m, n) @ w.T product would round otherwise
+            r = _apply_r(w, np.einsum("...ii->...i", resolvent)[..., np.newaxis])
+            np.multiply(r, resolvent, out=x)
+            del resolvent  # freed before the next block's inverse is made
+            with baton:
+                while not (stop.is_set() or added[0] == k):
+                    baton.wait()
+                if stop.is_set():
+                    return
+                # ((sums + t_1) + t_2) + ..., in draw order; a reduction over
+                # the stack may sum pairwise, as it does where n = 1
+                for j in range(m):
+                    np.add(sums, terms[:, j], out=sums)
+                added[0] += 1
+                baton.notify_all()
+
+    _run_workers(workers, work)
+    rhs, lhs = sums
     return float(np.linalg.norm((lhs - rhs) / batch.count, 2))
 
 
-def _worker_count(draws: int) -> int:
-    """One concentration worker per CPU this process may run on, and at most
-    one per draw; one in all where the BLAS cannot be held to one thread."""
-    if _lapack().set_blas_threads is None:
-        return 1
+def _worker_count(tasks: int) -> int:
+    """One worker per CPU this process may run on, and at most one per task."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, draws)
+    return min(cpus or 1, tasks)
+
+
+def _run_workers(workers: int, work: Callable) -> None:
+    """Run work(i, stop, baton) on a thread of its own for each i < ``workers``.
+
+    ``stop`` is a threading.Event, set on the first failure or when the
+    calling thread leaves early; ``baton`` is a threading.Condition notified
+    when it is set, on which a worker may wait for the others.  Returns after
+    every thread has ended, and re-raises the first failure.
+    """
+    stop = threading.Event()
+    baton = threading.Condition()
+    failures = []
+
+    def halt() -> None:
+        stop.set()
+        with baton:
+            baton.notify_all()
+
+    def run(i: int) -> None:
+        try:
+            work(i, stop, baton)
+        except BaseException as exc:  # re-raised by the calling thread
+            failures.append(exc)
+            halt()
+
+    threads = []
+    try:
+        for i in range(workers):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        for thread in threads:
+            thread.join()
+    finally:
+        halt()  # cuts the workers short only if this thread is leaving early
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
 
 
 # OpenBLAS's pthreads build sets its thread count for the whole process, so
 # two runs that each saved and restored it could leave it changed.
 _BLAS_PINNED = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold the OpenBLAS that LAPACK is called through to one thread.
+
+    OpenBLAS's threaded LU factorization rounds otherwise than its one-thread
+    one.  The setting is restored on leaving.
+    """
+    set_threads = _lapack().set_blas_threads
+    with _BLAS_PINNED:
+        saved = None if set_threads is None else set_threads(1)
+        try:
+            yield
+        finally:
+            if saved is not None:
+                set_threads(saved)
 
 
 def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
@@ -364,63 +509,41 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
     strict_lower = np.tri(n, k=-1, dtype=bool)
     children = batch.child_seeds()
     deviations = np.empty(draws)
-    workers = _worker_count(draws)
-    # OpenBLAS's threaded factorization rounds otherwise than its one-thread
-    # one, so every run, on any number of workers, uses one BLAS thread
     set_blas_threads = _lapack().set_blas_threads
-    stop = threading.Event()
-    failures = []
+    # one worker in all where the BLAS cannot be held to one thread
+    workers = 1 if set_blas_threads is None else _worker_count(draws)
 
-    def work(first: int) -> None:
+    def work(first: int, stop: threading.Event, baton: threading.Condition) -> None:
         """Draws first, first + workers, ..., each deviation into its own slot."""
-        try:
-            if set_blas_threads is not None:  # per thread in OpenMP builds
-                set_blas_threads(1)
-            # Two workspaces serve every draw.  ``a`` holds lambda - H - Y in
-            # Fortran order, and its memory holds the draw's Gaussian fields
-            # before that; ``lower`` holds the draw's entries z, then L^(-1).
-            # a.T is C-ordered and receives -H: -conj(z) above the diagonal,
-            # -z^T below it; Y is then subtracted from a.  H is Hermitian by
-            # construction, and _prepare has checked Y, so neither is checked
-            # again.
-            a = np.empty((n, n), dtype=np.complex128, order="F")
-            lower = np.empty_like(a)
-            normals = a.reshape(-1, order="F").view(np.float64).reshape(2, n, n)
-            a_t, z = a.T, lower.T
-            diag = np.empty(n)
-            for j in range(first, draws, workers):
-                if stop.is_set():
-                    return
-                _gue_draw(np.random.default_rng(children[j]), gamma, normals, z, diag)
-                np.negative(z.real, out=a_t.real)
-                np.copyto(a_t.imag, z.imag)
-                np.negative(z.T, out=a_t, where=strict_lower)
-                a_t.flat[::n + 1] = -diag
-                model.y.combine(a, np.subtract)
-                a_t.flat[::n + 1] += lam
-                deviations[j] = abs(_inverse_trace(a, lower, strict_lower) - g_det)
-        except BaseException as exc:  # re-raised by the calling thread
-            failures.append(exc)
-            stop.set()
+        if set_blas_threads is not None:  # per thread in OpenMP builds
+            set_blas_threads(1)
+        # Two workspaces serve every draw.  ``a`` holds lambda - H - Y in
+        # Fortran order, and its memory holds the draw's Gaussian fields
+        # before that; ``lower`` holds the draw's entries z, then L^(-1).
+        # a.T is C-ordered and receives -H: -conj(z) above the diagonal,
+        # -z^T below it; Y is then subtracted from a.  H is Hermitian by
+        # construction, and _prepare has checked Y, so neither is checked
+        # again.
+        a = np.empty((n, n), dtype=np.complex128, order="F")
+        lower = np.empty_like(a)
+        normals = a.reshape(-1, order="F").view(np.float64).reshape(2, n, n)
+        a_t, z = a.T, lower.T
+        diag = np.empty(n)
+        for j in range(first, draws, workers):
+            if stop.is_set():
+                return
+            _gue_fill(np.random.default_rng(children[j]), normals, diag)
+            _gue_scale(gamma, normals, z, diag)
+            np.negative(z.real, out=a_t.real)
+            np.copyto(a_t.imag, z.imag)
+            np.negative(z.T, out=a_t, where=strict_lower)
+            a_t.flat[::n + 1] = -diag
+            model.y.combine(a, np.subtract)
+            a_t.flat[::n + 1] += lam
+            deviations[j] = abs(_inverse_trace(a, lower, strict_lower) - g_det)
 
-    with _BLAS_PINNED:
-        saved = None if set_blas_threads is None else set_blas_threads(1)
-        threads = []
-        try:
-            for i in range(workers):
-                thread = threading.Thread(target=work, args=(i,))
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
-        finally:
-            stop.set()  # cuts the workers short only if this thread is leaving early
-            for thread in threads:
-                thread.join()
-            if saved is not None:
-                set_blas_threads(saved)
-    if failures:
-        raise failures[0]
+    with _one_blas_thread():
+        _run_workers(workers, work)
     passes = int(np.sum(deviations <= bound.epsilon_tilde))
     return {
         "draws": draws,

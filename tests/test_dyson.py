@@ -885,12 +885,13 @@ def test_each_deformation_form_answers_as_the_full_matrix(n, form, seed):
     core = u.conj().T @ np.linalg.inv(np.diag(lam - w @ g) - full) @ u
     assert _close(deformation.core(u, w, lam, g), core)
 
-    # a draw minus Y, and plus Y
-    draw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for op in (np.subtract, np.add):
-        out = draw.copy()
-        deformation.combine(out, op)
-        assert np.array_equal(out, op(draw, full))
+    # a draw, a Fortran-ordered draw and a stack of draws, minus Y and plus Y
+    draws = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    for draw in (draws[0], np.asfortranarray(draws[1]), draws):
+        for op in (np.subtract, np.add):
+            out = draw.copy(order="K")
+            deformation.combine(out, op)
+            assert np.array_equal(out, op(draw, full))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30])

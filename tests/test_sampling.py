@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -321,6 +322,190 @@ def test_concentration_rejects_a_bad_draw_count_before_any_work(monkeypatch, dra
                                d=2.0, delta=0.5, draws=draws, seed=1)
     with pytest.raises(ValueError, match="integer count"):
         SampleBatch(seed=1, count=draws, n=8)
+
+
+@pytest.mark.parametrize("n,seed,message", [
+    (2.5, 1, "integer n >= 1"), (True, 1, "integer n >= 1"), (np.float64(3.0), 1, "integer n >= 1"),
+    (0, 1, "integer n >= 1"), (-2, 1, "integer n >= 1"),
+    (8, -1, "integer seed >= 0"), (8, 1.5, "integer seed >= 0"), (8, True, "integer seed >= 0"),
+    (8, np.float64(2.0), "integer seed >= 0"), (8, None, "integer seed >= 0"),
+])
+def test_sample_batch_rejects_a_bad_n_or_seed_at_construction(n, seed, message):
+    with pytest.raises(ValueError, match=rf"^a sample batch needs an {message}$"):
+        SampleBatch(seed=seed, count=3, n=n)
+
+
+def test_sample_batch_takes_numpy_integers():
+    batch = SampleBatch(seed=np.uint32(5), count=np.int64(2), n=np.int8(4))
+    assert [c.entropy for c in batch.child_seeds()] == [5, 5]
+
+
+def test_empirical_trace_equals_the_loop_under_any_blas_setting(monkeypatch):
+    # n = 400: OpenBLAS's two-thread LU factorization rounds otherwise here
+    profile = constant_profile(400, 400, 1.0, hermitian=True)
+    lam = 0.1 + 0.6j
+    seen = []
+    inverse_trace = sampling._inverse_trace
+
+    def recorded(*args):
+        trace = inverse_trace(*args)
+        seen.append(trace)
+        return trace
+
+    monkeypatch.setattr(sampling, "_inverse_trace", recorded)
+    validate_concentration(profile, None, lam, d=2.0, delta=0.5, draws=3, seed=14)
+    monkeypatch.undo()
+    set_threads = sampling._lapack().set_blas_threads
+    saved = None if set_threads is None else set_threads(2)
+    try:
+        traces = [_empirical_trace(sample_gue_profile(profile, child), lam)
+                  for child in SampleBatch(seed=14, count=3, n=400).child_seeds()]
+        assert set_threads is None or set_threads(2) == 2  # the setting is restored
+    finally:
+        if saved is not None:
+            set_threads(saved)
+    assert Counter(traces) == Counter(seen)
+
+
+def _reference_master(profile: VarianceProfile, y, lam: SpectralParameter,
+                      batch: SampleBatch) -> np.ndarray:
+    """The master check's (lhs - rhs) / count, one draw at a time."""
+    n = profile.rows
+    y_mat = 0.0 if y is None else np.diag(y) if y.ndim == 1 else y
+    w = profile.entries / n
+    lam_mat = np.diag(lam.diag)
+    lhs = np.zeros((n, n), dtype=np.complex128)
+    rhs = np.zeros((n, n), dtype=np.complex128)
+    for child in batch.child_seeds():
+        x = _reference_draw(profile, child)
+        resolvent = np.linalg.inv(lam_mat - x - y_mat)
+        lhs += x @ resolvent
+        rhs += _apply_r(w, resolvent.diagonal())[:, np.newaxis] * resolvent
+    return (lhs - rhs) / batch.count
+
+
+def _blocked_master(monkeypatch, profile, y, lam, batch, workers: int, block: int):
+    """The master check on ``workers`` threads in blocks of ``block`` draws:
+    its result and the matrix whose norm it is."""
+    monkeypatch.setattr(sampling, "_worker_count", lambda tasks: min(workers, tasks))
+    monkeypatch.setattr(sampling, "_block_draws", lambda n: block)
+    norms = []
+    norm = np.linalg.norm
+
+    def recorded(a, *args):
+        norms.append(a.copy())
+        return norm(a, *args)
+
+    monkeypatch.setattr(np.linalg, "norm", recorded)
+    deviation = check_master_equality(profile, y, lam, batch)
+    assert len(norms) == 1
+    return deviation, norms[0]
+
+
+_MASTER_CASES = {
+    "diagonal-y": (_symmetric_profile(9, 3), np.linspace(-0.7, 0.7, 9), 0.4 + 0.8j),
+    "dense-y": (constant_profile(8, 8, 1.0, hermitian=True), _dense_hermitian(8, 5), -0.3 + 1.1j),
+    "non-scalar-lambda": (_symmetric_profile(7, 4), None, np.linspace(-1.0, 1.0, 7) + 0.7j),
+}
+
+
+@pytest.mark.parametrize("case", list(_MASTER_CASES))
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 7, 20])
+def test_master_check_equals_the_draw_by_draw_reference_bit_for_bit(monkeypatch, case,
+                                                                   workers, block):
+    profile, y, lam = _MASTER_CASES[case]
+    n = profile.rows
+    lam = SpectralParameter(np.broadcast_to(lam, (n,)).astype(np.complex128))
+    batch = SampleBatch(seed=31, count=20, n=n)  # 20 draws: blocks of 7, 7 and 6
+    expect = _reference_master(profile, y, lam, batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost or reordered sum would show
+    try:
+        deviation, deviations = _blocked_master(monkeypatch, profile, y, lam, batch, workers,
+                                                block)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(deviations, expect)
+    assert deviation == float(np.linalg.norm(expect, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 10), count=st.integers(1, 24), block=st.integers(1, 26),
+       workers=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       form=st.sampled_from(["absent", "diagonal", "dense"]), scalar=st.booleans())
+def test_master_check_blocks_keep_every_bit(n, count, block, workers, seed, form, scalar):
+    rng = np.random.default_rng(seed)
+    profile = _symmetric_profile(n, seed)
+    y = {"absent": None, "diagonal": rng.uniform(-1.0, 1.0, n),
+         "dense": _dense_hermitian(n, seed)}[form]
+    diag = np.full(n, 0.2 + 0.9j) if scalar else rng.uniform(-1.0, 1.0, n) + 0.9j
+    lam = SpectralParameter(diag)
+    batch = SampleBatch(seed=seed, count=count, n=n)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, deviations = _blocked_master(monkeypatch, profile, y, lam, batch, workers, block)
+    assert np.array_equal(deviations, _reference_master(profile, y, lam, batch))
+
+
+def _in_a_thread(call):
+    """Run ``call`` on a thread joined with a timeout; return what it raised."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive(), "the check hung"
+    return raised
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failing_block_stops_the_master_check(monkeypatch, workers):
+    profile = constant_profile(6, 6, 1.0, hermitian=True)
+    lam = SpectralParameter.scalar(1j, 6)
+    batch = SampleBatch(seed=2, count=9, n=6)
+    first = np.diag(lam.diag) - sample_gue_profile(profile, batch.child_seeds()[0])
+    monkeypatch.setattr(sampling, "_worker_count", lambda tasks: workers)
+    monkeypatch.setattr(sampling, "_block_draws", lambda n: 1)
+    inv = np.linalg.inv
+
+    def failing(a):
+        # block 0 fails last, once the other workers wait for their turn after it
+        if np.array_equal(a[0], first):
+            time.sleep(0.2)
+            raise np.linalg.LinAlgError("block 0 fails")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    threads = threading.enumerate()
+    raised = _in_a_thread(lambda: check_master_equality(profile, None, lam, batch))
+    assert [type(exc) for exc in raised] == [np.linalg.LinAlgError]
+    assert str(raised[0]) == "block 0 fails"
+    assert threading.enumerate() == threads
+
+
+def test_no_worker_outlives_either_check(monkeypatch):
+    profile = constant_profile(10, 10, 1.0, hermitian=True)
+    threads = threading.enumerate()
+    check_master_equality(profile, None, SpectralParameter.scalar(1j, 10),
+                          SampleBatch(seed=3, count=40, n=10))
+    assert threading.enumerate() == threads
+    validate_concentration(profile, None, 1.5j, d=2.0, delta=0.5, draws=5, seed=3)
+    assert threading.enumerate() == threads
+
+    def failing(*args):
+        raise FloatingPointError("every draw fails")
+
+    monkeypatch.setattr(sampling, "_inverse_trace", failing)
+    raised = _in_a_thread(lambda: validate_concentration(profile, None, 1.5j, d=2.0,
+                                                         delta=0.5, draws=5, seed=3))
+    assert [str(exc) for exc in raised] == ["every draw fails"]
+    assert threading.enumerate() == threads
 
 
 def test_sample_command_writes_the_reference_eigenvalues(tmp_path):
