@@ -194,15 +194,21 @@ def _build_profile(kind: str, opts: dict) -> VarianceProfile:
         _check_range(key, value)
         return value
 
+    def switch(value) -> bool:
+        text = str(value).lower()
+        if text not in ("1", "true", "yes", "0", "false", "no"):
+            raise ConfigError("hermitian: needs true or false")
+        return text in ("1", "true", "yes")
+
     kind = kind.replace("_", "-")
-    hermitian = str(opts.pop("hermitian", "false")).lower() in ("1", "true", "yes")
     if kind == "constant":
         n, m = take("n", int), take("m", int)
-        prof = constant_profile(n, m, take("value", float, 1.0), hermitian=hermitian)
+        prof = constant_profile(n, m, take("value", float, 1.0),
+                                hermitian=take("hermitian", switch, False))
     elif kind == "piecewise":
         n, m = take("n", int), take("m", int)
-        prof = normalize_profile(
-            piecewise_profile(n, m, 1.0, take("ratio", float, 200.0), hermitian=hermitian))
+        prof = normalize_profile(piecewise_profile(n, m, 1.0, take("ratio", float, 200.0),
+                                                   hermitian=take("hermitian", switch, False)))
     elif kind == "bernoulli":
         n, m = take("n", int), take("m", int)
         prof = bernoulli_profile(n, m, take("p", float), take("seed", int))
@@ -226,7 +232,10 @@ def _parse_y_spec(spec: str | None, rows: int, cols: int | None = None):
     if spec.startswith("diag:"):
         if cols is not None:
             raise ConfigError("y: rectangular models need 'zero' or a csv matrix")
-        y = np.asarray([float(v) for v in spec[5:].split(",") if v])
+        try:
+            y = np.asarray([float(v) for v in spec[5:].split(",") if v])
+        except ValueError as exc:
+            raise ConfigError(f"y: {exc}")
         if y.size == 1:
             y = np.full(rows, y[0])
         if y.size != rows:
@@ -399,7 +408,10 @@ def _cmd_outliers(args) -> int:
     cfg = _merge_config(args)
     profile = _parse_profile_spec(str(_require(cfg, "model")))
     out = _require(cfg, "out")
-    thetas = [float(v) for v in str(_require(cfg, "theta_list")).split(",") if v]
+    try:
+        thetas = [float(v) for v in str(_require(cfg, "theta_list")).split(",") if v]
+    except ValueError as exc:
+        raise ConfigError(f"theta_list: {exc}")
     if not thetas:
         raise ConfigError("theta_list: needs at least one spike strength")
     if not np.all(np.isfinite(thetas)):

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._lapack import _hermitian_inverse_diagonal
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -424,31 +425,6 @@ def _psi_raw(w, lam_diag, g, y, inertia=False):
     deformation's ``psi`` describes it.
     """
     return y.psi(lam_diag - _apply_r(w, g), inertia)
-
-
-def _hermitian_inverse_diagonal(a: np.ndarray):
-    """diag(a^(-1)), the count of positive eigenvalues and a^(-1), for a Hermitian a.
-
-    All three come from one Bunch-Kaufman factorization a = U D U*, where D
-    has the inertia of a (Sylvester).  Bunch-Kaufman takes a 2 x 2 pivot
-    only when its determinant is negative, so each 2 x 2 block of D holds
-    one positive eigenvalue.  A singular a gives a NaN diagonal and inverse.
-    """
-    # imported here so that only dense-Y real-axis solves load scipy
-    from scipy.linalg.lapack import dsytrf, dsytri, zhetrf, zhetri
-
-    trf, tri = (zhetrf, zhetri) if np.iscomplexobj(a) else (dsytrf, dsytri)
-    # a workspace of 64 n lets LAPACK factor in blocks of 64 columns
-    lu, ipiv, info = trf(a, lwork=64 * a.shape[0], overwrite_a=1)
-    if info != 0:
-        return np.full(a.shape[0], np.nan), -1, np.full(a.shape, np.nan)
-    # ipiv > 0 marks a 1 x 1 block; a 2 x 2 block has two negative entries
-    positive = np.count_nonzero(lu.diagonal()[ipiv > 0].real > 0.0) \
-        + np.count_nonzero(ipiv < 0) // 2
-    inv, _ = tri(lu, ipiv, overwrite_a=1)
-    # the inverse is in the upper triangle; mirror it into the lower one
-    inv = np.triu(inv) + np.triu(inv, 1).conj().T
-    return inv.diagonal().real.copy(), positive, inv
 
 
 def psi_step(profile: VarianceProfile, y, lam: SpectralParameter,

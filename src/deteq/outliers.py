@@ -138,15 +138,10 @@ class OutlierReport:
         }
 
 
-def _core(spikes: SpikeSet, model: _Prepared, lam_value, g: np.ndarray) -> np.ndarray:
-    """U* (Omega - Y)^(-1) U at the fixed point G, which has all n rows in ``g``."""
-    return model.y.core(spikes.u, model.w, lam_value, g)
-
-
 def _beta_from_g(spikes: SpikeSet, model: _Prepared, lam_value: complex,
                  g: np.ndarray) -> np.ndarray:
-    """I - core Theta."""
-    core = _core(spikes, model, lam_value, g)
+    """I - core Theta, core = U* (Omega - Y)^(-1) U at G, all n rows in ``g``."""
+    core = model.y.core(spikes.u, model.w, lam_value, g)
     return np.eye(spikes.k, dtype=np.complex128) - core * spikes.theta[np.newaxis, :]
 
 
@@ -346,7 +341,8 @@ def locate_outliers(model: HermitianModel, window=None,
         if g is None:
             raise RuntimeError(f"real-axis Dyson solve failed at lambda = {lam} "
                                "between two converged points")
-        return np.linalg.eigvalsh(inv_theta - _core(spikes, prepared, lam, g.diag.real))
+        core = prepared.y.core(spikes.u, prepared.w, lam, g.diag.real)
+        return np.linalg.eigvalsh(inv_theta - core)
 
     def det_abs(eigenvalues: np.ndarray) -> float:
         # det beta = det(Theta^(-1) - core) det Theta

@@ -20,12 +20,10 @@ Both checks run on one worker thread per CPU in the affinity set, started
 and joined by one runner, ``_run_workers``: the first failure stops every
 worker and is re-raised by the caller.  The concentration draws are
 independent; worker i takes draws i, i + workers, ... and writes each
-deviation into that draw's slot.  Their LAPACK calls go through ``ctypes`` to
-the function pointers in ``scipy.linalg.cython_lapack``, which, unlike the
-f2py wrappers in ``scipy.linalg.lapack``, release the interpreter lock.
-OpenBLAS runs them on one thread, because its threaded LU factorization
-rounds otherwise; the result then depends neither on the worker count nor on
-the BLAS thread setting.  ``_empirical_trace`` pins the same one thread.
+deviation into that draw's slot.  Their LAPACK calls, made through
+``deteq._lapack``, release the interpreter lock and run on one OpenBLAS
+thread, as ``_empirical_trace``'s do: the threaded LU factorization rounds
+otherwise, and the result then depends on neither setting.
 
 The master check cuts its draws into blocks of ``_block_draws(n)`` draws,
 each block one stack of about ``_STACK_BYTES``, and worker i takes blocks
@@ -40,20 +38,14 @@ any block size.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import importlib
-import importlib.machinery
-import importlib.util
 import os
-import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
+from ._lapack import _inverse_trace, _lapack, _one_blas_thread
 from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter, _apply_r,
                     _classify_deformation, _prepare, _solve_path, _variance_map,
                     concentration_bound)
@@ -203,115 +195,6 @@ def empirical_spectrum(h: np.ndarray, lam: complex):
     return g_emp, eigs
 
 
-class _Lapack(NamedTuple):
-    """LAPACK routines called through ``ctypes``, which releases the
-    interpreter lock for the length of each call."""
-
-    getrf: Callable
-    trtri: Callable
-    laswp: Callable
-    # OpenBLAS's openblas_set_num_threads_local, or None under another BLAS
-    set_blas_threads: Callable | None
-
-
-_LAPACK_NAME = "scipy.linalg.cython_lapack"
-_LOADING = threading.Lock()
-# cython_lapack's C argument types, each one passed as a pointer
-_C_TYPES = {"int *": ctypes.POINTER(ctypes.c_int), "char *": ctypes.c_char_p,
-            "__pyx_t_double_complex *": ctypes.c_void_p}
-
-
-def _cython_lapack():
-    """scipy's table of LAPACK function pointers, imported without
-    ``scipy.linalg``, whose ``__init__`` loads all of scipy.linalg (about
-    20 MB and 0.14 s more) where three routines are needed.  A later
-    ``import scipy.linalg`` works and finds this module in ``sys.modules``."""
-    module = sys.modules.get(_LAPACK_NAME)
-    if module is not None:
-        return module
-    roots = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None)
-    paths = [os.path.join(root, "linalg", "cython_lapack" + suffix) for root in roots or ()
-             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next(filter(os.path.isfile, paths), None)
-    if path is None:  # not laid out as scipy's wheels are: the plain import
-        return importlib.import_module(_LAPACK_NAME)
-    spec = importlib.util.spec_from_file_location(_LAPACK_NAME, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_LAPACK_NAME] = module
-    return module
-
-
-@functools.cache
-def _lapack() -> _Lapack:
-    """The routines the trace kernel calls, loaded once per process.
-
-    The lock keeps a second thread from seeing the module half loaded; the
-    concentration loop also loads it before it starts any worker.
-    """
-    with _LOADING:
-        module = _cython_lapack()
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-    def routine(name):
-        capsule = module.__pyx_capi__[name]
-        signature = capsule_name(capsule)  # the C signature, e.g. b"void (int *, ...)"
-        text = signature.decode()
-        args = text.removeprefix("void (").removesuffix(")").split(", ")
-        if not text.startswith("void (") or not set(args) <= _C_TYPES.keys():
-            raise ImportError(f"{_LAPACK_NAME}.{name} has the unexpected signature {text}")
-        return ctypes.CFUNCTYPE(None, *(_C_TYPES[a] for a in args))(
-            capsule_pointer(capsule, signature))
-
-    # dlsym on the extension's handle also searches the libraries it links,
-    # which include the OpenBLAS that scipy's wheels bundle
-    set_threads = getattr(ctypes.CDLL(module.__file__), "openblas_set_num_threads_local", None)
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
-    return _Lapack(routine("zgetrf"), routine("ztrtri"), routine("zlaswp"), set_threads)
-
-
-def _inverse_trace(a: np.ndarray, lower: np.ndarray, strict_lower: np.ndarray) -> complex:
-    """(1/n) tr a^(-1) of a Fortran-ordered complex n x n ``a``, factored in place.
-
-    With the partial-pivoting LU factorization P a = L U, the inverse is
-    U^(-1) L^(-1) P, so its trace is sum_kj U^(-1)[p_k, j] L^(-1)[j, k]: two
-    triangular inverses and no product, half the flops of the full inverse.
-    LAPACK overwrites ``a`` with U^(-1) over L^(-1); L^(-1)'s strict lower
-    triangle moves into ``lower`` (n x n complex, Fortran-ordered, zero
-    elsewhere), and ``zlaswp`` applies the row interchanges to U^(-1), which
-    is the gather U^(-1)[p] done in place.  ``strict_lower`` is the n x n
-    mask of the strict lower triangle.  Both workspaces are overwritten.
-    The LAPACK calls release the interpreter lock.
-    """
-    n = a.shape[0]
-    # LAPACK reads and writes a through its pointer
-    if (a.dtype != np.complex128 or a.shape != (n, n) or not a.flags.f_contiguous
-            or not a.flags.writeable):
-        raise ValueError("the trace kernel needs a writeable Fortran-ordered complex square array")
-    lapack = _lapack()
-    size, one, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int(0)
-    swaps = np.empty(n, dtype=np.intc)  # LAPACK's 1-based row interchanges
-    ref, data, pivots = ctypes.byref, a.ctypes.data, swaps.ctypes.data_as(_C_TYPES["int *"])
-    lapack.getrf(ref(size), ref(size), data, ref(size), pivots, ref(info))
-    if info.value == 0:  # U^(-1) over U in the upper triangle, then L^(-1) below it
-        lapack.trtri(b"U", b"N", ref(size), data, ref(size), ref(info))
-    if info.value == 0:
-        lapack.trtri(b"L", b"U", ref(size), data, ref(size), ref(info))
-    if info.value != 0:
-        raise np.linalg.LinAlgError("lam - H is singular")
-    lower.fill(0.0)
-    np.copyto(lower, a, where=strict_lower)
-    np.copyto(a, 0.0, where=strict_lower)
-    # LAPACK's row interchanges, in order
-    lapack.laswp(ref(size), data, ref(size), ref(one), ref(size), pivots, ref(one))
-    # L^(-1) has a unit diagonal, which contributes trace(U^(-1)[p])
-    return complex((np.einsum("kj,jk->", a, lower) + a.trace()) / n)
-
-
 def _empirical_trace(h: np.ndarray, lam: complex) -> complex:
     """The empirical Stieltjes trace (1/n) tr (lam - H)^(-1) of a Hermitian H.
 
@@ -454,28 +337,6 @@ def _run_workers(workers: int, work: Callable) -> None:
             thread.join()
     if failures:
         raise failures[0]
-
-
-# OpenBLAS's pthreads build sets its thread count for the whole process, so
-# two runs that each saved and restored it could leave it changed.
-_BLAS_PINNED = threading.Lock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold the OpenBLAS that LAPACK is called through to one thread.
-
-    OpenBLAS's threaded LU factorization rounds otherwise than its one-thread
-    one.  The setting is restored on leaving.
-    """
-    set_threads = _lapack().set_blas_threads
-    with _BLAS_PINNED:
-        saved = None if set_threads is None else set_threads(1)
-        try:
-            yield
-        finally:
-            if saved is not None:
-                set_threads(saved)
 
 
 def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,

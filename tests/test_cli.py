@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -331,6 +332,35 @@ def test_profile_spec_parse_errors(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (("density", "--profile", "bernoulli:n=4,m=4,p=0.5,seed=1,hermitian=true",
+      "--grid", "0:1:0.5"),
+     "error: profile: hermitian: does not apply to profile kind 'bernoulli'"),
+    (("density", "--profile", "doubly-stochastic:n=4,seed=1,hermitian=true",
+      "--grid", "0:1:0.5"),
+     "error: profile: hermitian: does not apply to profile kind 'doubly-stochastic'"),
+    (("profile", "--kind", "bernoulli", "--n", "4", "--m", "4", "--p", "0.5", "--seed", "1",
+      "--hermitian"),
+     "error: hermitian: does not apply to profile kind 'bernoulli'"),
+    (("density", "--profile", "constant:n=4,m=4,hermitian=maybe", "--grid", "0:1:0.5"),
+     "error: profile: hermitian: needs true or false"),
+    (("density", "--profile", "piecewise:n=4,m=4,hermitian=", "--grid", "0:1:0.5"),
+     "error: profile: hermitian: needs true or false"),
+])
+def test_the_hermitian_option_is_validated_as_given(tmp_path, capsys, argv, message):
+    assert _run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, hermitian", [
+    ("constant:n=4,m=4,hermitian=TRUE", True), ("constant:n=4,m=4,hermitian=no", False),
+    ("piecewise:n=4,m=4,hermitian=1", True), ("piecewise:n=4,m=4", False),
+])
+def test_the_hermitian_option_reads_its_spellings(spec, hermitian):
+    assert (_parse_profile_spec(spec).mode == "hermitian") is hermitian
+
+
+@pytest.mark.parametrize("argv, message", [
     (("validate", "--what", "master", "--n", "4", "--samples", "2", "--seed", "-4"),
      "error: seed: must be >= 0"),
     (("sample", "--profile", "constant:n=3,m=3,hermitian=true", "--seed", "-1"),
@@ -363,6 +393,10 @@ _HERM4 = "constant:n=4,m=4,hermitian=true"
      "error: window: needs finite values and hi > lo"),
     (("outliers", "--model", _HERM4, "--theta-list", "2.0", "--window", "3:1"),
      "error: window: needs finite values and hi > lo"),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--y", "diag:abc"),
+     "error: y: could not convert string to float: 'abc'"),
+    (("outliers", "--model", _HERM4, "--theta-list", "abc"),
+     "error: theta_list: could not convert string to float: 'abc'"),
 ])
 def test_non_finite_deformations_and_windows_are_named(tmp_path, capsys, argv, message):
     assert _run(*argv, "--out", str(tmp_path / "out")) == 1
@@ -412,6 +446,32 @@ def test_a_zero_deformation_writes_the_files_of_an_absent_one(tmp_path):
         files[y] = ((out / "d.csv").read_bytes(), (out / "o.json.curve.csv").read_bytes(),
                     json.dumps(report["reports"]))
     assert files["zero"] == files["diag:0"]
+
+
+# sha256 prefixes of the files these runs wrote before the dense-Y solves
+# moved from scipy's f2py wrappers to the ctypes LAPACK table
+@pytest.mark.parametrize("argv, digests", [
+    (("outliers", "--model", "constant:n=8,m=8,hermitian=true", "--y", "csv:y.csv",
+      "--vectors", "e1", "--theta-list", "2.0,2.5", "--out", "o.json"),
+     {"o.json": "86d08ae49b616c39", "o.json.curve.csv": "6a83faac8e2ec23c"}),
+    (("outliers", "--model", "constant:n=18,m=20", "--y", "csv:rect.csv",
+      "--theta-list", "2.0", "--window", "1.5:4.0", "--out", "r.json"),
+     {"r.json": "55a5dda07c74b0ce", "r.json.curve.csv": "bfe6b9e286a705b2"}),
+    (("density", "--profile", "constant:n=18,m=20", "--y", "csv:rect.csv",
+      "--grid", "0:2.5:0.25", "--out", "d.csv"),
+     {"d.csv": "903c4804609b1372", "d.csv.meta.json": "6e562a374deb3ab6"}),
+], ids=["outliers-dense-y", "outliers-rectangular-y", "density-rectangular-y"])
+def test_deformed_runs_keep_their_bytes(tmp_path, monkeypatch, argv, digests):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 8))
+    np.savetxt(tmp_path / "y.csv", (a + a.T) / 16.0, delimiter=",")
+    u, v = rng.standard_normal(18), rng.standard_normal(20)
+    np.savetxt(tmp_path / "rect.csv",
+               0.8 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v)), delimiter=",")
+    monkeypatch.chdir(tmp_path)
+    assert _run(*argv) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+            for name in digests} == digests
 
 
 @pytest.mark.parametrize("argv", [

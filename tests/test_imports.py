@@ -1,5 +1,6 @@
 """Start-up stays free of scipy: only the two paths that call its LAPACK
-routines load it, and no path loads scipy.optimize.
+routines load it, both through scipy's table of LAPACK function pointers,
+and no path loads scipy.linalg's __init__ or scipy.optimize.
 
 Each check runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules`` for the rest of the process.
@@ -80,22 +81,29 @@ _CONCENTRATION = ["validate", "--what", "concentration", "--n", "8", "--samples"
                   "--seed", "1", "--lambda-im", "1", "--min-pass-rate", "0", "--out", "c.json"]
 
 
-# the concentration check loads scipy's table of LAPACK function pointers from
-# its file, so scipy.linalg's __init__ does not run
-@pytest.mark.parametrize("argv,loaded,absent", [
-    (["outliers", "--model", _HERM, "--y", "csv:y.csv", "--vectors", "e1",
-      "--theta-list", "2.0,2.5", "--out", "o.json"], "scipy.linalg", None),
-    (_CONCENTRATION, "scipy.linalg.cython_lapack", "scipy.linalg"),
-], ids=["outliers-dense-y", "validate-concentration"])
-def test_lapack_paths_load_scipy_linalg_but_not_optimize(tmp_path, argv, loaded, absent):
+_DENSE_Y = ["outliers", "--model", _HERM, "--y", "csv:y.csv", "--vectors", "e1",
+            "--theta-list", "2.0,2.5", "--out", "o.json"]
+_LAPACK_PATHS = pytest.mark.parametrize("argv", [_DENSE_Y, _CONCENTRATION],
+                                        ids=["outliers-dense-y", "validate-concentration"])
+
+
+def _dense_y(tmp_path) -> None:
     np.savetxt(tmp_path / "y.csv", np.full((8, 8), 0.05), delimiter=",")
+
+
+# both paths load scipy's table of LAPACK function pointers from its file, so
+# scipy.linalg's __init__ does not run
+@_LAPACK_PATHS
+def test_lapack_paths_load_scipy_linalg_but_not_optimize(tmp_path, argv):
+    _dense_y(tmp_path)
     (_, before), (code, after) = _scipy_after(tmp_path, argv)
     assert before == [] and code == 0
-    assert loaded in after and absent not in after
+    assert "scipy.linalg.cython_lapack" in after and "scipy.linalg" not in after
     assert not [m for m in after if m.startswith("scipy.optimize")]
 
 
-def test_scipy_linalg_imports_after_the_concentration_check(tmp_path):
+def _scipy_linalg_after(tmp_path, argv) -> list:
+    _dense_y(tmp_path)
     script = """
 import json, sys
 import numpy as np
@@ -108,4 +116,12 @@ from scipy.linalg import cython_lapack
 print(json.dumps([code, cython_lapack is loaded, hasattr(scipy.linalg, "cython_lapack"),
                   scipy.linalg.det(np.eye(2) * 3.0)]))
 """
-    assert json.loads(_last_line(tmp_path, script, _CONCENTRATION)) == [0, True, False, 9.0]
+    return json.loads(_last_line(tmp_path, script, argv))
+
+
+def test_scipy_linalg_imports_after_the_concentration_check(tmp_path):
+    assert _scipy_linalg_after(tmp_path, _CONCENTRATION) == [0, True, False, 9.0]
+
+
+def test_scipy_linalg_imports_after_a_dense_y_outliers_run(tmp_path):
+    assert _scipy_linalg_after(tmp_path, _DENSE_Y) == [0, True, False, 9.0]

@@ -426,18 +426,18 @@ def test_brent_returns_a_zero_endpoint_and_needs_a_sign_change():
 
 
 def test_brent_reuses_the_spectra_at_its_bracket_ends(monkeypatch):
-    """One _core call per converged solve, plus one more at each root for its
-    det_abs: Brent evaluates only inside the bracket."""
-    from deteq import outliers
+    """One core U* (Omega - Y)^(-1) U per converged solve, plus one more at
+    each root for its det_abs: Brent evaluates only inside the bracket."""
+    from deteq import dyson
 
     lams = []
-    core = outliers._core
+    core = dyson._DiagonalY.core  # the model has no Y
 
-    def counted(spikes, model, lam, g):
+    def counted(y, u, w, lam, g):
         lams.append(lam)
-        return core(spikes, model, lam, g)
+        return core(y, u, w, lam, g)
 
-    monkeypatch.setattr(outliers, "_core", counted)
+    monkeypatch.setattr(dyson._DiagonalY, "core", counted)
     cache: dict = {}
     report = locate_outliers(_dilated_constant_model(16, 20, 2.0), window=(1.5, 4.0),
                              scan_points=12, cache=cache)
