@@ -190,15 +190,20 @@ def _build_profile(kind: str, opts: dict) -> VarianceProfile:
         value = opts.pop(key, default)
         if value is None:
             raise ConfigError(f"{key}: required field is missing")
-        value = cast(value)
+        try:
+            value = cast(value)
+        except ValueError:
+            raise ConfigError(f"{key}: needs {needs[cast]}") from None
         _check_range(key, value)
         return value
 
     def switch(value) -> bool:
         text = str(value).lower()
         if text not in ("1", "true", "yes", "0", "false", "no"):
-            raise ConfigError("hermitian: needs true or false")
+            raise ValueError
         return text in ("1", "true", "yes")
+
+    needs = {int: "an integer", float: "a number", switch: "true or false"}
 
     kind = kind.replace("_", "-")
     if kind == "constant":
@@ -441,17 +446,19 @@ def _cmd_outliers(args) -> int:
         profile, y, u, signs = dilated.profile, dilated.y, dilated.w, dilated.theta_signed
 
     # one prepared model serves every strength; only the spikes change
-    model = HermitianModel(profile=profile, y=y, spikes=SpikeSet(u=u, theta=signs * thetas[0]))
+    model = None
     cache: dict = {}
     reports = []
     try:
         for theta in thetas:
-            model = model._with_spikes(SpikeSet(u=u, theta=signs * theta))
+            spikes = SpikeSet(u=u, theta=signs * theta)
+            model = (HermitianModel(profile=profile, y=y, spikes=spikes) if model is None
+                     else model._with_spikes(spikes))
             reports.append(locate_outliers(
                 model, window=window, config=solver,
                 threshold=threshold, scan_points=scan_points,
                 eta_eval=eta_eval, cache=cache))
-    except (RuntimeError, DysonDivergenceError) as exc:
+    except RuntimeError as exc:  # DysonDivergenceError included
         diag_path = out + ".diagnostics.json"
         _write_json(diag_path, {
             "command": "outliers",

@@ -86,10 +86,6 @@ class SpectralParameter:
     def im_min(self) -> float:
         return float(self.diag.imag.min())
 
-    def inv_im_norm(self) -> float:
-        """sup norm of (Im Lambda)^(-1)."""
-        return 1.0 / self.im_min
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorStieltjes:
@@ -474,33 +470,10 @@ def solve_dyson(profile: VarianceProfile, y, lam: SpectralParameter,
 def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
     """Yield one ``DysonSolution`` for each point of ``lams`` in turn.
 
-    A point is a ``SpectralParameter``, solved as ``solve_dyson`` describes,
-    or a float, a real lambda.  Each solve starts from the previous point's
-    G, the first from ``config.initial``; a real lambda needs one.
-
-    A real solve iterates on the real part of its start.  There psi is
-    order-preserving: its Jacobian J = |M_ik|^2 W_kj, with
-    M = (lambda - R(g) - Y)^(-1), is nonnegative.  So from G at a point of
-    the same gap the iterates move monotonically to G(lambda) and keep the
-    inertia that ``_psi_raw`` reports; inside the support they cross a pole
-    of psi.  The solve stops at the first iterate whose inertia differs from
-    the first one's, or whose psi is non-finite: it is then unconverged and
-    yields its start unchanged, placing lambda in the support.
-
-    The step is g <- psi(g), except at a subsolution, b = psi(g) - g >= 0,
-    in the top gap, where lambda - R(g) - Y is positive definite and psi is
-    also convex.  There it is the two-step Collatz-Wielandt extrapolation
-    g <- g + (b + J b) / (1 - mu), with mu = min over b_i > 0 of
-    (J^2 b)_i / b_i.  Since J^2 b >= mu b, the step is at least the plain
-    step b and at most the Newton step (I - J)^(-1) b, which does not pass
-    G(lambda), and the new g is again a subsolution: the iterates rise to
-    G(lambda) without passing it or a pole.  mu >= 1 shows rho(J)^2 >= 1,
-    which no g below a stable G(lambda) has (Alt, Erdos & Kruger,
-    arXiv:1804.07752), so the solve stops unconverged there, as at a pole
-    crossing.  For one class, and for the two classes of a dilated constant
-    profile, J^2 = rho^2 I and the step is Newton's.  Next to a square-root
-    edge, where rho -> 1 and plain steps stall, it takes a few steps.
-    ``max_iterations`` is a backstop.
+    A point is a ``SpectralParameter``, solved by ``_anderson_steps``, or a
+    float, a real lambda, solved by ``_real_steps``.  Each solve starts from
+    the previous point's G, the first from ``config.initial``; a real lambda
+    needs one.  An unconverged real solve yields its start unchanged.
     """
     if config is None:
         config = SolverConfig()
@@ -533,87 +506,10 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
             converged = bool(np.all(np.isfinite(g)))
             residuals = [0.0 if converged else math.inf]
         elif real:
-            g = start.diag[part.first].real
-            residuals, signs = [], None
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                while len(residuals) < config.max_iterations:
-                    psi_g, inertia, top, m = _psi_raw(part.w, lam_c, g, part.class_y, True)
-                    b = psi_g - g
-                    residuals.append(float(np.abs(b).max()))
-                    signs = inertia if signs is None else signs
-                    inside = not np.all(np.isfinite(psi_g)) or np.any(inertia != signs)
-                    if inside or residuals[-1] <= config.tolerance:
-                        break
-                    if not (top and np.all(b >= 0.0)):
-                        g = psi_g
-                        continue
-                    # a subsolution in the top gap: the two-step extrapolation
-                    u = part.class_y.jacobian_apply(part.w, m, b)
-                    v = part.class_y.jacobian_apply(part.w, m, u)
-                    rising = b > 0.0
-                    mu = float(np.min(v[rising] / b[rising]))
-                    if mu >= 1.0:  # rho(J)^2 >= mu: no fixed point lies above g
-                        inside = True
-                        break
-                    # a NaN mu (J b overflowed next to a pole) leaves the plain step
-                    g = g + (b + u) / (1.0 - mu) if mu < 1.0 else psi_g
-            converged = not inside and residuals[-1] <= config.tolerance
+            g, residuals, converged = _real_steps(part, lam_c, start.diag[part.first].real, config)
         else:
             g = -1j / lam_c.imag if start is None else start.diag[part.first]
-            # Class c stands for sizes[c] equal rows: weighting its least-squares
-            # rows by sqrt(sizes[c]) makes the Anderson step the n-dimensional one.
-            weight = np.sqrt(part.sizes)
-            alpha = 1.0
-            bound = 1.0 / lam_c.imag
-            residuals = []
-            increase_run = 0
-            # The last accepted iterate, its image and its residual, and the
-            # differences between consecutive accepted iterates and residuals.
-            g_base = psi_base = f_base = None
-            res_base = math.inf
-            d_g, d_f = [], []
-            extrapolated = False
-            while True:
-                psi_g = _psi_raw(part.w, lam_c, g, part.class_y)
-                if not np.all(np.isfinite(psi_g)):
-                    raise DysonDivergenceError(
-                        f"fixed-point iterate became non-finite at iteration "
-                        f"{len(residuals) + 1} (damping {alpha})")
-                f = psi_g - g
-                res = float(np.abs(f).max())
-                residuals.append(res)
-                if res <= config.tolerance or len(residuals) >= config.max_iterations:
-                    break
-                if res > res_base:
-                    if extrapolated:
-                        # The extrapolation overshot: take the damped step from the
-                        # iterate it started at instead.
-                        g = (1.0 - alpha) * g_base + alpha * psi_base
-                        extrapolated = False
-                        continue
-                    increase_run += 1
-                    if increase_run >= 5 and alpha > 1.0 / 16.0:
-                        alpha = max(alpha / 2.0, 1.0 / 16.0)
-                        increase_run = 0
-                else:
-                    increase_run = 0
-                if g_base is not None:
-                    d_g.append(g - g_base)
-                    d_f.append(f - f_base)
-                    if len(d_g) > _ANDERSON_DEPTH:
-                        del d_g[0], d_f[0]
-                g_base, psi_base, f_base, res_base = g, psi_g, f, res
-                extrapolated = False
-                if d_g:
-                    dg, df = np.column_stack(d_g), np.column_stack(d_f)
-                    gamma = np.linalg.lstsq(df * weight[:, np.newaxis], f * weight,
-                                            rcond=None)[0]
-                    cand = g + alpha * f - (dg + alpha * df) @ gamma
-                    # the guard: stay in the Stieltjes domain
-                    extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
-                                        and np.all(np.abs(cand) <= bound))
-                g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
-            converged = res <= config.tolerance
+            g, residuals, converged = _anderson_steps(part, lam_c, g, config)
 
         if real and not converged:  # the start stays the next point's start
             residual = residuals[0]
@@ -622,6 +518,116 @@ def _solve_path(model: _Prepared, lams, config: SolverConfig | None = None):
         yield DysonSolution(start, iterations=len(residuals), residual=residual,
                             converged=converged, contraction_certified=certified,
                             residual_history=np.asarray(residuals))
+
+
+def _real_steps(part: _Prepared, lam: float, g: np.ndarray, config: SolverConfig):
+    """(g, residuals, converged) of psi's iteration at a real lambda from a real ``g``.
+
+    On the real axis psi is order-preserving: its Jacobian J = |M_ik|^2 W_kj,
+    with M = (lambda - R(g) - Y)^(-1), is nonnegative.  So from G at a point
+    of the same gap the iterates move monotonically to G(lambda) and keep the
+    inertia that ``_psi_raw`` reports; inside the support they cross a pole
+    of psi.  The solve stops at the first iterate whose inertia differs from
+    the first one's, or whose psi is non-finite: it is then unconverged.
+
+    The step is g <- psi(g), except at a subsolution, b = psi(g) - g >= 0,
+    in the top gap, where lambda - R(g) - Y is positive definite and psi is
+    also convex.  There it is the two-step Collatz-Wielandt extrapolation
+    g <- g + (b + J b) / (1 - mu), with mu = min over b_i > 0 of
+    (J^2 b)_i / b_i.  Since J^2 b >= mu b, the step is at least the plain
+    step b and at most the Newton step (I - J)^(-1) b, which does not pass
+    G(lambda), and the new g is again a subsolution: the iterates rise to
+    G(lambda) without passing it or a pole.  mu >= 1 shows rho(J)^2 >= 1,
+    which no g below a stable G(lambda) has (Alt, Erdos & Kruger,
+    arXiv:1804.07752), so the solve stops unconverged there, as at a pole
+    crossing.  For one class, and for the two classes of a dilated constant
+    profile, J^2 = rho^2 I and the step is Newton's.  Next to a square-root
+    edge, where rho -> 1 and plain steps stall, it takes a few steps.
+    ``max_iterations`` is a backstop.
+    """
+    residuals, signs = [], None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while len(residuals) < config.max_iterations:
+            psi_g, inertia, top, m = _psi_raw(part.w, lam, g, part.class_y, True)
+            b = psi_g - g
+            residuals.append(float(np.abs(b).max()))
+            signs = inertia if signs is None else signs
+            inside = not np.all(np.isfinite(psi_g)) or np.any(inertia != signs)
+            if inside or residuals[-1] <= config.tolerance:
+                break
+            if not (top and np.all(b >= 0.0)):
+                g = psi_g
+                continue
+            # a subsolution in the top gap: the two-step extrapolation
+            u = part.class_y.jacobian_apply(part.w, m, b)
+            v = part.class_y.jacobian_apply(part.w, m, u)
+            rising = b > 0.0
+            mu = float(np.min(v[rising] / b[rising]))
+            if mu >= 1.0:  # rho(J)^2 >= mu: no fixed point lies above g
+                inside = True
+                break
+            # a NaN mu (J b overflowed next to a pole) leaves the plain step
+            g = g + (b + u) / (1.0 - mu) if mu < 1.0 else psi_g
+    return g, residuals, not inside and residuals[-1] <= config.tolerance
+
+
+def _anderson_steps(part: _Prepared, lam: np.ndarray, g: np.ndarray, config: SolverConfig):
+    """(g, residuals, converged) of the iteration that ``solve_dyson``
+    describes, at a complex Lambda from ``g``; g is the last iterate evaluated."""
+    # Class c stands for sizes[c] equal rows: weighting its least-squares
+    # rows by sqrt(sizes[c]) makes the Anderson step the n-dimensional one.
+    weight = np.sqrt(part.sizes)
+    alpha = 1.0
+    bound = 1.0 / lam.imag
+    residuals = []
+    increase_run = 0
+    # The last accepted iterate, its image and its residual, and the
+    # differences between consecutive accepted iterates and residuals.
+    g_base = psi_base = f_base = None
+    res_base = math.inf
+    d_g, d_f = [], []
+    extrapolated = False
+    while True:
+        psi_g = _psi_raw(part.w, lam, g, part.class_y)
+        if not np.all(np.isfinite(psi_g)):
+            raise DysonDivergenceError(
+                f"fixed-point iterate became non-finite at iteration "
+                f"{len(residuals) + 1} (damping {alpha})")
+        f = psi_g - g
+        res = float(np.abs(f).max())
+        residuals.append(res)
+        if res <= config.tolerance or len(residuals) >= config.max_iterations:
+            break
+        if res > res_base:
+            if extrapolated:
+                # The extrapolation overshot: take the damped step from the
+                # iterate it started at instead.
+                g = (1.0 - alpha) * g_base + alpha * psi_base
+                extrapolated = False
+                continue
+            increase_run += 1
+            if increase_run >= 5 and alpha > 1.0 / 16.0:
+                alpha = max(alpha / 2.0, 1.0 / 16.0)
+                increase_run = 0
+        else:
+            increase_run = 0
+        if g_base is not None:
+            d_g.append(g - g_base)
+            d_f.append(f - f_base)
+            if len(d_g) > _ANDERSON_DEPTH:
+                del d_g[0], d_f[0]
+        g_base, psi_base, f_base, res_base = g, psi_g, f, res
+        extrapolated = False
+        if d_g:
+            dg, df = np.column_stack(d_g), np.column_stack(d_f)
+            gamma = np.linalg.lstsq(df * weight[:, np.newaxis], f * weight,
+                                    rcond=None)[0]
+            cand = g + alpha * f - (dg + alpha * df) @ gamma
+            # the guard: stay in the Stieltjes domain
+            extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
+                                and np.all(np.abs(cand) <= bound))
+        g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
+    return g, residuals, res <= config.tolerance
 
 
 def omega_square(profile: VarianceProfile, solution: DysonSolution,

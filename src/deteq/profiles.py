@@ -74,21 +74,6 @@ class VarianceProfile:
         """Average variance sum gamma^2(i, j) / (rows * cols)."""
         return float(self.entries.sum() / (self.rows * self.cols))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "mode": self.mode,
-            "entries": [[float(v) for v in row] for row in self.entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VarianceProfile":
-        entries = np.asarray(data["entries"], dtype=np.float64)
-        if entries.shape != (int(data["rows"]), int(data["cols"])):
-            raise ValueError("profile entries do not match declared rows/cols")
-        return cls(entries=entries, mode=str(data["mode"]))
-
 
 def constant_profile(n: int, m: int, value: float = 1.0,
                      hermitian: bool = False) -> VarianceProfile:

@@ -345,6 +345,16 @@ def test_profile_spec_parse_errors(tmp_path):
      "error: profile: hermitian: needs true or false"),
     (("density", "--profile", "piecewise:n=4,m=4,hermitian=", "--grid", "0:1:0.5"),
      "error: profile: hermitian: needs true or false"),
+    (("density", "--profile", "constant:n=abc,m=4", "--grid", "0:1:0.5"),
+     "error: profile: n: needs an integer"),
+    (("density", "--profile", "constant:n=2.5,m=4", "--grid", "0:1:0.5"),
+     "error: profile: n: needs an integer"),
+    (("density", "--profile", "bernoulli:n=4,m=4,p=x,seed=1", "--grid", "0:1:0.5"),
+     "error: profile: p: needs a number"),
+    (("density", "--profile", "constant:n=4,m=4,value=x,hermitian=true", "--grid", "0:1:0.5"),
+     "error: profile: value: needs a number"),
+    (("outliers", "--model", "doubly-stochastic:n=4,k=1,seed=s", "--theta-list", "2.0"),
+     "error: profile: seed: needs an integer"),
 ])
 def test_the_hermitian_option_is_validated_as_given(tmp_path, capsys, argv, message):
     assert _run(*argv, "--out", str(tmp_path / "out")) == 1

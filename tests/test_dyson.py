@@ -34,7 +34,6 @@ def test_spectral_parameter_validation():
     lam = SpectralParameter.scalar(0.5 + 2j, 4)
     assert lam.dim == 4
     assert lam.im_min == 2.0
-    assert lam.inv_im_norm() == 0.5
     with pytest.raises(ValueError):
         SpectralParameter(np.array([1.0 + 1j, 2.0 - 1j]))
     with pytest.raises(ValueError):

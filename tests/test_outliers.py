@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deteq import dyson
+from deteq.density import density_curve
 from deteq.dilation import RectangularModel, RectangularSpikes, dilate_model
 from deteq.dyson import (SolverConfig, SpectralParameter, omega_square,
                          solve_dyson)
@@ -13,7 +14,8 @@ from deteq.outliers import (HermitianModel, OutlierCandidate, OutlierReport,
                             SpikeSet, _brent, beta_square, closed_form_outlier,
                             det_beta_curve, locate_outliers)
 from deteq.profiles import (VarianceProfile, constant_profile,
-                            doubly_stochastic_profile)
+                            doubly_stochastic_profile, normalize_profile,
+                            piecewise_profile)
 
 # Constant-profile outlier for theta = 2 at aspect ratio 0.9.
 _CONSTANT_ROOT = 2.4748737341529163
@@ -247,6 +249,60 @@ def test_outlier_sweep_psi_evaluation_count(monkeypatch):
         locate_outliers(_dilated_constant_model(180, 200, theta), window=(1.4, 5.4),
                         config=SolverConfig(max_iterations=3000), cache=cache)
     assert count <= 10_000
+
+
+def _criterion_5_grid():
+    prof = dilate_model(RectangularModel(profile=constant_profile(360, 400, 1.0))).profile
+    density_curve(prof, None, 0.05 * np.arange(61), eta=0.01,
+                  config=SolverConfig(tolerance=1e-9))
+
+
+def _outlier_sweep():
+    cache: dict = {}
+    for theta in (0.431, 1.807):
+        locate_outliers(_dilated_constant_model(180, 200, theta), window=(1.4, 5.4),
+                        config=SolverConfig(max_iterations=3000), cache=cache)
+
+
+def _criterion_6_walk():
+    profile = normalize_profile(piecewise_profile(360, 400, 1.0, 200.0))
+    spikes = RectangularSpikes(u=_flat_vector(360), theta=[0.57], v=_flat_vector(400))
+    model = HermitianModel.from_dilated(
+        dilate_model(RectangularModel(profile=profile, spikes=spikes)))
+    locate_outliers(model, window=(0.2, 0.5), config=SolverConfig(max_iterations=3000))
+
+
+def _dense_y_walk():
+    a = np.random.default_rng(5).standard_normal((20, 20))
+    model = HermitianModel(constant_profile(20, 20, 1.0, hermitian=True), (a + a.T) / 40.0,
+                           SpikeSet(u=_flat_vector(20), theta=[2.0]))
+    locate_outliers(model, config=SolverConfig(max_iterations=3000))
+
+
+def _noise_free_point():
+    solve_dyson(VarianceProfile(np.zeros((3, 3)), "hermitian"), np.array([0.0, 1.0, 2.0]),
+                SpectralParameter.scalar(0.5 + 0.1j, 3))
+
+
+@pytest.mark.parametrize("run, calls", [
+    (_criterion_5_grid, 913), (_outlier_sweep, 316), (_criterion_6_walk, 3883),
+    (_dense_y_walk, 1042), (_noise_free_point, 1),
+], ids=["criterion-5-grid", "outlier-sweep", "criterion-6-walk", "dense-y-walk",
+        "noise-free-point"])
+def test_the_solver_evaluates_psi_a_pinned_number_of_times(monkeypatch, run, calls):
+    """Every workload here is deterministic, with few row classes or a small n,
+    so a change to the solver that moves a count shows here."""
+    count = 0
+    psi_raw = dyson._psi_raw
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return psi_raw(*args)
+
+    monkeypatch.setattr(dyson, "_psi_raw", counted)
+    run()
+    assert count == calls
 
 
 def test_the_iteration_cap_does_not_move_the_default_window(monkeypatch):

@@ -157,14 +157,3 @@ def test_csv_rejects_malformed_files(tmp_path):
     path.write_text("rows,cols,mode\n3,2,rectangular\n1,2\n")
     with pytest.raises(ValueError):
         read_profile_csv(path)
-
-
-def test_json_dict_roundtrip():
-    prof = doubly_stochastic_profile(12, 3, seed=5)
-    back = VarianceProfile.from_json_dict(prof.to_json_dict())
-    assert back.mode == prof.mode
-    assert np.array_equal(back.entries, prof.entries)
-    data = prof.to_json_dict()
-    data["rows"] = 99
-    with pytest.raises(ValueError):
-        VarianceProfile.from_json_dict(data)
