@@ -64,6 +64,14 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _diagnose(out: str, cfg: dict, command: str, what: str, **fields) -> int:
+    """Write a failed solve's diagnostics next to ``out``, say where, and return 2."""
+    path = out + ".diagnostics.json"
+    _write_json(path, {"command": command, "config_hash": _config_hash(cfg), **fields})
+    print(f"{what}; diagnostics in {path}", file=sys.stderr)
+    return 2
+
+
 # field -> (test, message) for each numeric field with a range.  Every value
 # a user gives meets it, whether a flag, a --config value or a profile-spec
 # option; tolerance and max_iterations are checked once, by SolverConfig.
@@ -266,6 +274,9 @@ def _parse_y_spec(spec: str | None, rows: int, cols: int | None = None):
     return y
 
 
+_MAX_GRID_POINTS = 10_000_000
+
+
 def _parse_grid(spec: str, eta: float) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) not in (2, 3):
@@ -278,8 +289,10 @@ def _parse_grid(spec: str, eta: float) -> np.ndarray:
     if not (np.isfinite([lo, hi, step]).all() and hi > lo and step > 0.0):
         raise ConfigError("grid: needs finite values, max > min and step > 0")
     # no point beyond max, up to rounding: 0:0.3:0.1 has 4 points
-    count = int(np.floor((hi - lo) / step * (1.0 + 1e-12))) + 1
-    return lo + step * np.arange(count)
+    count = np.floor((hi - lo) / step * (1.0 + 1e-12)) + 1.0
+    if not count <= _MAX_GRID_POINTS:  # an infinite count included
+        raise ConfigError(f"grid: needs at most {_MAX_GRID_POINTS} points")
+    return lo + step * np.arange(int(count))
 
 
 def _parse_window(spec: str | None):
@@ -375,12 +388,15 @@ def _cmd_density(args) -> int:
             raise ConfigError("grid: singular-value grids need min >= 0")
         y_rect = _parse_y_spec(cfg["y"], profile.rows, profile.cols)
         model = dilate_model(RectangularModel(profile=profile, y=y_rect))
-        curve = density_curve(model.profile, model.y, grid, eta=eta,
-                              config=solver)
-        curve = sv_density_correction(curve, profile.rows, profile.cols)
+        solved, y = model.profile, model.y
     else:
-        y = _parse_y_spec(cfg["y"], profile.rows)
-        curve = density_curve(profile, y, grid, eta=eta, config=solver)
+        solved, y = profile, _parse_y_spec(cfg["y"], profile.rows)
+    try:
+        curve = density_curve(solved, y, grid, eta=eta, config=solver)
+    except DysonDivergenceError as exc:
+        return _diagnose(out, cfg, "density", f"solver error: {exc}", error=str(exc))
+    if dilated:
+        curve = sv_density_correction(curve, profile.rows, profile.cols)
 
     write_density_csv(curve, out)
     write_density_metadata(curve, out + ".meta.json", extra={
@@ -393,18 +409,11 @@ def _cmd_density(args) -> int:
     })
     failed = int(np.sum(~curve.converged))
     if failed:
-        diag_path = out + ".diagnostics.json"
-        _write_json(diag_path, {
-            "command": "density",
-            "config_hash": _config_hash(cfg),
-            "failed_points": [float(t) for t in curve.grid[~curve.converged]],
-            "failed_count": failed,
-            "tolerance": curve.tolerance,
-            "hint": "raise max_iterations, loosen tolerance or increase eta",
-        })
-        print(f"solver failed to converge at {failed} grid points; "
-              f"diagnostics in {diag_path}", file=sys.stderr)
-        return 2
+        return _diagnose(out, cfg, "density",
+                         f"solver failed to converge at {failed} grid points",
+                         failed_points=[float(t) for t in curve.grid[~curve.converged]],
+                         failed_count=failed, tolerance=curve.tolerance,
+                         hint="raise max_iterations, loosen tolerance or increase eta")
     print(f"wrote {out} ({grid.size} points, eta={_fmt(eta)})")
     return 0
 
@@ -421,6 +430,8 @@ def _cmd_outliers(args) -> int:
         raise ConfigError("theta_list: needs at least one spike strength")
     if not np.all(np.isfinite(thetas)):
         raise ConfigError("theta_list: spike strengths must be finite")
+    if 0.0 in thetas:
+        raise ConfigError("theta_list: spike strengths must be nonzero")
     vectors = str(_get(cfg, "vectors", "constant"))
     threshold = float(_get(cfg, "threshold", 1e-3))
     window = _parse_window(cfg["window"])
@@ -459,16 +470,8 @@ def _cmd_outliers(args) -> int:
                 threshold=threshold, scan_points=scan_points,
                 eta_eval=eta_eval, cache=cache))
     except RuntimeError as exc:  # DysonDivergenceError included
-        diag_path = out + ".diagnostics.json"
-        _write_json(diag_path, {
-            "command": "outliers",
-            "config_hash": _config_hash(cfg),
-            "error": str(exc),
-            "completed_thetas": thetas[: len(reports)],
-        })
-        print(f"outlier search failed: {exc}; diagnostics in {diag_path}",
-              file=sys.stderr)
-        return 2
+        return _diagnose(out, cfg, "outliers", f"outlier search failed: {exc}",
+                         error=str(exc), completed_thetas=thetas[: len(reports)])
 
     payload = {
         "command": "outliers",

@@ -587,46 +587,47 @@ def _anderson_steps(part: _Prepared, lam: np.ndarray, g: np.ndarray, config: Sol
     res_base = math.inf
     d_g, d_f = [], []
     extrapolated = False
-    while True:
-        psi_g = _psi_raw(part.w, lam, g, part.class_y)
-        if not np.all(np.isfinite(psi_g)):
-            raise DysonDivergenceError(
-                f"fixed-point iterate became non-finite at iteration "
-                f"{len(residuals) + 1} (damping {alpha})")
-        f = psi_g - g
-        res = float(np.abs(f).max())
-        residuals.append(res)
-        if res <= config.tolerance or len(residuals) >= config.max_iterations:
-            break
-        if res > res_base:
-            if extrapolated:
-                # The extrapolation overshot: take the damped step from the
-                # iterate it started at instead.
-                g = (1.0 - alpha) * g_base + alpha * psi_base
-                extrapolated = False
-                continue
-            increase_run += 1
-            if increase_run >= 5 and alpha > 1.0 / 16.0:
-                alpha = max(alpha / 2.0, 1.0 / 16.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            psi_g = _psi_raw(part.w, lam, g, part.class_y)
+            if not np.all(np.isfinite(psi_g)):
+                raise DysonDivergenceError(
+                    f"fixed-point iterate became non-finite at iteration "
+                    f"{len(residuals) + 1} (damping {alpha})")
+            f = psi_g - g
+            res = float(np.abs(f).max())
+            residuals.append(res)
+            if res <= config.tolerance or len(residuals) >= config.max_iterations:
+                break
+            if res > res_base:
+                if extrapolated:
+                    # The extrapolation overshot: take the damped step from the
+                    # iterate it started at instead.
+                    g = (1.0 - alpha) * g_base + alpha * psi_base
+                    extrapolated = False
+                    continue
+                increase_run += 1
+                if increase_run >= 5 and alpha > 1.0 / 16.0:
+                    alpha = max(alpha / 2.0, 1.0 / 16.0)
+                    increase_run = 0
+            else:
                 increase_run = 0
-        else:
-            increase_run = 0
-        if g_base is not None:
-            d_g.append(g - g_base)
-            d_f.append(f - f_base)
-            if len(d_g) > _ANDERSON_DEPTH:
-                del d_g[0], d_f[0]
-        g_base, psi_base, f_base, res_base = g, psi_g, f, res
-        extrapolated = False
-        if d_g:
-            dg, df = np.column_stack(d_g), np.column_stack(d_f)
-            gamma = np.linalg.lstsq(df * weight[:, np.newaxis], f * weight,
-                                    rcond=None)[0]
-            cand = g + alpha * f - (dg + alpha * df) @ gamma
-            # the guard: stay in the Stieltjes domain
-            extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
-                                and np.all(np.abs(cand) <= bound))
-        g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
+            if g_base is not None:
+                d_g.append(g - g_base)
+                d_f.append(f - f_base)
+                if len(d_g) > _ANDERSON_DEPTH:
+                    del d_g[0], d_f[0]
+            g_base, psi_base, f_base, res_base = g, psi_g, f, res
+            extrapolated = False
+            if d_g:
+                dg, df = np.column_stack(d_g), np.column_stack(d_f)
+                gamma = np.linalg.lstsq(df * weight[:, np.newaxis], f * weight,
+                                        rcond=None)[0]
+                cand = g + alpha * f - (dg + alpha * df) @ gamma
+                # the guard: stay in the Stieltjes domain
+                extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
+                                    and np.all(np.abs(cand) <= bound))
+            g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
     return g, residuals, res <= config.tolerance
 
 

@@ -8,13 +8,14 @@ x_ij / sqrt(M) with the same complex entry convention.  Batches derive one
 independent child stream per draw from the batch seed via
 numpy.random.SeedSequence.spawn, so draw j is reproducible on its own.
 
-A Hermitian draw is built in two halves.  ``_gue_fill`` draws one seeded
-draw's Gaussian fields into buffers its caller owns; ``_gue_scale`` scales
-the fields of one draw, or of a stack of draws, into the entries and the
-real diagonal.  ``sample_gue_profile`` allocates the buffers per draw; each
-worker of the two checks allocates its own once and reuses them.  The
-concentration loop writes lambda - H - Y straight into a Fortran-ordered
-buffer, so LAPACK factors and inverts it in place.
+Every Hermitian draw is built by ``_gue_draws``: ``_gue_fill`` draws each
+seeded draw's Gaussian fields, and the stack of draws is then scaled and
+mirrored into an output buffer of any layout, which the caller owns.
+``sample_gue_profile`` allocates the buffers per draw; each worker of the
+two checks allocates its own once and reuses them.  The concentration loop
+takes the transposed view of a Fortran-ordered buffer as the output, turns
+the draw there into lambda - H - Y, and LAPACK factors and inverts it in
+place.
 
 Both checks run on one worker thread per CPU in the affinity set, started
 and joined by one runner, ``_run_workers``: the first failure stops every
@@ -87,12 +88,6 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 # numpy divides a complex array by the real sqrt(2) as a complex (Smith)
 # division, which multiplies each part by this rounded reciprocal; every
 # seeded draw, and each result built on one, depends on that rounding.
@@ -110,30 +105,31 @@ def _gue_fill(rng: np.random.Generator, normals: np.ndarray, diag: np.ndarray) -
     rng.standard_normal(out=diag)
 
 
-def _gue_scale(gamma: np.ndarray, normals: np.ndarray, z: np.ndarray,
-               diag: np.ndarray) -> None:
-    """Scale the fields ``_gue_fill`` drew into one draw, or into a stack of them.
+def _gue_draws(seeds, gamma: np.ndarray, normals: np.ndarray, z: np.ndarray,
+               diag: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the Hermitian draws of ``seeds``, one per seed, into ``out[:m]``,
+    m = len(seeds), and return that stack.
 
-    ``normals`` has shape (..., 2, n, n) and ``diag`` (..., n), one draw per
-    leading index.  ``z`` (..., n, n complex) receives gamma(i, j) x_ij /
-    sqrt(N) at every i, j, of which the strict upper triangle is the draw,
-    and must not overlap ``normals``; ``diag`` is scaled in place into the
-    real diagonal.  ``gamma`` is sqrt(profile).  Each entry is rounded as in a
-    draw built on its own.
+    Each buffer holds one draw per leading index, at least m of them:
+    ``normals`` (float64, 2 x n x n) and ``diag`` (float64, n) receive each
+    draw's Gaussian fields from ``_gue_fill``, ``z`` (complex, n x n) the
+    entries gamma(i, j) x_ij / sqrt(N); ``out`` (complex, n x n) receives
+    triu(z, 1) plus its conjugate transpose, with the real diagonal.  ``z``
+    must overlap neither ``normals`` nor ``out``; ``out`` may overlap
+    ``normals``, and may have any layout.  ``gamma`` is sqrt(profile).
+    Each entry is rounded as in a draw built on its own.
     """
+    m = len(seeds)
+    for j, seed in enumerate(seeds):
+        _gue_fill(np.random.default_rng(seed), normals[j], diag[j])
+    normals, z, diag, out = normals[:m], z[:m], diag[:m], out[:m]
     scale = 1.0 / np.sqrt(gamma.shape[0])
-    np.multiply(normals[..., 0, :, :], _INV_SQRT2, out=z.real)
-    np.multiply(normals[..., 1, :, :], _INV_SQRT2, out=z.imag)
+    np.multiply(normals[:, 0], _INV_SQRT2, out=z.real)
+    np.multiply(normals[:, 1], _INV_SQRT2, out=z.imag)
     z *= gamma  # complex products, as the draw has always rounded them
     z *= scale
     np.multiply(np.diagonal(gamma), diag, out=diag)
     diag *= scale
-
-
-def _hermitian(z: np.ndarray, diag: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` = triu(z, 1) plus its conjugate transpose, with the real diagonal
-    ``diag``: the Hermitian draw, or stack of draws, whose strict upper
-    triangle is z's.  z's other entries are zeroed."""
     np.copyto(z, 0.0, where=np.tri(z.shape[-1], dtype=bool))  # z is now triu(z, 1)
     np.conjugate(np.swapaxes(z, -1, -2), out=out)
     out += z
@@ -150,19 +146,16 @@ def sample_gue_profile(profile: VarianceProfile, seed) -> np.ndarray:
     if profile.mode != "hermitian":
         raise ValueError("sample_gue_profile needs a hermitian-mode profile")
     n = profile.rows
-    normals = np.empty((2, n, n))
-    z = np.empty((n, n), dtype=np.complex128)
-    diag = np.empty(n)
-    _gue_fill(_rng(seed), normals, diag)
-    _gue_scale(np.sqrt(profile.entries), normals, z, diag)
-    return _hermitian(z, diag, np.empty_like(z))
+    out = np.empty((1, n, n), dtype=np.complex128)
+    return _gue_draws([seed], np.sqrt(profile.entries), np.empty((1, 2, n, n)),
+                      np.empty_like(out), np.empty((1, n)), out)[0]
 
 
 def sample_rect_gaussian(profile: VarianceProfile, seed) -> np.ndarray:
     """One rectangular draw X = (gamma(i, j) x_ij / sqrt(M))_ij, x_ij complex."""
     if profile.mode != "rectangular":
         raise ValueError("sample_rect_gaussian needs a rectangular-mode profile")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n, m = profile.rows, profile.cols
     z = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
     return np.sqrt(profile.entries) * z / np.sqrt(m)
@@ -255,18 +248,15 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
         # that, terms[0] holds the block's Gaussian fields and then its draws
         # X, and terms[1] its entries z and then Lambda - X - Y.
         terms = np.empty((2, size, n, n), dtype=np.complex128)
+        normals = terms[0].view(np.float64).reshape(size, 2, n, n)
         diag = np.empty((size, n))
         for k in range(first, blocks, workers):
             if stop.is_set():
                 return
             seeds = children[k * size:(k + 1) * size]
             m = len(seeds)
-            x, shifted = terms[0, :m], terms[1, :m]
-            normals = x.view(np.float64).reshape(m, 2, n, n)
-            for j, child in enumerate(seeds):
-                _gue_fill(np.random.default_rng(child), normals[j], diag[j])
-            _gue_scale(gamma, normals, shifted, diag[:m])
-            _hermitian(shifted, diag[:m], x)
+            x = _gue_draws(seeds, gamma, normals, terms[1], diag, terms[0])
+            shifted = terms[1, :m]
             np.subtract(lam_mat, x, out=shifted)
             y.combine(shifted, np.subtract)
             resolvent = np.linalg.inv(shifted)
@@ -381,26 +371,21 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
         # Two workspaces serve every draw.  ``a`` holds lambda - H - Y in
         # Fortran order, and its memory holds the draw's Gaussian fields
         # before that; ``lower`` holds the draw's entries z, then L^(-1).
-        # a.T is C-ordered and receives -H: -conj(z) above the diagonal,
-        # -z^T below it; Y is then subtracted from a.  H is Hermitian by
-        # construction, and _prepare has checked Y, so neither is checked
-        # again.
+        # The draw goes into a.T, so ``a`` holds H^T = conj(H), and negating
+        # its real part leaves -H.  H is Hermitian by construction, and
+        # _prepare has checked Y, so neither is checked again.
         a = np.empty((n, n), dtype=np.complex128, order="F")
         lower = np.empty_like(a)
-        normals = a.reshape(-1, order="F").view(np.float64).reshape(2, n, n)
-        a_t, z = a.T, lower.T
-        diag = np.empty(n)
+        normals = a.reshape(-1, order="F").view(np.float64).reshape(1, 2, n, n)
+        diag = np.empty((1, n))
         for j in range(first, draws, workers):
             if stop.is_set():
                 return
-            _gue_fill(np.random.default_rng(children[j]), normals, diag)
-            _gue_scale(gamma, normals, z, diag)
-            np.negative(z.real, out=a_t.real)
-            np.copyto(a_t.imag, z.imag)
-            np.negative(z.T, out=a_t, where=strict_lower)
-            a_t.flat[::n + 1] = -diag
+            _gue_draws(children[j:j + 1], gamma, normals, lower.T[np.newaxis], diag,
+                       a.T[np.newaxis])
+            np.negative(a.real, out=a.real)
             model.y.combine(a, np.subtract)
-            a_t.flat[::n + 1] += lam
+            a.T.flat[::n + 1] += lam
             deviations[j] = abs(_inverse_trace(a, lower, strict_lower) - g_det)
 
     with _one_blas_thread():

@@ -8,7 +8,8 @@ from deteq import outliers
 from deteq.cli import _parse_profile_spec, _spike_vector, _write_json, main
 from deteq.dilation import RectangularModel, RectangularSpikes, dilate_model
 from deteq.outliers import HermitianModel, SpikeSet, locate_outliers
-from deteq.profiles import read_profile_csv
+from deteq.profiles import constant_profile, read_profile_csv
+from deteq.sampling import SampleBatch, sample_rect_gaussian
 
 # Outlier location for theta = 2 at aspect ratio 16/20.
 _ROOT_16_20 = np.sqrt((1.0 + 4.0) * (0.8 + 4.0)) / 2.0
@@ -407,6 +408,12 @@ _HERM4 = "constant:n=4,m=4,hermitian=true"
      "error: y: could not convert string to float: 'abc'"),
     (("outliers", "--model", _HERM4, "--theta-list", "abc"),
      "error: theta_list: could not convert string to float: 'abc'"),
+    (("density", "--profile", _HERM4, "--grid", "0:1:5e-324"),
+     "error: grid: needs at most 10000000 points"),
+    (("density", "--profile", _HERM4, "--grid", "0:1:1e-300"),
+     "error: grid: needs at most 10000000 points"),
+    (("outliers", "--model", "constant:n=8,m=8,hermitian=true", "--theta-list", "1,0"),
+     "error: theta_list: spike strengths must be nonzero"),
 ])
 def test_non_finite_deformations_and_windows_are_named(tmp_path, capsys, argv, message):
     assert _run(*argv, "--out", str(tmp_path / "out")) == 1
@@ -658,3 +665,85 @@ def test_zero_flag_values_are_kept(tmp_path):
                 "2.0", "--window", "1.5:4.0", "--threshold", "0",
                 "--out", str(report)) == 0
     assert json.loads(report.read_text())["reports"][0]["threshold"] == 0.0
+
+
+def test_a_divergent_density_solve_writes_its_diagnostics(tmp_path, capsys):
+    # psi overflows at the first iterate; the solve reports it, with no
+    # floating-point warning on the way
+    out = tmp_path / "d.csv"
+    assert _run("density", "--profile", "constant:n=4,m=4,value=1e307,hermitian=true",
+                "--grid", "0:1:0.5", "--out", str(out)) == 2
+    diag_path = tmp_path / "d.csv.diagnostics.json"
+    diag = json.loads(diag_path.read_text())
+    assert diag["command"] == "density" and len(diag["config_hash"]) == 16
+    assert diag["error"].startswith("fixed-point iterate became non-finite")
+    assert capsys.readouterr().err.strip() == \
+        f"solver error: {diag['error']}; diagnostics in {diag_path}"
+    assert not out.exists()
+
+
+def test_rectangular_sample_adds_its_csv_deformation(tmp_path):
+    y = np.arange(24.0).reshape(4, 6) / 7.0
+    y_csv = tmp_path / "y.csv"
+    y_csv.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in y) + "\n")
+    out = tmp_path / "svals.txt"
+    assert _run("sample", "--profile", "constant:n=4,m=6", "--y", f"csv:{y_csv}",
+                "--count", "3", "--seed", "2", "--out", str(out)) == 0
+    profile = constant_profile(4, 6, 1.0)
+    expect = [np.linalg.svd(sample_rect_gaussian(profile, child) + y, compute_uv=False)
+              for child in SampleBatch(seed=2, count=3, n=4).child_seeds()]
+    assert [float(v) for v in out.read_text().split()] == np.concatenate(expect).tolist()
+
+
+def test_profile_normalize_sets_the_average_variance(tmp_path):
+    out = tmp_path / "p.csv"
+    assert _run("profile", "--kind", "constant", "--n", "4", "--m", "6", "--value", "3",
+                "--normalize", "0.5", "--out", str(out)) == 0
+    assert read_profile_csv(out).entries.tolist() == [[0.5] * 6] * 4
+
+
+# files the runs below read, in the directory they run in
+_INPUTS = {"bogus.json": '{"what": "bogus"}', "null.json": '{"kind": null, "n": 4}',
+           "bad.csv": "1,x\n", "y33.csv": "0,0,0\n0,0,0\n0,0,0\n", "u4.csv": "1\n0\n0\n0\n"}
+
+
+# The last line each run prints: an "error: " line on stderr with exit 1,
+# else a line on stdout with exit 0.  numpy words the end of a csv error,
+# so only the start of each line is compared.
+@pytest.mark.parametrize("argv, message", [
+    (("validate", "--what", "master", "--profile", _HERM4, "--samples", "20"),
+     "master: PASS (out)"),
+    (("validate", "--config", "bogus.json"), "error: what: unknown validation 'bogus'"),
+    (("profile", "--config", "null.json"), "error: kind: required field is missing"),
+    (("density", "--profile", "constant:n=4,m=6", "--grid", "0:1:0.5", "--y", "diag:1"),
+     "error: y: rectangular models need 'zero' or a csv matrix"),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--y", "diag:1,2"),
+     "error: y: diagonal needs 1 or 4 values, got 2"),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--y", "csv:bad.csv"),
+     "error: y: cannot read bad.csv: "),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--y", "csv:y33.csv"),
+     "error: y: matrix has shape (3, 3), expected (4, 4)"),
+    (("density", "--profile", _HERM4, "--grid", "0:1:0.5", "--y", "eye"),
+     "error: y: unknown specification 'eye'"),
+    (("outliers", "--model", _HERM4, "--theta-list", "2", "--vectors", "ones"),
+     "error: vectors: unknown kind 'ones'"),
+    (("outliers", "--model", _HERM4, "--theta-list", "2", "--vectors", "csv:bad.csv"),
+     "error: vectors: cannot read bad.csv: "),
+    (("outliers", "--model", _HERM4, "--theta-list", "2", "--vectors", "csv:u4.csv"),
+     "wrote out (1 spike strengths, 1 accepted outliers)"),
+    (("density", "--profile", _HERM4, "--grid", "a:1"),
+     "error: grid: malformed specification 'a:1'"),
+    (("outliers", "--model", _HERM4, "--theta-list", "2", "--window", "a:1"),
+     "error: window: malformed specification 'a:1'"),
+    (("outliers", "--model", "constant:n=4,m=6", "--theta-list", "-1"),
+     "error: theta_list: rectangular spikes need theta > 0"),
+])
+def test_each_branch_prints_its_outcome(tmp_path, monkeypatch, capsys, argv, message):
+    for name, text in _INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    failed = message.startswith("error: ")
+    assert _run(*argv, "--out", "out") == (1 if failed else 0)
+    printed = capsys.readouterr()
+    assert (printed.err if failed else printed.out).strip().split("\n")[-1].startswith(message)
+    assert (tmp_path / "out").exists() is not failed

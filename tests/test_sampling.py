@@ -43,6 +43,14 @@ def _symmetric_profile(n: int, seed: int) -> VarianceProfile:
     return VarianceProfile((a + a.T) / 2.0, "hermitian")
 
 
+def _sparse_profile(n: int, seed: int) -> VarianceProfile:
+    """A symmetric profile with about 60% exact zeros: the only entries at
+    which the sign of a zero in a draw can depend on how it was assembled."""
+    a = np.random.default_rng(seed).random((n, n))
+    a = np.where(a < 0.6, 0.0, a)
+    return VarianceProfile(np.triu(a) + np.triu(a, 1).T, "hermitian")
+
+
 def test_hermitian_draw_is_exactly_hermitian():
     prof = constant_profile(30, 30, 1.0, hermitian=True)
     h = sample_gue_profile(prof, seed=1)
@@ -206,11 +214,13 @@ _LOOP_CASES = [
     (constant_profile(400, 400, 1.0, hermitian=True), None, 0.5j, 3),
     (_symmetric_profile(37, 2), np.linspace(-1.0, 1.0, 37), 0.3 + 0.7j, 20),
     (constant_profile(12, 12, 1.0, hermitian=True), _dense_hermitian(12, 4), -0.2 + 0.9j, 20),
+    (_sparse_profile(40, 6), np.linspace(-0.5, 0.5, 40), 0.2 + 0.8j, 20),
 ]
 
 
 @pytest.mark.parametrize("profile,y,lam,draws", _LOOP_CASES,
-                         ids=["constant-400", "symmetric-diagonal-y", "dense-y"])
+                         ids=["constant-400", "symmetric-diagonal-y", "dense-y",
+                              "zero-entries-diagonal-y"])
 def test_loops_match_the_draw_by_draw_reference_bit_for_bit(monkeypatch, one_blas_thread,
                                                           profile, y, lam, draws):
     n = profile.rows
