@@ -1,8 +1,9 @@
-"""deteq's one binding to LAPACK: ``ctypes`` on scipy's table of function
-pointers, ``scipy.linalg.cython_lapack``, loaded from its file so that
-``scipy.linalg``'s ``__init__`` never runs.  Only this module passes a raw
-pointer to LAPACK, after checking the arrays, and each call releases the
-interpreter lock.
+"""deteq's one binding to LAPACK: ``ctypes`` on the OpenBLAS that numpy's
+wheels bundle, the library that ``numpy.linalg`` and every matrix product
+run on.  That build exports LAPACK as ``scipy_<name>_64_``, with 64-bit
+integers.
+Only this module passes a raw pointer to LAPACK, after checking the arrays,
+and each call releases the interpreter lock.
 """
 
 from __future__ import annotations
@@ -10,11 +11,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import importlib
-import importlib.machinery
-import importlib.util
-import os
-import sys
 import threading
 from typing import Callable, NamedTuple
 
@@ -31,65 +27,42 @@ class _Lapack(NamedTuple):
     zhetri: Callable
     dsytrf: Callable
     dsytri: Callable
-    # OpenBLAS's openblas_set_num_threads_local, or None under another BLAS
-    set_blas_threads: Callable | None
+    set_blas_threads: Callable  # OpenBLAS's openblas_set_num_threads_local
 
 
-_LAPACK_NAME = "scipy.linalg.cython_lapack"
-_LOADING = threading.Lock()
-# cython_lapack's C argument types, each one passed as a pointer
-_C_TYPES = {"int *": ctypes.POINTER(ctypes.c_int), "char *": ctypes.c_char_p,
-            "__pyx_t_double_complex *": ctypes.c_void_p, "double *": ctypes.c_void_p,
-            "__pyx_t_5scipy_6linalg_13cython_lapack_d *": ctypes.c_void_p}
-
-
-def _cython_lapack():
-    """scipy's table of LAPACK function pointers, loaded without running
-    scipy.linalg's ``__init__`` (about 20 MB and 0.2 s more).  Importing
-    scipy.linalg later works, and finds this module in ``sys.modules``."""
-    module = sys.modules.get(_LAPACK_NAME)
-    if module is not None:
-        return module
-    roots = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None)
-    paths = [os.path.join(root, "linalg", "cython_lapack" + suffix) for root in roots or ()
-             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next(filter(os.path.isfile, paths), None)
-    if path is None:  # not laid out as scipy's wheels are: the plain import
-        return importlib.import_module(_LAPACK_NAME)
-    spec = importlib.util.spec_from_file_location(_LAPACK_NAME, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_LAPACK_NAME] = module
-    return module
+# Each routine's arguments, all passed as pointers: a 64-bit integer, a
+# character, or the data of an array (pivots included)
+_INT, _CHAR, _DATA = ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p, ctypes.c_void_p
+_ARGUMENTS = {
+    "zgetrf": [_INT, _INT, _DATA, _INT, _DATA, _INT],
+    "ztrtri": [_CHAR, _CHAR, _INT, _DATA, _INT, _INT],
+    "zlaswp": [_INT, _DATA, _INT, _INT, _INT, _DATA, _INT],
+    "zhetrf": [_CHAR, _INT, _DATA, _INT, _DATA, _DATA, _INT, _INT],
+    "zhetri": [_CHAR, _INT, _DATA, _INT, _DATA, _DATA, _INT],
+    "dsytrf": [_CHAR, _INT, _DATA, _INT, _DATA, _DATA, _INT, _INT],
+    "dsytri": [_CHAR, _INT, _DATA, _INT, _DATA, _DATA, _INT],
+}
 
 
 @functools.cache
 def _lapack() -> _Lapack:
-    """The routines the kernels call, loaded once per process.  The lock keeps
-    a second thread from seeing the module half loaded."""
-    with _LOADING:
-        module = _cython_lapack()
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    """The routines the kernels call, bound once per process.  dlsym on the
+    handle of numpy's linalg extension also searches the libraries it links,
+    which include numpy's OpenBLAS; numpy has mapped it already."""
+    path = np.linalg._umath_linalg.__file__
+    library = ctypes.CDLL(path)
 
-    def routine(name):
-        capsule = module.__pyx_capi__[name]
-        signature = capsule_name(capsule)  # the C signature, e.g. b"void (int *, ...)"
-        text = signature.decode()
-        args = text.removeprefix("void (").removesuffix(")").split(", ")
-        if not text.startswith("void (") or not set(args) <= _C_TYPES.keys():
-            raise ImportError(f"{_LAPACK_NAME}.{name} has the unexpected signature {text}")
-        return ctypes.CFUNCTYPE(None, *(_C_TYPES[a] for a in args))(
-            capsule_pointer(capsule, signature))
+    def bind(name, argtypes, restype=None):
+        try:
+            function = getattr(library, name)
+        except AttributeError:
+            raise ImportError(f"deteq needs {name} from the OpenBLAS of numpy's wheels, "
+                              f"and {path} does not link it") from None
+        function.argtypes, function.restype = argtypes, restype
+        return function
 
-    # dlsym on the extension's handle also searches the libraries it links,
-    # which include the OpenBLAS that scipy's wheels bundle
-    set_threads = getattr(ctypes.CDLL(module.__file__), "openblas_set_num_threads_local", None)
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
-    return _Lapack(*map(routine, _Lapack._fields[:-1]), set_threads)
+    return _Lapack(*(bind(f"scipy_{name}_64_", args) for name, args in _ARGUMENTS.items()),
+                   bind("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int))
 
 
 # OpenBLAS's pthreads build sets its thread count for the whole process, so
@@ -106,12 +79,11 @@ def _one_blas_thread():
     """
     set_threads = _lapack().set_blas_threads
     with _BLAS_PINNED:
-        saved = None if set_threads is None else set_threads(1)
+        saved = set_threads(1)
         try:
             yield
         finally:
-            if saved is not None:
-                set_threads(saved)
+            set_threads(saved)
 
 
 def _inverse_trace(a: np.ndarray, lower: np.ndarray, strict_lower: np.ndarray) -> complex:
@@ -133,9 +105,9 @@ def _inverse_trace(a: np.ndarray, lower: np.ndarray, strict_lower: np.ndarray) -
             or not a.flags.writeable):
         raise ValueError("the trace kernel needs a writeable Fortran-ordered complex square array")
     lapack = _lapack()
-    size, one, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int(0)
-    swaps = np.empty(n, dtype=np.intc)  # LAPACK's 1-based row interchanges
-    ref, data, pivots = ctypes.byref, a.ctypes.data, swaps.ctypes.data_as(_C_TYPES["int *"])
+    size, one, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
+    swaps = np.empty(n, dtype=np.int64)  # LAPACK's 1-based row interchanges
+    ref, data, pivots = ctypes.byref, a.ctypes.data, swaps.ctypes.data
     lapack.zgetrf(ref(size), ref(size), data, ref(size), pivots, ref(info))
     if info.value == 0:  # U^(-1) over U in the upper triangle, then L^(-1) below it
         lapack.ztrtri(b"U", b"N", ref(size), data, ref(size), ref(info))
@@ -169,11 +141,11 @@ def _hermitian_inverse_diagonal(a: np.ndarray):
     # LAPACK factors and inverts this Fortran-ordered copy of a in place
     lu = np.array(a, dtype=np.complex128 if complex_entries else np.float64, order="F")
     n = lu.shape[0]
-    ipiv = np.empty(n, dtype=np.intc)
+    ipiv = np.empty(n, dtype=np.int64)
     # a workspace of 64 n lets LAPACK factor in blocks of 64 columns
     work = np.empty(64 * n, dtype=lu.dtype)
-    size, lwork, info = ctypes.c_int(n), ctypes.c_int(work.size), ctypes.c_int(0)
-    ref, data, pivots = ctypes.byref, lu.ctypes.data, ipiv.ctypes.data_as(_C_TYPES["int *"])
+    size, lwork, info = ctypes.c_int64(n), ctypes.c_int64(work.size), ctypes.c_int64(0)
+    ref, data, pivots = ctypes.byref, lu.ctypes.data, ipiv.ctypes.data
     trf(b"U", ref(size), data, ref(size), pivots, work.ctypes.data, ref(lwork), ref(info))
     if info.value != 0:
         return np.full(n, np.nan), -1, np.full(a.shape, np.nan)

@@ -22,7 +22,6 @@ __all__ = [
     "DilatedModel",
     "hermitian_dilation",
     "dilate_model",
-    "spike_decompose_profile",
 ]
 
 _ORTHO_TOL = 1e-10
@@ -180,24 +179,3 @@ def dilate_model(model: RectangularModel) -> DilatedModel:
 
     return DilatedModel(profile=profile, y=y, w=w, theta_signed=theta_signed, n=n, m=m)
 
-
-def spike_decompose_profile(profile: VarianceProfile, k: int):
-    """Split Gamma / M into its top-k singular triplets plus a residual.
-
-    Returns ``(y_k, spikes)`` with y_k = Gamma / M - U_k Theta_k V_k* and
-    ``spikes`` the leading triplets; adding the pieces back recovers
-    Gamma / M exactly (up to floating point).
-    """
-    if profile.mode != "rectangular":
-        raise ValueError("spike decomposition applies to rectangular profiles")
-    n, m = profile.rows, profile.cols
-    if not 1 <= k <= min(n, m):
-        raise ValueError(f"k must lie in [1, {min(n, m)}]")
-    scaled = profile.entries / m
-    u, s, vh = np.linalg.svd(scaled, full_matrices=False)
-    # same numerical-rank cutoff as numpy.linalg.matrix_rank
-    if s[k - 1] <= s[0] * max(n, m) * np.finfo(np.float64).eps:
-        raise ValueError(f"profile / M has rank below {k}")
-    spikes = RectangularSpikes(u=u[:, :k], theta=s[:k], v=vh[:k].conj().T)
-    y_k = scaled - (u[:, :k] * s[:k]) @ vh[:k]
-    return y_k, spikes

@@ -281,7 +281,8 @@ def locate_outliers(model: HermitianModel, window=None,
     calls that agree on all four, such as a sweep over spike strengths.
     Raises ValueError for a non-finite or empty window or a non-finite or
     non-positive ``eta_eval``, and RuntimeError when no point of the walk
-    converges, or when a solve between two converged points fails.
+    converges, when a solve between two converged points fails, or when a
+    complex seed does not converge within ``config.max_iterations``.
     """
     if config is None:
         config = SolverConfig()
@@ -295,12 +296,17 @@ def locate_outliers(model: HermitianModel, window=None,
     seed = config.initial
 
     def solve(lam: float, start):
-        """Real G at lam from the G ``start``, or from a complex seed when it is None."""
+        """Real G at lam from the G ``start``, or from a complex seed when it is None.
+        A seed that did not converge says nothing about lam, so it raises."""
         nonlocal seed
         if lam not in cache:
             if start is None:
                 point = SpectralParameter.scalar(complex(lam, eta_eval), prepared.n)
                 first, sol = _solve_path(prepared, [point, lam], replace(config, initial=seed))
+                if not first.converged:
+                    raise RuntimeError(f"the complex seed at lambda = {lam} + {eta_eval}i did "
+                                       f"not converge within max_iterations = "
+                                       f"{config.max_iterations}")
                 seed = first.g_square
             else:
                 sol = next(_solve_path(prepared, [lam], replace(config, initial=start)))

@@ -22,9 +22,10 @@ and joined by one runner, ``_run_workers``: the first failure stops every
 worker and is re-raised by the caller.  The concentration draws are
 independent; worker i takes draws i, i + workers, ... and writes each
 deviation into that draw's slot.  Their LAPACK calls, made through
-``deteq._lapack``, release the interpreter lock and run on one OpenBLAS
-thread, as ``_empirical_trace``'s do: the threaded LU factorization rounds
-otherwise, and the result then depends on neither setting.
+``deteq._lapack`` into numpy's own OpenBLAS, release the interpreter lock
+and run on one OpenBLAS thread, as ``_empirical_trace``'s do: the threaded
+LU factorization rounds otherwise, and the result then depends on neither
+setting.
 
 The master check cuts its draws into blocks of ``_block_draws(n)`` draws,
 each block one stack of about ``_STACK_BYTES``, and worker i takes blocks
@@ -361,13 +362,11 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
     children = batch.child_seeds()
     deviations = np.empty(draws)
     set_blas_threads = _lapack().set_blas_threads
-    # one worker in all where the BLAS cannot be held to one thread
-    workers = 1 if set_blas_threads is None else _worker_count(draws)
+    workers = _worker_count(draws)
 
     def work(first: int, stop: threading.Event, baton: threading.Condition) -> None:
         """Draws first, first + workers, ..., each deviation into its own slot."""
-        if set_blas_threads is not None:  # per thread in OpenMP builds
-            set_blas_threads(1)
+        set_blas_threads(1)  # per thread in OpenMP builds
         # Two workspaces serve every draw.  ``a`` holds lambda - H - Y in
         # Fortran order, and its memory holds the draw's Gaussian fields
         # before that; ``lower`` holds the draw's entries z, then L^(-1).

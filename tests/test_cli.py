@@ -682,6 +682,23 @@ def test_a_divergent_density_solve_writes_its_diagnostics(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_outlier_search_stopped_by_the_iteration_cap_writes_its_diagnostics(tmp_path,
+                                                                              capsys):
+    # at a cap of 10 the walk's complex seeds do not converge; such a seed
+    # says nothing about whether its lambda lies in the support
+    out = tmp_path / "o.json"
+    assert _run("outliers", "--model", "bernoulli:n=180,m=200,p=0.3,seed=1",
+                "--theta-list", "1.05", "--max-iterations", "10", "--out", str(out)) == 2
+    diag_path = tmp_path / "o.json.diagnostics.json"
+    diag = json.loads(diag_path.read_text())
+    assert diag["command"] == "outliers" and diag["completed_thetas"] == []
+    assert diag["error"].startswith("the complex seed at lambda = ")
+    assert diag["error"].endswith("did not converge within max_iterations = 10")
+    assert capsys.readouterr().err.strip() == \
+        f"outlier search failed: {diag['error']}; diagnostics in {diag_path}"
+    assert not out.exists()
+
+
 def test_rectangular_sample_adds_its_csv_deformation(tmp_path):
     y = np.arange(24.0).reshape(4, 6) / 7.0
     y_csv = tmp_path / "y.csv"

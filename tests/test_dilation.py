@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from deteq.dilation import (DilatedModel, RectangularModel, RectangularSpikes,
-                            dilate_model, hermitian_dilation,
-                            spike_decompose_profile)
+                            dilate_model, hermitian_dilation)
 from deteq.dyson import r_map
 from deteq.profiles import VarianceProfile, constant_profile
 
@@ -69,32 +68,6 @@ def test_dilated_deformation_keeps_block_structure():
     bare = dilate_model(RectangularModel(profile=constant_profile(n, m, 1.0)))
     assert bare.y is None
     assert bare.w.shape == (n + m, 0)
-
-
-def test_spike_decompose_constant_profile():
-    # Gamma / M for the constant-c profile is rank one with singular value
-    # c sqrt(N M) / M and flat singular vectors.
-    prof = constant_profile(4, 9, 1.0)
-    y_k, spikes = spike_decompose_profile(prof, 1)
-    assert abs(spikes.theta[0] - 6.0 / 9.0) <= 1e-12
-    assert np.max(np.abs(np.abs(spikes.u) - 0.5)) <= 1e-12
-    assert np.max(np.abs(np.abs(spikes.v) - 1.0 / 3.0)) <= 1e-12
-    assert np.max(np.abs(y_k)) <= 1e-12
-    with pytest.raises(ValueError):
-        spike_decompose_profile(prof, 2)  # rank one only
-
-
-def test_spike_decompose_reassembles_exactly():
-    rng = np.random.default_rng(7)
-    prof = VarianceProfile(rng.random((10, 12)) + 0.1, "rectangular")
-    y_k, spikes = spike_decompose_profile(prof, 3)
-    rebuilt = y_k + (spikes.u * spikes.theta[np.newaxis, :]) @ spikes.v.conj().T
-    assert np.max(np.abs(rebuilt - prof.entries / 12.0)) <= 1e-12
-    with pytest.raises(ValueError):
-        spike_decompose_profile(prof, 0)
-    herm = constant_profile(4, 4, 1.0, hermitian=True)
-    with pytest.raises(ValueError):
-        spike_decompose_profile(herm, 1)
 
 
 def test_rectangular_spikes_validation():

@@ -1,6 +1,5 @@
-"""Start-up stays free of scipy: only the two paths that call its LAPACK
-routines load it, both through scipy's table of LAPACK function pointers,
-and no path loads scipy.linalg's __init__ or scipy.optimize.
+"""No deteq path loads scipy: deteq calls LAPACK through numpy's own
+OpenBLAS, so scipy is a dependency of the tests only.
 
 Each check runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules`` for the rest of the process.
@@ -12,7 +11,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -52,13 +50,25 @@ def test_importing_deteq_loads_no_scipy(tmp_path):
     assert _scipy_after(tmp_path) == [[None, []]]
 
 
-def test_commands_without_lapack_calls_load_no_scipy(tmp_path):
-    # a dense Y off the real axis takes numpy's inverse, not Bunch-Kaufman
+# the two paths that call LAPACK: Bunch-Kaufman for a dense Y on the real
+# axis, and the LU trace of the concentration check
+_DENSE_Y = ["outliers", "--model", _HERM, "--y", "csv:y.csv", "--vectors", "e1",
+            "--theta-list", "2.0,2.5", "--out", "oy.json"]
+_CONCENTRATION = ["validate", "--what", "concentration", "--n", "8", "--samples", "4",
+                  "--seed", "1", "--lambda-im", "1", "--min-pass-rate", "0", "--out", "c.json"]
+
+
+def _y_csv(tmp_path) -> None:
     a = np.random.default_rng(0).standard_normal((8, 8))
     np.savetxt(tmp_path / "y.csv", (a + a.T) / 8.0, delimiter=",")
+
+
+def test_no_command_loads_scipy(tmp_path):
+    _y_csv(tmp_path)
     runs = (
         ["profile", "--kind", "constant", "--n", "4", "--m", "4", "--out", "p.csv"],
         ["density", "--profile", _HERM, "--grid", "0:1:0.5", "--out", "d.csv"],
+        # a dense Y off the real axis takes numpy's inverse, not Bunch-Kaufman
         ["density", "--profile", _HERM, "--y", "csv:y.csv", "--grid", "0:1:0.5",
          "--out", "dy.csv"],
         # the sweeps find a root each, so Brent's method runs
@@ -66,9 +76,11 @@ def test_commands_without_lapack_calls_load_no_scipy(tmp_path):
          "--window", "1.5:4.0", "--out", "o.json"],
         ["outliers", "--model", _HERM, "--y", "diag:0.3", "--vectors", "e1",
          "--theta-list", "2.0,2.5", "--out", "od.json"],
+        _DENSE_Y,
         ["sample", "--profile", _HERM, "--count", "2", "--seed", "1", "--out", "s.txt"],
         ["validate", "--what", "master", "--n", "8", "--samples", "20", "--seed", "1",
          "--out", "m.json"],
+        _CONCENTRATION,
     )
     loaded = _scipy_after(tmp_path, *runs)
     assert [code for code, _ in loaded[1:]] == [0] * len(runs)
@@ -77,51 +89,22 @@ def test_commands_without_lapack_calls_load_no_scipy(tmp_path):
     assert all(any(c["accepted"] for c in r["candidates"]) for r in report)
 
 
-_CONCENTRATION = ["validate", "--what", "concentration", "--n", "8", "--samples", "4",
-                  "--seed", "1", "--lambda-im", "1", "--min-pass-rate", "0", "--out", "c.json"]
+# Put first on sys.meta_path, this finder makes every scipy import fail.
+_NO_SCIPY = """
+import sys
 
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed here")
+        return None
 
-_DENSE_Y = ["outliers", "--model", _HERM, "--y", "csv:y.csv", "--vectors", "e1",
-            "--theta-list", "2.0,2.5", "--out", "o.json"]
-_LAPACK_PATHS = pytest.mark.parametrize("argv", [_DENSE_Y, _CONCENTRATION],
-                                        ids=["outliers-dense-y", "validate-concentration"])
-
-
-def _dense_y(tmp_path) -> None:
-    np.savetxt(tmp_path / "y.csv", np.full((8, 8), 0.05), delimiter=",")
-
-
-# both paths load scipy's table of LAPACK function pointers from its file, so
-# scipy.linalg's __init__ does not run
-@_LAPACK_PATHS
-def test_lapack_paths_load_scipy_linalg_but_not_optimize(tmp_path, argv):
-    _dense_y(tmp_path)
-    (_, before), (code, after) = _scipy_after(tmp_path, argv)
-    assert before == [] and code == 0
-    assert "scipy.linalg.cython_lapack" in after and "scipy.linalg" not in after
-    assert not [m for m in after if m.startswith("scipy.optimize")]
-
-
-def _scipy_linalg_after(tmp_path, argv) -> list:
-    _dense_y(tmp_path)
-    script = """
-import json, sys
-import numpy as np
-import deteq.cli
-code = deteq.cli.main(json.loads(sys.argv[1]))
-loaded = sys.modules["scipy.linalg.cython_lapack"]
-import scipy.linalg
-from scipy.linalg import cython_lapack
-# the one quirk: scipy.linalg never imported the submodule, so has no attribute for it
-print(json.dumps([code, cython_lapack is loaded, hasattr(scipy.linalg, "cython_lapack"),
-                  scipy.linalg.det(np.eye(2) * 3.0)]))
+sys.meta_path.insert(0, NoScipy())
 """
-    return json.loads(_last_line(tmp_path, script, argv))
 
 
-def test_scipy_linalg_imports_after_the_concentration_check(tmp_path):
-    assert _scipy_linalg_after(tmp_path, _CONCENTRATION) == [0, True, False, 9.0]
-
-
-def test_scipy_linalg_imports_after_a_dense_y_outliers_run(tmp_path):
-    assert _scipy_linalg_after(tmp_path, _DENSE_Y) == [0, True, False, 9.0]
+def test_the_lapack_paths_run_where_scipy_cannot_be_imported(tmp_path):
+    _y_csv(tmp_path)
+    loaded = json.loads(_last_line(tmp_path, _NO_SCIPY + _SCRIPT,
+                                   [_DENSE_Y, _CONCENTRATION]))
+    assert loaded == [[None, []], [0, []], [0, []]]

@@ -74,15 +74,14 @@ def test_bunch_kaufman_refuses_what_is_not_a_square_matrix(a):
         _hermitian_inverse_diagonal(a)
 
 
-def test_an_unknown_argument_type_is_named(monkeypatch):
-    # without its double pointers, dsytrf is the first routine left unbound
-    doubles = ("double *", "__pyx_t_5scipy_6linalg_13cython_lapack_d *")
-    types = {k: v for k, v in _lapack._C_TYPES.items() if k not in doubles}
-    monkeypatch.setattr(_lapack, "_C_TYPES", types)
+def test_a_missing_routine_is_named(monkeypatch):
+    # a routine numpy's OpenBLAS does not export, bound after the seven it does
+    arguments = dict(_lapack._ARGUMENTS, zhetrx=_lapack._ARGUMENTS["zhetri"])
+    monkeypatch.setattr(_lapack, "_ARGUMENTS", arguments)
     _lapack._lapack.cache_clear()
     try:
-        with pytest.raises(ImportError, match=r"cython_lapack\.dsytrf has the unexpected "
-                                              r"signature void \(char \*"):
+        with pytest.raises(ImportError, match=r"scipy_zhetrx_64_ from the OpenBLAS .*"
+                                              r"_umath_linalg"):
             _lapack._lapack()
     finally:
         _lapack._lapack.cache_clear()

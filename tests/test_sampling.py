@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import math
 import sys
@@ -200,14 +201,17 @@ def _dense_hermitian(n: int, seed: int) -> np.ndarray:
 def one_blas_thread():
     """Runs the test on one OpenBLAS thread, as the concentration loop runs its
     kernel: OpenBLAS's threaded LU factorization rounds otherwise, so a
-    reference computed on more threads can differ in the last bits."""
-    set_threads = sampling._lapack().set_blas_threads
-    saved = None if set_threads is None else set_threads(1)
+    reference computed on more threads can differ in the last bits.  Both
+    OpenBLAS libraries are pinned: deteq's, which is numpy's, and scipy's,
+    which the f2py reference calls."""
+    setters = [sampling._lapack().set_blas_threads,
+               ctypes.CDLL(lapack._flapack.__file__).openblas_set_num_threads_local]
+    saved = [set_threads(1) for set_threads in setters]
     try:
         yield
     finally:
-        if saved is not None:
-            set_threads(saved)
+        for set_threads, threads in zip(setters, saved):
+            set_threads(threads)
 
 
 _LOOP_CASES = [
@@ -290,7 +294,7 @@ def test_concentration_result_does_not_depend_on_the_worker_count(monkeypatch):
 
     monkeypatch.setattr(sampling, "_inverse_trace", recorded)
     set_threads = sampling._lapack().set_blas_threads
-    saved = None if set_threads is None else set_threads(2)  # a setting each run restores
+    saved = set_threads(2)  # a setting each run restores
     outs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
@@ -299,11 +303,10 @@ def test_concentration_result_does_not_depend_on_the_worker_count(monkeypatch):
             monkeypatch.setattr(sampling, "_worker_count", lambda draws, w=workers: w)
             seen.append([])
             outs.append(run())
-            assert set_threads is None or set_threads(2) == 2
+            assert set_threads(2) == 2
     finally:
         sys.setswitchinterval(interval)
-        if saved is not None:
-            set_threads(saved)
+        set_threads(saved)
     assert outs[0] == outs[1] == outs[2]
     assert Counter(seen[0]) == Counter(seen[1]) == Counter(seen[2])
 
@@ -366,14 +369,13 @@ def test_empirical_trace_equals_the_loop_under_any_blas_setting(monkeypatch):
     validate_concentration(profile, None, lam, d=2.0, delta=0.5, draws=3, seed=14)
     monkeypatch.undo()
     set_threads = sampling._lapack().set_blas_threads
-    saved = None if set_threads is None else set_threads(2)
+    saved = set_threads(2)
     try:
         traces = [_empirical_trace(sample_gue_profile(profile, child), lam)
                   for child in SampleBatch(seed=14, count=3, n=400).child_seeds()]
-        assert set_threads is None or set_threads(2) == 2  # the setting is restored
+        assert set_threads(2) == 2  # the setting is restored
     finally:
-        if saved is not None:
-            set_threads(saved)
+        set_threads(saved)
     assert Counter(traces) == Counter(seen)
 
 
