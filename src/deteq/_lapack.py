@@ -12,22 +12,9 @@ import contextlib
 import ctypes
 import functools
 import threading
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
-
-
-class _Lapack(NamedTuple):
-    """LAPACK routines called through ``ctypes``, which releases the interpreter lock."""
-
-    zgetrf: Callable
-    ztrtri: Callable
-    zlaswp: Callable
-    zhetrf: Callable
-    zhetri: Callable
-    dsytrf: Callable
-    dsytri: Callable
-    set_blas_threads: Callable  # OpenBLAS's openblas_set_num_threads_local
 
 
 # Each routine's arguments, all passed as pointers: a 64-bit integer, a
@@ -45,8 +32,10 @@ _ARGUMENTS = {
 
 
 @functools.cache
-def _lapack() -> _Lapack:
-    """The routines the kernels call, bound once per process.  dlsym on the
+def _lapack() -> SimpleNamespace:
+    """The routines of ``_ARGUMENTS``, called through ``ctypes``, which
+    releases the interpreter lock, and ``set_blas_threads``, OpenBLAS's
+    openblas_set_num_threads_local; bound once per process.  dlsym on the
     handle of numpy's linalg extension also searches the libraries it links,
     which include numpy's OpenBLAS; numpy has mapped it already."""
     path = np.linalg._umath_linalg.__file__
@@ -61,8 +50,9 @@ def _lapack() -> _Lapack:
         function.argtypes, function.restype = argtypes, restype
         return function
 
-    return _Lapack(*(bind(f"scipy_{name}_64_", args) for name, args in _ARGUMENTS.items()),
-                   bind("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int))
+    return SimpleNamespace(
+        **{name: bind(f"scipy_{name}_64_", args) for name, args in _ARGUMENTS.items()},
+        set_blas_threads=bind("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int))
 
 
 # OpenBLAS's pthreads build sets its thread count for the whole process, so

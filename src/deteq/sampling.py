@@ -11,46 +11,47 @@ numpy.random.SeedSequence.spawn, so draw j is reproducible on its own.
 Every Hermitian draw is built by ``_gue_draws``: ``_gue_fill`` draws each
 seeded draw's Gaussian fields, and the stack of draws is then scaled and
 mirrored into an output buffer of any layout, which the caller owns.
-``sample_gue_profile`` allocates the buffers per draw; each worker of the
-two checks allocates its own once and reuses them.  The concentration loop
-takes the transposed view of a Fortran-ordered buffer as the output, turns
-the draw there into lambda - H - Y, and LAPACK factors and inverts it in
-place.
+``sample_gue_profile`` allocates the buffers per draw; the two checks reuse
+theirs from draw to draw.  The concentration loop takes the transposed view
+of a Fortran-ordered buffer as the output, turns the draw there into
+lambda - H - Y, and LAPACK factors and inverts it in place.
 
-Both checks run on one worker thread per CPU in the affinity set, started
-and joined by one runner, ``_run_workers``: the first failure stops every
-worker and is re-raised by the caller.  The concentration draws are
-independent; worker i takes draws i, i + workers, ... and writes each
-deviation into that draw's slot.  Their LAPACK calls, made through
-``deteq._lapack`` into numpy's own OpenBLAS, release the interpreter lock
-and run on one OpenBLAS thread, as ``_empirical_trace``'s do: the threaded
-LU factorization rounds otherwise, and the result then depends on neither
-setting.
+Both checks run their draws through ``_in_order``: a standard-library thread
+pool with one worker per CPU in the affinity set runs the tasks, and the
+calling thread takes their results in task order.  At most 2 workers + 1
+tasks are started and not yet taken, and the first failure, in a task or in
+the calling thread, is raised once no worker is left.  Each concentration
+task computes one draw's deviation in two workspaces that its worker keeps.
+Their LAPACK calls, made through ``deteq._lapack`` into numpy's own
+OpenBLAS, release the interpreter lock and run on one OpenBLAS thread, as
+``_empirical_trace``'s do: the threaded LU factorization rounds otherwise,
+and the result then depends on neither setting.  That OpenBLAS is a pthreads
+build, whose thread count holds for the whole process, so the one pin around
+the pool holds in every worker.
 
 The master check cuts its draws into blocks of ``_block_draws(n)`` draws,
-each block one stack of about ``_STACK_BYTES``, and worker i takes blocks
-i, i + workers, ....  Each draw is seeded and filled on its own; every later
-step runs once over the block's stack, through numpy's own LU inverse, matrix
-product and matrix-vector products, which release the interpreter lock and
-round each draw as they round one matrix.  The blocks add their terms to the
-two running sums one at a time and in block order, so the sums are the ones
-the draw-by-draw loop adds up, bit for bit, on any number of workers and with
-any block size.
+each block one stack of about ``_STACK_BYTES`` and one task.  Each draw is
+seeded and filled on its own; every later step runs once over the block's
+stack, through numpy's own LU inverse, matrix product and matrix-vector
+products, which release the interpreter lock and round each draw as they
+round one matrix.  The calling thread adds each block's terms to the two
+running sums in draw order, so the sums are the ones the draw-by-draw loop
+adds up, bit for bit, on any number of workers and with any block size.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._lapack import _inverse_trace, _lapack, _one_blas_thread
-from .dyson import (ConcentrationBound, SolverConfig, SpectralParameter, _apply_r,
-                    _classify_deformation, _prepare, _solve_path, _variance_map,
-                    concentration_bound)
+from ._lapack import _inverse_trace, _one_blas_thread
+from .dyson import (ConcentrationBound, SpectralParameter, _apply_r, _classify_deformation,
+                    _prepare, _solve_path, _variance_map, concentration_bound)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -207,8 +208,8 @@ def _empirical_trace(h: np.ndarray, lam: complex) -> complex:
 
 
 # The master check's blocks of draws are sized so that one n x n complex
-# stack of them takes about this many bytes; each worker holds three such
-# stacks at a time: the two terms of each draw, and the inverses.
+# stack of them takes about this many bytes; a running block holds three such
+# stacks: the two terms of each draw, and the inverses.
 _STACK_BYTES = 640_000
 
 
@@ -238,48 +239,42 @@ def check_master_equality(profile: VarianceProfile, y, lam: SpectralParameter,
     gamma = np.sqrt(profile.entries)
     children = batch.child_seeds()
     size = _block_draws(n)
-    blocks = -(-batch.count // size)
-    workers = _worker_count(blocks)
     sums = np.zeros((2, n, n), dtype=np.complex128)  # sum R(diag M) M and sum X M
-    added = [0]  # blocks whose terms are in the sums
+    spares = []  # stacks of terms whose block is in the sums
 
-    def work(first: int, stop: threading.Event, baton: threading.Condition) -> None:
-        """Blocks first, first + workers, ..., each added to the sums in its turn."""
-        # terms[:, j] receives the two terms of a block's draw j.  Before
+    def block(k: int):
+        """Block k's stack of terms, and its number of draws."""
+        # terms[:, j] receives the two terms of the block's draw j.  Before
         # that, terms[0] holds the block's Gaussian fields and then its draws
         # X, and terms[1] its entries z and then Lambda - X - Y.
-        terms = np.empty((2, size, n, n), dtype=np.complex128)
+        try:
+            terms = spares.pop()
+        except IndexError:
+            terms = np.empty((2, size, n, n), dtype=np.complex128)
         normals = terms[0].view(np.float64).reshape(size, 2, n, n)
-        diag = np.empty((size, n))
-        for k in range(first, blocks, workers):
-            if stop.is_set():
-                return
-            seeds = children[k * size:(k + 1) * size]
-            m = len(seeds)
-            x = _gue_draws(seeds, gamma, normals, terms[1], diag, terms[0])
-            shifted = terms[1, :m]
-            np.subtract(lam_mat, x, out=shifted)
-            y.combine(shifted, np.subtract)
-            resolvent = np.linalg.inv(shifted)
-            np.matmul(x, resolvent, out=shifted)
-            # one matrix-vector product per draw, as for one draw: a stacked
-            # (m, n) @ w.T product would round otherwise
-            r = _apply_r(w, np.einsum("...ii->...i", resolvent)[..., np.newaxis])
-            np.multiply(r, resolvent, out=x)
-            del resolvent  # freed before the next block's inverse is made
-            with baton:
-                while not (stop.is_set() or added[0] == k):
-                    baton.wait()
-                if stop.is_set():
-                    return
-                # ((sums + t_1) + t_2) + ..., in draw order; a reduction over
-                # the stack may sum pairwise, as it does where n = 1
-                for j in range(m):
-                    np.add(sums, terms[:, j], out=sums)
-                added[0] += 1
-                baton.notify_all()
+        seeds = children[k * size:(k + 1) * size]
+        m = len(seeds)
+        x = _gue_draws(seeds, gamma, normals, terms[1], np.empty((size, n)), terms[0])
+        shifted = terms[1, :m]
+        np.subtract(lam_mat, x, out=shifted)
+        y.combine(shifted, np.subtract)
+        resolvent = np.linalg.inv(shifted)
+        np.matmul(x, resolvent, out=shifted)
+        # one matrix-vector product per draw, as for one draw: a stacked
+        # (m, n) @ w.T product would round otherwise
+        r = _apply_r(w, np.einsum("...ii->...i", resolvent)[..., np.newaxis])
+        np.multiply(r, resolvent, out=x)
+        return terms, m
 
-    _run_workers(workers, work)
+    def add(result) -> None:
+        terms, m = result
+        # ((sums + t_1) + t_2) + ..., in draw order; a reduction over the
+        # stack may sum pairwise, as it does where n = 1
+        for j in range(m):
+            np.add(sums, terms[:, j], out=sums)
+        spares.append(terms)
+
+    _in_order(block, -(-batch.count // size), add)
     rhs, lhs = sums
     return float(np.linalg.norm((lhs - rhs) / batch.count, 2))
 
@@ -290,56 +285,42 @@ def _worker_count(tasks: int) -> int:
     return min(cpus or 1, tasks)
 
 
-def _run_workers(workers: int, work: Callable) -> None:
-    """Run work(i, stop, baton) on a thread of its own for each i < ``workers``.
+def _in_order(task: Callable, count: int, take: Callable) -> None:
+    """Run task(k) for k = 0, ..., count - 1 on ``_worker_count(count)``
+    threads, and take(result) on the calling thread in order of k.
 
-    ``stop`` is a threading.Event, set on the first failure or when the
-    calling thread leaves early; ``baton`` is a threading.Condition notified
-    when it is set, on which a worker may wait for the others.  Returns after
-    every thread has ended, and re-raises the first failure.
+    At most 2 workers + 1 tasks are started and not yet taken at a time,
+    which bounds the results held.  The first failure, in a task or in
+    ``take``, is raised once the running tasks have ended; no task starts
+    after it.
     """
-    stop = threading.Event()
-    baton = threading.Condition()
-    failures = []
+    # imported on first use: concurrent.futures loads logging, which
+    # ``import deteq`` does not need
+    from concurrent.futures import ThreadPoolExecutor
 
-    def halt() -> None:
-        stop.set()
-        with baton:
-            baton.notify_all()
-
-    def run(i: int) -> None:
-        try:
-            work(i, stop, baton)
-        except BaseException as exc:  # re-raised by the calling thread
-            failures.append(exc)
-            halt()
-
-    threads = []
+    workers = _worker_count(count)
+    pool = ThreadPoolExecutor(workers)
     try:
-        for i in range(workers):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join()
+        started = deque()
+        for k in range(count):
+            started.append(pool.submit(task, k))
+            if len(started) > 2 * workers:
+                take(started.popleft().result())
+        while started:
+            take(started.popleft().result())
     finally:
-        halt()  # cuts the workers short only if this thread is leaving early
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
+        pool.shutdown(cancel_futures=True)
 
 
 def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
-                           delta: float, draws: int, seed: int,
-                           config: SolverConfig | None = None) -> dict:
+                           delta: float, draws: int, seed: int) -> dict:
     """Empirical check of the trace-level concentration bound.
 
     Draws ``draws`` matrices, compares each empirical Stieltjes trace at
     ``lam`` with the Dyson value, and reports the fraction of draws whose
     deviation stays within epsilon_tilde.  Raises ValueError, before any
     draw, when Im ``lam`` is too small for the bound to apply.  The draws
-    run on ``_worker_count`` threads, each with one OpenBLAS thread, so the
+    run on ``_worker_count`` threads, with OpenBLAS on one thread, so the
     result depends neither on the worker count nor on the BLAS setting.
     """
     batch = SampleBatch(seed=seed, count=draws, n=profile.rows)
@@ -352,7 +333,7 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
         raise ValueError(f"the concentration bound needs Im lambda >= "
                          f"{params.min_im_lambda:.6g} here, got {params.im_lambda:.6g}")
     bound = concentration_bound(params)
-    sol = next(_solve_path(model, [SpectralParameter.scalar(lam, n)], config))
+    sol = next(_solve_path(model, [SpectralParameter.scalar(lam, n)]))
     if not sol.converged:
         raise RuntimeError("Dyson solve did not converge; cannot validate")
     g_det = complex(sol.g_square.diag.mean())
@@ -360,35 +341,32 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
     gamma = np.sqrt(profile.entries)
     strict_lower = np.tri(n, k=-1, dtype=bool)
     children = batch.child_seeds()
-    deviations = np.empty(draws)
-    set_blas_threads = _lapack().set_blas_threads
-    workers = _worker_count(draws)
+    local = threading.local()  # each worker's workspaces
 
-    def work(first: int, stop: threading.Event, baton: threading.Condition) -> None:
-        """Draws first, first + workers, ..., each deviation into its own slot."""
-        set_blas_threads(1)  # per thread in OpenMP builds
-        # Two workspaces serve every draw.  ``a`` holds lambda - H - Y in
-        # Fortran order, and its memory holds the draw's Gaussian fields
-        # before that; ``lower`` holds the draw's entries z, then L^(-1).
-        # The draw goes into a.T, so ``a`` holds H^T = conj(H), and negating
-        # its real part leaves -H.  H is Hermitian by construction, and
-        # _prepare has checked Y, so neither is checked again.
-        a = np.empty((n, n), dtype=np.complex128, order="F")
-        lower = np.empty_like(a)
+    def deviation(j: int) -> float:
+        # Two workspaces serve every draw of a worker.  ``a`` holds
+        # lambda - H - Y in Fortran order, and its memory holds the draw's
+        # Gaussian fields before that; ``lower`` holds the draw's entries z,
+        # then L^(-1).  The draw goes into a.T, so ``a`` holds H^T = conj(H),
+        # and negating its real part leaves -H.  H is Hermitian by
+        # construction, and _prepare has checked Y, so neither is checked again.
+        if not hasattr(local, "a"):
+            local.a = np.empty((n, n), dtype=np.complex128, order="F")
+            local.lower = np.empty_like(local.a)
+            local.diag = np.empty((1, n))
+        a, lower = local.a, local.lower
         normals = a.reshape(-1, order="F").view(np.float64).reshape(1, 2, n, n)
-        diag = np.empty((1, n))
-        for j in range(first, draws, workers):
-            if stop.is_set():
-                return
-            _gue_draws(children[j:j + 1], gamma, normals, lower.T[np.newaxis], diag,
-                       a.T[np.newaxis])
-            np.negative(a.real, out=a.real)
-            model.y.combine(a, np.subtract)
-            a.T.flat[::n + 1] += lam
-            deviations[j] = abs(_inverse_trace(a, lower, strict_lower) - g_det)
+        _gue_draws(children[j:j + 1], gamma, normals, lower.T[np.newaxis], local.diag,
+                   a.T[np.newaxis])
+        np.negative(a.real, out=a.real)
+        model.y.combine(a, np.subtract)
+        a.T.flat[::n + 1] += lam
+        return abs(_inverse_trace(a, lower, strict_lower) - g_det)
 
+    deviations = []
     with _one_blas_thread():
-        _run_workers(workers, work)
+        _in_order(deviation, draws, deviations.append)
+    deviations = np.array(deviations)
     passes = int(np.sum(deviations <= bound.epsilon_tilde))
     return {
         "draws": draws,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import lapack
 
-from deteq import sampling
+from deteq import _lapack, sampling
 from deteq.cli import main
 from deteq.dyson import SpectralParameter, _apply_r, solve_dyson
 from deteq.profiles import VarianceProfile, constant_profile
@@ -204,7 +204,7 @@ def one_blas_thread():
     reference computed on more threads can differ in the last bits.  Both
     OpenBLAS libraries are pinned: deteq's, which is numpy's, and scipy's,
     which the f2py reference calls."""
-    setters = [sampling._lapack().set_blas_threads,
+    setters = [_lapack._lapack().set_blas_threads,
                ctypes.CDLL(lapack._flapack.__file__).openblas_set_num_threads_local]
     saved = [set_threads(1) for set_threads in setters]
     try:
@@ -293,7 +293,7 @@ def test_concentration_result_does_not_depend_on_the_worker_count(monkeypatch):
         return trace
 
     monkeypatch.setattr(sampling, "_inverse_trace", recorded)
-    set_threads = sampling._lapack().set_blas_threads
+    set_threads = _lapack._lapack().set_blas_threads
     saved = set_threads(2)  # a setting each run restores
     outs = []
     interval = sys.getswitchinterval()
@@ -368,7 +368,7 @@ def test_empirical_trace_equals_the_loop_under_any_blas_setting(monkeypatch):
     monkeypatch.setattr(sampling, "_inverse_trace", recorded)
     validate_concentration(profile, None, lam, d=2.0, delta=0.5, draws=3, seed=14)
     monkeypatch.undo()
-    set_threads = sampling._lapack().set_blas_threads
+    set_threads = _lapack._lapack().set_blas_threads
     saved = set_threads(2)
     try:
         traces = [_empirical_trace(sample_gue_profile(profile, child), lam)
@@ -499,6 +499,70 @@ def test_a_failing_block_stops_the_master_check(monkeypatch, workers):
     assert [type(exc) for exc in raised] == [np.linalg.LinAlgError]
     assert str(raised[0]) == "block 0 fails"
     assert threading.enumerate() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failing_sum_stops_the_master_check(monkeypatch, workers):
+    profile = constant_profile(6, 6, 1.0, hermitian=True)
+    lam = SpectralParameter.scalar(1j, 6)
+    batch = SampleBatch(seed=2, count=9, n=6)
+    monkeypatch.setattr(sampling, "_worker_count", lambda tasks: workers)
+    monkeypatch.setattr(sampling, "_block_draws", lambda n: 1)
+    calls = itertools.count()
+    add = np.add
+
+    def failing(*args, **kwargs):
+        # the calling thread adds each draw's terms to the sums
+        if next(calls) == 5:
+            raise FloatingPointError("the sixth sum fails")
+        return add(*args, **kwargs)
+
+    monkeypatch.setattr(np, "add", failing)
+    threads = threading.enumerate()
+    raised = _in_a_thread(lambda: check_master_equality(profile, None, lam, batch))
+    assert [str(exc) for exc in raised] == ["the sixth sum fails"]
+    assert threading.enumerate() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocks_start_at_most_a_window_ahead_of_the_sums(monkeypatch, workers):
+    window = 2 * workers + 1  # blocks started and not yet in the sums
+    profile = constant_profile(4, 4, 1.0, hermitian=True)
+    lam = SpectralParameter.scalar(1j, 4)
+    batch = SampleBatch(seed=5, count=40, n=4)
+    shifted = [np.diag(lam.diag) - sample_gue_profile(profile, child)
+               for child in batch.child_seeds()]
+    monkeypatch.setattr(sampling, "_worker_count", lambda tasks: workers)
+    monkeypatch.setattr(sampling, "_block_draws", lambda n: 1)
+    add, inv = np.add, np.linalg.inv
+    added = []  # one entry per draw whose terms are in the sums
+    started = []  # (block, sums added when its inverse began)
+
+    def slow_add(*args, **kwargs):
+        time.sleep(0.002)  # the sums fall behind the workers
+        out = add(*args, **kwargs)
+        added.append(None)
+        return out
+
+    def counted_inv(a, failing=None):
+        k = next(k for k, expect in enumerate(shifted) if np.array_equal(a[0], expect))
+        started.append((k, len(added)))
+        if k == failing:
+            raise np.linalg.LinAlgError("block 10 fails")
+        return inv(a)
+
+    monkeypatch.setattr(np, "add", slow_add)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    check_master_equality(profile, None, lam, batch)
+    assert sorted(k for k, _ in started) == list(range(40))
+    assert all(k < taken + window for k, taken in started)
+
+    started.clear()
+    monkeypatch.setattr(np.linalg, "inv", lambda a: counted_inv(a, failing=10))
+    with pytest.raises(np.linalg.LinAlgError, match="block 10 fails"):
+        check_master_equality(profile, None, lam, batch)
+    assert all(k < taken + window for k, taken in started)
+    assert max(k for k, _ in started) < 10 + window
 
 
 def test_no_worker_outlives_either_check(monkeypatch):
