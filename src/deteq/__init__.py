@@ -1,109 +1,15 @@
 """Deterministic equivalents for deformed Gaussian matrices with variance profiles."""
 
-from .profiles import (
-    VarianceProfile,
-    bernoulli_profile,
-    constant_profile,
-    doubly_stochastic_profile,
-    normalize_profile,
-    piecewise_profile,
-    read_profile_csv,
-    write_profile_csv,
-)
-from .dyson import (
-    ConcentrationBound,
-    ConcentrationResult,
-    DysonDivergenceError,
-    DysonSolution,
-    OperatorStieltjes,
-    SolverConfig,
-    SpectralParameter,
-    concentration_bound,
-    omega_square,
-    psi_step,
-    r_map,
-    solve_dyson,
-)
-from .density import (
-    DensityCurve,
-    density_curve,
-    stieltjes_trace,
-    sv_density_correction,
-    write_density_csv,
-    write_density_metadata,
-)
-from .dilation import (
-    DilatedModel,
-    RectangularModel,
-    RectangularSpikes,
-    dilate_model,
-    hermitian_dilation,
-)
-from .outliers import (
-    HermitianModel,
-    OutlierCandidate,
-    OutlierReport,
-    SpikeSet,
-    beta_square,
-    closed_form_outlier,
-    det_beta_curve,
-    locate_outliers,
-)
-from .sampling import (
-    SampleBatch,
-    check_master_equality,
-    empirical_spectrum,
-    sample_gue_profile,
-    sample_rect_gaussian,
-    validate_concentration,
-)
+# each module's __all__ declares its public names; the package re-exports them
+from .profiles import *  # noqa: F403
+from .dyson import *  # noqa: F403
+from .density import *  # noqa: F403
+from .dilation import *  # noqa: F403
+from .outliers import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from . import density, dilation, dyson, outliers, profiles, sampling
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "VarianceProfile",
-    "constant_profile",
-    "piecewise_profile",
-    "bernoulli_profile",
-    "doubly_stochastic_profile",
-    "normalize_profile",
-    "read_profile_csv",
-    "write_profile_csv",
-    "SpectralParameter",
-    "OperatorStieltjes",
-    "SolverConfig",
-    "DysonSolution",
-    "DysonDivergenceError",
-    "ConcentrationBound",
-    "ConcentrationResult",
-    "r_map",
-    "psi_step",
-    "solve_dyson",
-    "omega_square",
-    "concentration_bound",
-    "DensityCurve",
-    "stieltjes_trace",
-    "density_curve",
-    "sv_density_correction",
-    "write_density_csv",
-    "write_density_metadata",
-    "RectangularSpikes",
-    "RectangularModel",
-    "DilatedModel",
-    "hermitian_dilation",
-    "dilate_model",
-    "SpikeSet",
-    "HermitianModel",
-    "OutlierCandidate",
-    "OutlierReport",
-    "beta_square",
-    "det_beta_curve",
-    "locate_outliers",
-    "closed_form_outlier",
-    "SampleBatch",
-    "sample_gue_profile",
-    "sample_rect_gaussian",
-    "empirical_spectrum",
-    "check_master_equality",
-    "validate_concentration",
-]
+__all__ = [name for module in (profiles, dyson, density, dilation, outliers, sampling)
+           for name in module.__all__]

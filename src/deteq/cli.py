@@ -25,8 +25,7 @@ import sys
 
 import numpy as np
 
-from .density import (density_curve, sv_density_correction, write_density_csv,
-                      write_density_metadata)
+from .density import density_curve, sv_density_correction, write_density_csv
 from .dilation import RectangularModel, RectangularSpikes, dilate_model
 from .dyson import (DysonDivergenceError, SolverConfig, SpectralParameter,
                     _classify_deformation)
@@ -399,13 +398,16 @@ def _cmd_density(args) -> int:
         curve = sv_density_correction(curve, profile.rows, profile.cols)
 
     write_density_csv(curve, out)
-    write_density_metadata(curve, out + ".meta.json", extra={
+    _write_json(out + ".meta.json", {
         "command": "density",
         "config": cfg,
         "config_hash": _config_hash(cfg),
         "dilated": dilated,
         "rows": profile.rows,
         "cols": profile.cols,
+        "eta": curve.eta,
+        "tolerance": curve.tolerance,
+        "converged": [bool(f) for f in curve.converged],
     })
     failed = int(np.sum(~curve.converged))
     if failed:

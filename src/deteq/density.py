@@ -8,7 +8,6 @@ the Cauchy kernel eta / (pi (t^2 + eta^2)).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ __all__ = [
     "density_curve",
     "sv_density_correction",
     "write_density_csv",
-    "write_density_metadata",
 ]
 
 
@@ -122,17 +120,3 @@ def write_density_csv(curve: DensityCurve, path) -> None:
         lines.append(f"{t:.17g},{v:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_density_metadata(curve: DensityCurve, path, extra: dict | None = None) -> None:
-    """JSON sidecar with eta, tolerance and per-point convergence flags."""
-    meta = {
-        "eta": curve.eta,
-        "tolerance": curve.tolerance,
-        "converged": [bool(f) for f in curve.converged],
-    }
-    if extra:
-        meta.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -39,12 +39,10 @@ __all__ = [
     "DysonSolution",
     "DysonDivergenceError",
     "ConcentrationBound",
-    "ConcentrationResult",
     "r_map",
     "psi_step",
     "solve_dyson",
     "omega_square",
-    "concentration_bound",
 ]
 
 # How many differences of past iterates the Anderson step in solve_dyson
@@ -641,15 +639,16 @@ def omega_square(profile: VarianceProfile, solution: DysonSolution,
 
 @dataclass(frozen=True)
 class ConcentrationBound:
-    """Parameters of the finite-N concentration estimates.
+    """Deterministic error radii of the Dyson approximation at finite N.
 
     ``gamma_max`` is the largest entrywise standard deviation, ``delta`` the
     failure-probability exponent (the bounds hold outside probability
-    ~ exp(-c N^delta-ish terms), see ``concentration_bound``), ``d`` the
+    ~ exp(-c N^delta-ish terms), see ``epsilon_tilde``), ``d`` the
     spectral-domain parameter, ``n`` the dimension, and ``im_lambda`` the
     distance of the scalar spectral parameter to the real axis.
     ``diagonal_y`` selects the sharper bounds available when the
-    deformation is diagonal.
+    deformation is diagonal.  ``epsilon`` and ``epsilon_tilde`` are the
+    radii, which apply where ``admissible`` holds.
     """
 
     gamma_max: float
@@ -683,34 +682,30 @@ class ConcentrationBound:
         """Whether Im(lambda) is large enough for the bounds to apply."""
         return bool(self.im_lambda >= self.min_im_lambda)
 
+    # Each radius rounds as written: `validate` reports epsilon_tilde to the
+    # last bit, and reordering its operations moves that bit.
+    @property
+    def epsilon(self) -> float:
+        """Radius bounding the sup norm of E[diag resolvent] - G at the operator level."""
+        gam, s, n = self.gamma_max, 1.0 / self.im_lambda, self.n
+        return math.sqrt(2.0) * gam * math.sqrt(self.d * math.log(n) / n) * s * s + self._tail
 
-@dataclass(frozen=True)
-class ConcentrationResult:
-    epsilon: float
-    epsilon_tilde: float
-    admissible: bool
+    @property
+    def epsilon_tilde(self) -> float:
+        """Radius of the normalized-trace deviation |tr (Lambda - H)^(-1) / N - tr G / N|.
 
+        It holds with probability 1 - 4 exp(-(d - 2) log N) - 2 exp(-delta
+        N^(1/5) ...) style corrections.
+        """
+        gam, s, n = self.gamma_max, 1.0 / self.im_lambda, self.n
+        return math.sqrt(2.0) * gam * math.sqrt(2.0 * self.d * math.log(n)) * s * s / n + self._tail
 
-def concentration_bound(params: ConcentrationBound) -> ConcentrationResult:
-    """Deterministic error radii for the Dyson approximation.
-
-    ``epsilon`` bounds the sup norm of E[diag resolvent] - G at the
-    operator level and ``epsilon_tilde`` bounds the normalized-trace
-    deviation |tr (Lambda - H)^(-1) / N - tr G / N| that holds with
-    probability 1 - 4 exp(-(d - 2) log N) - 2 exp(-delta N^(1/5) ...)
-    style corrections.  With a diagonal deformation the second summand
-    improves by a factor gamma_max / (Im lambda sqrt(N)) / 2.
-    """
-    gam = params.gamma_max
-    s = 1.0 / params.im_lambda
-    n = params.n
-    logn = math.log(n)
-    lead = math.sqrt(2.0) * gam * math.sqrt(params.d * logn / n) * s * s
-    lead_tilde = math.sqrt(2.0) * gam * math.sqrt(2.0 * params.d * logn) * s * s / n
-    prefactor = 1.0 + gam * gam * s * s / params.delta
-    if params.diagonal_y:
-        tail = prefactor * gam ** 4 * s ** 5 / n ** 1.5
-    else:
-        tail = prefactor * 2.0 * gam ** 3 * s ** 4 / n
-    return ConcentrationResult(epsilon=lead + tail, epsilon_tilde=lead_tilde + tail,
-                               admissible=params.admissible)
+    @property
+    def _tail(self) -> float:
+        """The second summand of both radii; a diagonal deformation improves it
+        by a factor gamma_max / (Im lambda sqrt(N)) / 2."""
+        gam, s, n = self.gamma_max, 1.0 / self.im_lambda, self.n
+        prefactor = 1.0 + gam * gam * s * s / self.delta
+        if self.diagonal_y:
+            return prefactor * gam ** 4 * s ** 5 / n ** 1.5
+        return prefactor * 2.0 * gam ** 3 * s ** 4 / n

@@ -18,7 +18,7 @@ lambda - H - Y, and LAPACK factors and inverts it in place.
 
 Both checks run their draws through ``_in_order``: a standard-library thread
 pool with one worker per CPU in the affinity set runs the tasks, and the
-calling thread takes their results in task order.  At most 2 workers + 1
+calling thread takes their results in task order.  At most workers + 1
 tasks are started and not yet taken, and the first failure, in a task or in
 the calling thread, is raised once no worker is left.  Each concentration
 task computes one draw's deviation in two workspaces that its worker keeps.
@@ -51,7 +51,7 @@ import numpy as np
 
 from ._lapack import _inverse_trace, _one_blas_thread
 from .dyson import (ConcentrationBound, SpectralParameter, _apply_r, _classify_deformation,
-                    _prepare, _solve_path, _variance_map, concentration_bound)
+                    _prepare, _solve_path, _variance_map)
 from .profiles import VarianceProfile
 
 __all__ = [
@@ -289,8 +289,9 @@ def _in_order(task: Callable, count: int, take: Callable) -> None:
     """Run task(k) for k = 0, ..., count - 1 on ``_worker_count(count)``
     threads, and take(result) on the calling thread in order of k.
 
-    At most 2 workers + 1 tasks are started and not yet taken at a time,
-    which bounds the results held.  The first failure, in a task or in
+    At most workers + 1 tasks are started and not yet taken at a time: one
+    result waiting per worker is enough, since ``take`` is quick, and it
+    bounds the results held.  The first failure, in a task or in
     ``take``, is raised once the running tasks have ended; no task starts
     after it.
     """
@@ -304,7 +305,7 @@ def _in_order(task: Callable, count: int, take: Callable) -> None:
         started = deque()
         for k in range(count):
             started.append(pool.submit(task, k))
-            if len(started) > 2 * workers:
+            if len(started) > workers:
                 take(started.popleft().result())
         while started:
             take(started.popleft().result())
@@ -326,13 +327,12 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
     batch = SampleBatch(seed=seed, count=draws, n=profile.rows)
     model = _prepare(profile, y)
     n = model.n
-    params = ConcentrationBound(gamma_max=np.sqrt(model.gamma_max_sq),
-                                delta=delta, d=d, n=n, im_lambda=complex(lam).imag,
-                                diagonal_y=not model.y.dense)
-    if not params.admissible:
+    bound = ConcentrationBound(gamma_max=np.sqrt(model.gamma_max_sq),
+                               delta=delta, d=d, n=n, im_lambda=complex(lam).imag,
+                               diagonal_y=not model.y.dense)
+    if not bound.admissible:
         raise ValueError(f"the concentration bound needs Im lambda >= "
-                         f"{params.min_im_lambda:.6g} here, got {params.im_lambda:.6g}")
-    bound = concentration_bound(params)
+                         f"{bound.min_im_lambda:.6g} here, got {bound.im_lambda:.6g}")
     sol = next(_solve_path(model, [SpectralParameter.scalar(lam, n)]))
     if not sol.converged:
         raise RuntimeError("Dyson solve did not converge; cannot validate")

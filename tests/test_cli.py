@@ -699,6 +699,43 @@ def test_an_outlier_search_stopped_by_the_iteration_cap_writes_its_diagnostics(t
     assert not out.exists()
 
 
+# each run exits 1 and names its input on the last line of stderr
+@pytest.mark.parametrize("argv, message", [
+    (("density", "--config", "missing.json", "--profile", _HERM4, "--grid", "0:1:0.5"),
+     "error: config: cannot read missing.json: "),
+    (("density", "--config", "broken.json", "--profile", _HERM4, "--grid", "0:1:0.5"),
+     "error: config: cannot read broken.json: "),
+    (("density", "--profile", "constant", "--grid", "0:1:0.5"),
+     "error: profile: n: required field is missing"),
+    (("density", "--profile", "constant:n=4,m", "--grid", "0:1:0.5"),
+     "error: profile: malformed option 'm'"),
+    (("density", "--profile", "constant:n=4,m=5", "--grid=-1:1:0.5"),
+     "error: grid: singular-value grids need min >= 0"),
+])
+def test_unreadable_configs_and_malformed_specs_are_named(tmp_path, monkeypatch, capsys,
+                                                          argv, message):
+    (tmp_path / "broken.json").write_text("{not json")
+    monkeypatch.chdir(tmp_path)
+    assert _run(*argv, "--out", "out") == 1
+    assert capsys.readouterr().err.strip().split("\n")[-1].startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_outlier_search_with_no_converged_scan_point_writes_its_diagnostics(tmp_path,
+                                                                              capsys):
+    # the window lies inside the bulk [-2, 2], so no real solve converges
+    out = tmp_path / "o.json"
+    assert _run("outliers", "--model", "constant:n=40,m=40,hermitian=true",
+                "--theta-list", "1.0", "--window=-1:1", "--out", str(out)) == 2
+    diag_path = tmp_path / "o.json.diagnostics.json"
+    diag = json.loads(diag_path.read_text())
+    assert diag["command"] == "outliers" and diag["completed_thetas"] == []
+    assert diag["error"].startswith("no scan point converged; widen the window")
+    assert capsys.readouterr().err.strip() == \
+        f"outlier search failed: {diag['error']}; diagnostics in {diag_path}"
+    assert not out.exists()
+
+
 def test_rectangular_sample_adds_its_csv_deformation(tmp_path):
     y = np.arange(24.0).reshape(4, 6) / 7.0
     y_csv = tmp_path / "y.csv"

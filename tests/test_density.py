@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from deteq.density import (DensityCurve, density_curve, stieltjes_trace,
-                           sv_density_correction, write_density_csv,
-                           write_density_metadata)
+                           sv_density_correction, write_density_csv)
 import deteq.dyson
 from deteq.dilation import RectangularModel, dilate_model
 from deteq.dyson import OperatorStieltjes, SolverConfig, SpectralParameter, solve_dyson
@@ -146,15 +145,6 @@ def test_density_csv_and_metadata(tmp_path):
     parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.array_equal(parsed[:, 0], grid)
     assert np.array_equal(parsed[:, 1], curve.values)
-
-    meta_path = tmp_path / "density.json"
-    write_density_metadata(curve, meta_path, extra={"label": "test"})
-    import json
-    meta = json.loads(meta_path.read_text())
-    assert meta["eta"] == 0.05
-    assert meta["tolerance"] == 1e-10
-    assert meta["converged"] == [True, False, True]
-    assert meta["label"] == "test"
 
 
 def test_density_curve_classifies_a_dense_deformation_once(monkeypatch):

@@ -13,8 +13,7 @@ from deteq.density import density_curve
 from deteq.dilation import RectangularModel, dilate_model
 from deteq.dyson import (ConcentrationBound, OperatorStieltjes, SolverConfig,
                          SpectralParameter, _hermitian_inverse_diagonal, _prepare, _Prepared,
-                         _solve_path, concentration_bound, omega_square, psi_step, r_map,
-                         solve_dyson)
+                         _solve_path, omega_square, psi_step, r_map, solve_dyson)
 from deteq.profiles import (VarianceProfile, bernoulli_profile, constant_profile,
                             doubly_stochastic_profile, normalize_profile,
                             piecewise_profile)
@@ -642,13 +641,13 @@ _EPS_TILDE_GENERAL = 0.7892327353040913
 
 
 def test_concentration_bound_frozen_values():
-    diag = concentration_bound(ConcentrationBound(
-        gamma_max=1.0, delta=0.5, d=2.0, n=400, im_lambda=0.5, diagonal_y=True))
+    diag = ConcentrationBound(
+        gamma_max=1.0, delta=0.5, d=2.0, n=400, im_lambda=0.5, diagonal_y=True)
     assert abs(diag.epsilon - _EPS_DIAG) <= 1e-15
     assert abs(diag.epsilon_tilde - _EPS_TILDE_DIAG) <= 1e-15
     assert diag.admissible
-    general = concentration_bound(ConcentrationBound(
-        gamma_max=1.0, delta=0.5, d=2.0, n=400, im_lambda=0.5))
+    general = ConcentrationBound(
+        gamma_max=1.0, delta=0.5, d=2.0, n=400, im_lambda=0.5)
     assert abs(general.epsilon - _EPS_GENERAL) <= 1e-15
     assert abs(general.epsilon_tilde - _EPS_TILDE_GENERAL) <= 1e-15
     assert general.admissible
@@ -671,8 +670,8 @@ def test_concentration_admissibility_boundaries():
 
 
 def test_concentration_zero_noise_is_free():
-    res = concentration_bound(ConcentrationBound(
-        gamma_max=0.0, delta=0.5, d=2.0, n=100, im_lambda=0.01))
+    res = ConcentrationBound(
+        gamma_max=0.0, delta=0.5, d=2.0, n=100, im_lambda=0.01)
     assert res.epsilon == 0.0
     assert res.epsilon_tilde == 0.0
     assert res.admissible

@@ -1,8 +1,10 @@
 """No deteq path loads scipy: deteq calls LAPACK through numpy's own
-OpenBLAS, so scipy is a dependency of the tests only.
+OpenBLAS, so scipy is a dependency of the tests only.  ``import deteq``
+loads deteq's own modules and not the thread pool's, and re-exports each
+module's public names.
 
-Each check runs in a fresh interpreter, since a module once imported stays
-in ``sys.modules`` for the rest of the process.
+Each check of what is loaded runs in a fresh interpreter, since a module
+once imported stays in ``sys.modules`` for the rest of the process.
 """
 
 import json
@@ -11,6 +13,9 @@ import subprocess
 import sys
 
 import numpy as np
+
+import deteq
+from deteq import density, dilation, dyson, outliers, profiles, sampling
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -48,6 +53,35 @@ def _scipy_after(tmp_path, *argvs) -> list:
 
 def test_importing_deteq_loads_no_scipy(tmp_path):
     assert _scipy_after(tmp_path) == [[None, []]]
+
+
+def test_the_package_exports_each_public_name_of_its_modules_once():
+    modules = (profiles, dyson, density, dilation, outliers, sampling)
+    assert sorted(deteq.__all__) == sorted(name for m in modules for name in m.__all__)
+    assert len(set(deteq.__all__)) == len(deteq.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(deteq, name) is getattr(module, name)
+
+
+# Prints the deteq modules that the imports load, and which of the thread
+# pool's modules they load.
+_LOADED = """
+import json, sys
+import deteq, deteq.cli
+
+print(json.dumps([sorted(m for m in sys.modules if m.partition(".")[0] == "deteq"),
+                  [m for m in ("concurrent.futures", "logging") if m in sys.modules]]))
+"""
+
+
+def test_importing_deteq_loads_its_own_modules_and_no_thread_pool(tmp_path):
+    # the Monte Carlo checks import concurrent.futures, which loads logging,
+    # on first use
+    deteq_modules, pool_modules = json.loads(_last_line(tmp_path, _LOADED, []))
+    assert deteq_modules == ["deteq"] + [f"deteq.{name}" for name in (
+        "_lapack", "cli", "density", "dilation", "dyson", "outliers", "profiles", "sampling")]
+    assert pool_modules == []
 
 
 # the two paths that call LAPACK: Bunch-Kaufman for a dense Y on the real

@@ -379,6 +379,23 @@ def test_locate_raises_when_nothing_converges():
                         config=SolverConfig(max_iterations=5))
 
 
+def test_locate_raises_when_no_scan_point_converges():
+    # the whole window lies inside the semicircle's support [-2, 2], so every
+    # real solve ends in the support
+    model = HermitianModel(profile=constant_profile(40, 40, 1.0, hermitian=True), y=None,
+                           spikes=SpikeSet(u=_flat_vector(40), theta=[1.0]))
+    with pytest.raises(RuntimeError, match="^no scan point converged; widen the window"):
+        locate_outliers(model, window=(-1.0, 1.0))
+
+
+def test_beta_square_names_the_point_where_its_solve_stopped():
+    prof = constant_profile(4, 4, 1.0, hermitian=True)
+    spikes = SpikeSet(u=_flat_vector(4), theta=[1.0])
+    with pytest.raises(RuntimeError, match=r"^Dyson solve did not converge at lambda = "
+                                           r"\(0\.5\+0\.01j\) \(residual .* after 1 iterations\)$"):
+        beta_square(0.5 + 0.01j, spikes, prof, config=SolverConfig(max_iterations=1))
+
+
 def test_det_curve_tilde_matches_plain_on_dilated_models():
     # The dilated model carries no deformation, so the curve must agree
     # pointwise with det(I - U* Omega^(-1) U Theta).

@@ -526,7 +526,7 @@ def test_a_failing_sum_stops_the_master_check(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_blocks_start_at_most_a_window_ahead_of_the_sums(monkeypatch, workers):
-    window = 2 * workers + 1  # blocks started and not yet in the sums
+    window = workers + 1  # blocks started and not yet in the sums
     profile = constant_profile(4, 4, 1.0, hermitian=True)
     lam = SpectralParameter.scalar(1j, 4)
     batch = SampleBatch(seed=5, count=40, n=4)
