@@ -383,6 +383,8 @@ def _cmd_density(args) -> int:
 
     dilated = profile.mode == "rectangular"
     if dilated:
+        if profile.rows > profile.cols:
+            raise ConfigError("profile: singular-value densities need rows <= cols")
         if np.any(grid < 0.0):
             raise ConfigError("grid: singular-value grids need min >= 0")
         y_rect = _parse_y_spec(cfg["y"], profile.rows, profile.cols)

@@ -158,7 +158,9 @@ def dilate_model(model: RectangularModel) -> DilatedModel:
     """
     n, m = model.n, model.m
     size = n + m
-    entries = hermitian_dilation(model.profile.entries).real * (size / m)
+    entries = np.zeros((size, size))
+    np.multiply(model.profile.entries, size / m, out=entries[:n, n:])
+    entries[n:, :n] = entries[:n, n:].T
     profile = VarianceProfile(entries, "hermitian")
 
     y = None if model.y is None else hermitian_dilation(model.y)

@@ -23,11 +23,11 @@ tasks are started and not yet taken, and the first failure, in a task or in
 the calling thread, is raised once no worker is left.  Each concentration
 task computes one draw's deviation in two workspaces that its worker keeps.
 Their LAPACK calls, made through ``deteq._lapack`` into numpy's own
-OpenBLAS, release the interpreter lock and run on one OpenBLAS thread, as
-``_empirical_trace``'s do: the threaded LU factorization rounds otherwise,
-and the result then depends on neither setting.  That OpenBLAS is a pthreads
-build, whose thread count holds for the whole process, so the one pin around
-the pool holds in every worker.
+OpenBLAS, release the interpreter lock and run on one OpenBLAS thread: the
+threaded LU factorization rounds otherwise, and the result then depends on
+neither setting.  That OpenBLAS is a pthreads build, whose thread count
+holds for the whole process, so the one pin around the pool holds in every
+worker.
 
 The master check cuts its draws into blocks of ``_block_draws(n)`` draws,
 each block one stack of about ``_STACK_BYTES`` and one task.  Each draw is
@@ -58,7 +58,6 @@ __all__ = [
     "SampleBatch",
     "sample_gue_profile",
     "sample_rect_gaussian",
-    "empirical_spectrum",
     "check_master_equality",
     "validate_concentration",
 ]
@@ -161,50 +160,6 @@ def sample_rect_gaussian(profile: VarianceProfile, seed) -> np.ndarray:
     n, m = profile.rows, profile.cols
     z = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
     return np.sqrt(profile.entries) * z / np.sqrt(m)
-
-
-def _checked(h, lam, caller: str):
-    """``h`` as a square Hermitian array (to 1e-10) and ``lam`` as a complex with Im > 0."""
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
-        raise ValueError(f"{caller} needs a non-empty square matrix")
-    # one pass over |H* - H|; a NaN fails the comparison and is rejected
-    gap = np.conjugate(h.T)  # a new array; a real h's .conj() would share h's memory
-    gap -= h
-    if not np.abs(gap).max() <= 1e-10:
-        raise ValueError(f"{caller} needs a Hermitian matrix")
-    lam = complex(lam)
-    if lam.imag <= 0.0:
-        raise ValueError("spectral parameter needs Im > 0")
-    return h, lam
-
-
-def empirical_spectrum(h: np.ndarray, lam: complex):
-    """Eigenvalues of a Hermitian matrix and its empirical Stieltjes trace.
-
-    Returns (g_emp, eigenvalues) with g_emp = mean(1 / (lam - eig)).
-    """
-    h, lam = _checked(h, lam, "empirical_spectrum")
-    eigs = np.linalg.eigvalsh(h)
-    g_emp = complex(np.mean(1.0 / (lam - eigs)))
-    return g_emp, eigs
-
-
-def _empirical_trace(h: np.ndarray, lam: complex) -> complex:
-    """The empirical Stieltjes trace (1/n) tr (lam - H)^(-1) of a Hermitian H.
-
-    Equals the g_emp of ``empirical_spectrum`` without the eigenvalues.
-    lam - H has every singular value >= Im lam, so the pivoting of its LU
-    factorization is well conditioned.  It factors on one OpenBLAS thread,
-    as the concentration loop does, so it gives the loop's trace bit for bit.
-    """
-    h, lam = _checked(h, lam, "the empirical trace")
-    n = h.shape[0]
-    a = np.empty((n, n), dtype=np.complex128, order="F")
-    np.negative(h, out=a, dtype=np.complex128)
-    a.T.flat[::n + 1] += lam
-    with _one_blas_thread():
-        return _inverse_trace(a, np.empty_like(a), np.tri(n, k=-1, dtype=bool))
 
 
 # The master check's blocks of draws are sized so that one n x n complex

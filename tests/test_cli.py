@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from deteq import outliers
+from deteq import cli, outliers
 from deteq.cli import _parse_profile_spec, _spike_vector, _write_json, main
 from deteq.dilation import RectangularModel, RectangularSpikes, dilate_model
 from deteq.outliers import HermitianModel, SpikeSet, locate_outliers
@@ -719,6 +719,20 @@ def test_unreadable_configs_and_malformed_specs_are_named(tmp_path, monkeypatch,
     assert _run(*argv, "--out", "out") == 1
     assert capsys.readouterr().err.strip().split("\n")[-1].startswith(message)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_singular_value_density_with_more_rows_than_columns_is_refused_before_solving(
+        tmp_path, monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("a profile with rows > cols must be rejected before any solve")
+
+    monkeypatch.setattr(cli, "density_curve", refused)
+    monkeypatch.chdir(tmp_path)
+    assert _run("density", "--profile", "constant:n=440,m=400", "--grid", "0:3:0.05",
+                "--out", "d.csv") == 1
+    assert capsys.readouterr().err.strip().split("\n")[-1] == \
+        "error: profile: singular-value densities need rows <= cols"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_outlier_search_with_no_converged_scan_point_writes_its_diagnostics(tmp_path,

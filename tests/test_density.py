@@ -6,13 +6,10 @@ import pytest
 from deteq.density import (DensityCurve, density_curve, stieltjes_trace,
                            sv_density_correction, write_density_csv)
 import deteq.dyson
-from deteq.dilation import RectangularModel, dilate_model
 from deteq.dyson import OperatorStieltjes, SolverConfig, SpectralParameter, solve_dyson
 from deteq.profiles import constant_profile
 
-
-def _g_semicircle(lam: complex) -> complex:
-    return (lam - np.sqrt(complex(lam - 2.0)) * np.sqrt(complex(lam + 2.0))) / 2.0
+from reference import criterion_5_profile, g_semicircle
 
 
 def _cauchy(t, eta):
@@ -44,7 +41,7 @@ def test_density_matches_smoothed_semicircle():
     grid = np.arange(-3.0, 3.0 + 1e-9, 0.05)
     curve = density_curve(prof, None, grid, eta=eta)
     assert curve.converged.all()
-    oracle = np.array([-_g_semicircle(t + 1j * eta).imag / math.pi for t in grid])
+    oracle = np.array([-g_semicircle(t + 1j * eta).imag / math.pi for t in grid])
     assert np.max(np.abs(curve.values - oracle)) <= 1e-9
     assert abs(curve.mass() - 1.0) <= 0.02  # Cauchy tails leak a little mass
 
@@ -166,7 +163,7 @@ def test_density_curve_classifies_a_dense_deformation_once(monkeypatch):
 def test_density_curve_equals_the_warm_started_solve_loop():
     # criterion 5's grid, solved point by point as in
     # test_criterion_5_grid_iteration_count
-    prof = dilate_model(RectangularModel(profile=constant_profile(360, 400, 1.0))).profile
+    prof = criterion_5_profile()
     grid = 0.05 * np.arange(61)
     curve = density_curve(prof, None, grid, eta=0.01, config=SolverConfig(tolerance=1e-9))
     config = SolverConfig(tolerance=1e-9)

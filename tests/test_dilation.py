@@ -33,13 +33,17 @@ def test_dilation_spectrum_is_signed_singular_values():
 def test_dilated_profile_matches_degree_map():
     """R of the dilated profile equals g -> D(Gamma) g / M."""
     rng = np.random.default_rng(3)
-    prof = VarianceProfile(rng.random((6, 9)), "rectangular")
-    dil = dilate_model(RectangularModel(profile=prof))
-    assert dil.profile.mode == "hermitian"
-    assert dil.profile.rows == 15
-    g = rng.standard_normal(15) - 1j * rng.random(15)
-    expected = hermitian_dilation(prof.entries).real @ g / 9.0
-    assert np.max(np.abs(r_map(dil.profile, g) - expected)) <= 1e-12
+    for n, m in ((6, 9), (7, 7), (9, 6)):
+        prof = VarianceProfile(rng.random((n, m)), "rectangular")
+        dil = dilate_model(RectangularModel(profile=prof))
+        assert dil.profile.mode == "hermitian"
+        assert dil.profile.rows == n + m
+        # bit for bit the scaled real part of the complex D(Gamma)
+        assert np.array_equal(dil.profile.entries,
+                              hermitian_dilation(prof.entries).real * ((n + m) / m))
+        g = rng.standard_normal(n + m) - 1j * rng.random(n + m)
+        expected = hermitian_dilation(prof.entries).real @ g / m
+        assert np.max(np.abs(r_map(dil.profile, g) - expected)) <= 1e-12
 
 
 def test_dilated_spikes_reconstruct_the_signal():

@@ -12,21 +12,14 @@ from deteq import dyson
 from deteq.density import density_curve
 from deteq.dilation import RectangularModel, dilate_model
 from deteq.dyson import (ConcentrationBound, OperatorStieltjes, SolverConfig,
-                         SpectralParameter, _hermitian_inverse_diagonal, _prepare, _Prepared,
+                         SpectralParameter, _hermitian_inverse_diagonal, _prepare,
                          _solve_path, omega_square, psi_step, r_map, solve_dyson)
 from deteq.profiles import (VarianceProfile, bernoulli_profile, constant_profile,
                             doubly_stochastic_profile, normalize_profile,
                             piecewise_profile)
 
-# Semicircle Stieltjes transform with the branch cut on [-2, 2].
-def _g_semicircle(lam: complex) -> complex:
-    return (lam - np.sqrt(complex(lam - 2.0)) * np.sqrt(complex(lam + 2.0))) / 2.0
-
-
-def _random_profile(n: int, seed: int) -> VarianceProfile:
-    rng = np.random.default_rng(seed)
-    a = rng.random((n, n))
-    return VarianceProfile((a + a.T) / 2.0, "hermitian")
+from reference import (averaged_fixed_point, criterion_5_profile, g_semicircle,
+                       plain_real_solve, random_profile, row_by_row)
 
 
 def test_spectral_parameter_validation():
@@ -82,7 +75,7 @@ def test_solve_matches_semicircle_closed_form():
     assert sol.converged
     assert sol.residual <= 1e-12
     assert sol.contraction_certified  # gamma_max^2 / Im^2 = 1 / 1.69 < 1
-    oracle = _g_semicircle(lam_value)
+    oracle = g_semicircle(lam_value)
     assert abs(complex(sol.g_square.diag.mean()) - oracle) <= 1e-10
     # the constant-profile fixed point is uniform across coordinates
     assert np.max(np.abs(sol.g_square.diag - sol.g_square.diag[0])) <= 1e-12
@@ -128,32 +121,11 @@ def test_trace_behaves_as_a_stieltjes_transform(data, n, scale):
     assert abs(g.real) <= 1e-10
 
 
-def _averaged_fixed_point(prof, y, lam, tolerance=1e-12, max_iterations=20000):
-    """Reference: the averaged iteration g <- (g + psi(g)) / 2 from -i / Im lambda.
-
-    Helton, Rashidi Far & Speicher prove that it converges to the unique
-    fixed point in the Stieltjes domain.
-    """
-    g = OperatorStieltjes(-1j / lam.diag.imag)
-    for _ in range(max_iterations):
-        psi_g = psi_step(prof, y, lam, g)
-        if np.abs(psi_g.diag - g.diag).max() <= tolerance:
-            return psi_g.diag
-        g = OperatorStieltjes((g.diag + psi_g.diag) / 2.0)
-    raise AssertionError("reference iteration did not converge")
-
-
 def _two_level_profile(n, k, ratio):
     """A k x k block ``ratio`` times louder than the rest, row sums <= n."""
     a = np.ones((n, n))
     a[:k, :k] = ratio
     return VarianceProfile(a * (n / a.sum(axis=1).max()), "hermitian")
-
-
-def _criterion_5_profile():
-    from deteq.dilation import RectangularModel, dilate_model
-
-    return dilate_model(RectangularModel(profile=constant_profile(360, 400, 1.0))).profile
 
 
 def _draw_model(data, n, eta_range):
@@ -186,13 +158,13 @@ def test_accelerated_solve_lands_on_the_averaged_iteration_fixed_point(data, n):
     prof, y, lam = _draw_model(data, n, (0.02, 0.5))
     sol = solve_dyson(prof, y, lam)
     assert sol.converged
-    ref = _averaged_fixed_point(prof, y, lam)
+    ref = averaged_fixed_point(prof, y, lam)
     assert np.max(np.abs(sol.g_square.diag - ref)) <= 1e-8
 
 
 @pytest.mark.parametrize("make_profile, lam_value, tolerance", [
     # an in-bulk point of criterion 5's dilated 360 x 400 model
-    (_criterion_5_profile, 1.0 + 0.01j, 1e-9),
+    (criterion_5_profile, 1.0 + 0.01j, 1e-9),
     # without the Stieltjes-domain guard this solve settles 0.98 away
     (lambda: _two_level_profile(4, 1, 100.0), 0.5 + 0.02j, 1e-12),
     # going on from an extrapolation whose residual grew, with the history
@@ -206,7 +178,7 @@ def test_accelerated_solve_lands_on_the_averaged_iteration_fixed_point_at(
     lam = SpectralParameter.scalar(lam_value, prof.rows)
     sol = solve_dyson(prof, None, lam, SolverConfig(tolerance=tolerance))
     assert sol.converged
-    ref = _averaged_fixed_point(prof, None, lam, tolerance=1e-13)
+    ref = averaged_fixed_point(prof, None, lam, tolerance=1e-13)
     assert np.max(np.abs(sol.g_square.diag - ref)) <= 1e-8
 
 
@@ -222,7 +194,7 @@ def test_solves_stopped_mid_extrapolation_stay_in_the_stieltjes_domain(data, n, 
 def test_in_bulk_solves_stopped_mid_extrapolation_stay_in_the_stieltjes_domain():
     # Cold solves inside criterion 5's bulk extrapolate to Im G > 0 from the
     # fourth step on; only the guard keeps those candidates out.
-    prof = _criterion_5_profile()
+    prof = criterion_5_profile()
     lam = SpectralParameter.scalar(1.9 + 0.01j, 760)
     for cap in range(3, 7):
         g = solve_dyson(prof, None, lam, SolverConfig(max_iterations=cap)).g_square.diag
@@ -236,7 +208,7 @@ def test_criterion_5_grid_iteration_count():
     The count is deterministic.  Plain damped iteration needs 51,559
     iterations here, the accelerated solver 913.
     """
-    prof = _criterion_5_profile()
+    prof = criterion_5_profile()
     config = SolverConfig(tolerance=1e-9)
     total = 0
     for t in 0.05 * np.arange(61):
@@ -270,19 +242,6 @@ def test_real_axis_solve_reaches_a_lower_gap_on_the_right_branch():
     assert np.max(np.abs(g.g_square.diag - ref.g_square.diag.real)) <= 5e-10
 
 
-def _row_by_row(w, y) -> _Prepared:
-    """A model whose every row is its own class, with Y as given.
-
-    ``_prepare`` reads Y = c I as diagonal; building the model directly
-    keeps a dense Y dense, so its solves take the Bunch-Kaufman inertia.
-    """
-    n = w.shape[0]
-    rows = np.arange(n)
-    y = (dyson._DenseY if y.ndim == 2 else dyson._DiagonalY)(y)
-    return _Prepared(n, rows, rows, np.ones(n, dtype=np.int64), w, y,
-                     float(w.max()) * n, w * n)
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(1, 16), k=st.integers(1, 4),
        s=st.floats(0.1, 4.0), c=st.floats(-2.0, 2.0), points=st.integers(3, 40),
@@ -293,7 +252,7 @@ def test_real_axis_walk_splits_at_the_exact_edge(data, n, k, s, c, points, dense
     # and G(lambda) = ((lambda - c) - sqrt((lambda - c)^2 - 4 s)) / 2 s above it.
     p = sum(np.eye(n)[data.draw(st.permutations(range(n)))] for _ in range(k))
     w = (p + p.T) * (s / (2.0 * k))
-    model = _row_by_row(w, c * np.eye(n) if dense else np.full(n, c))
+    model = row_by_row(w, c * np.eye(n) if dense else np.full(n, c))
     edge = 2.0 * np.sqrt(s) + c
     # below G(lambda) > 0, so the first climb is ordered too
     warm = OperatorStieltjes(np.zeros(n))
@@ -309,33 +268,6 @@ def test_real_axis_walk_splits_at_the_exact_edge(data, n, k, s, c, points, dense
             assert g is None
         if g is not None:
             warm = sol.g_square
-
-
-def _plain_real_solve(w, y, lam, g, cap, tolerance):
-    """The real-axis solve by plain steps g <- psi(g) on every row: the reference.
-
-    Returns (G, decided): G once the residual is at most ``tolerance``, None
-    once psi crosses a pole (its inertia changes or it is non-finite).  Y is
-    a diagonal vector or a dense matrix; a dense Y's inertia is the count of
-    positive eigenvalues of lambda - R(g) - Y.
-    """
-    signs = None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(cap):
-            if y.ndim == 1:
-                psi = 1.0 / (lam - w @ g - y)
-                inertia = psi > 0.0
-            else:
-                e, v = np.linalg.eigh(np.diag(lam - w @ g) - y)
-                psi = (v * v / e).sum(axis=1)
-                inertia = np.count_nonzero(e > 0.0)
-            signs = inertia if signs is None else signs
-            if not np.all(np.isfinite(psi)) or np.any(inertia != signs):
-                return None, True
-            if np.max(np.abs(psi - g)) <= tolerance:
-                return g, True
-            g = psi
-    return None, False
 
 
 def _real_error_bound(w, y, lam, g, tolerance):
@@ -369,7 +301,7 @@ def test_a_real_solve_decides_like_plain_steps(seed, r, n, sparse, dense, lam, d
         w = (b + b.T) / (2.0 * n)
         q = rng.uniform(-1.0, 1.0, (n, n))
         y = (q + q.T) / 2.0
-        model = _row_by_row(w, y)
+        model = row_by_row(w, y)
     else:
         n = max(n, r)
         labels = rng.permutation(np.arange(n) % r)
@@ -390,7 +322,7 @@ def test_a_real_solve_decides_like_plain_steps(seed, r, n, sparse, dense, lam, d
 
         with mock.patch.object(dyson, "_psi_raw", recorded):
             sol = _real_solve(model, point, start, 10 ** 5, tolerance)
-        ref, decided = _plain_real_solve(w, y, point, start.diag.real, 10 ** 5, tolerance)
+        ref, decided = plain_real_solve(w, y, point, start.diag.real, 10 ** 5, tolerance)
         if decided:
             assert sol.converged == (ref is not None)
         bound = None
@@ -478,7 +410,7 @@ def test_diagonal_shift_translates_the_argument():
     lam_value = 0.5 + 1.1j
     shifted = solve_dyson(prof, np.full(n, c),
                           SpectralParameter.scalar(lam_value, n))
-    oracle = _g_semicircle(lam_value - c)
+    oracle = g_semicircle(lam_value - c)
     assert abs(complex(shifted.g_square.diag.mean()) - oracle) <= 1e-10
 
 
@@ -540,7 +472,7 @@ def test_dense_deformation_trace_is_rotation_invariant():
 
 
 def test_two_initializations_agree():
-    prof = _random_profile(40, seed=17)
+    prof = random_profile(40, seed=17)
     im = np.sqrt(prof.gamma_max_sq) * 1.6
     lam = SpectralParameter.scalar(0.3 + 1j * im, 40)
     base = solve_dyson(prof, None, lam)
@@ -601,7 +533,7 @@ def test_omega_square_subordination():
     lam = SpectralParameter.scalar(lam_value, 100)
     sol = solve_dyson(prof, None, lam)
     omega = omega_square(prof, sol, lam)
-    oracle = lam_value - _g_semicircle(lam_value)
+    oracle = lam_value - g_semicircle(lam_value)
     assert np.max(np.abs(omega - oracle)) <= 1e-10
     broke = solve_dyson(prof, None, SpectralParameter.scalar(0.01j, 100),
                         SolverConfig(max_iterations=3))
@@ -741,7 +673,7 @@ def test_row_classes_of_the_cli_profiles():
     def dilated(profile):
         return dilate_model(RectangularModel(profile=profile)).profile
 
-    model = _prepare(_criterion_5_profile(), None)
+    model = _prepare(criterion_5_profile(), None)
     assert list(model.sizes) == [360, 400]
     assert np.array_equal(model.labels, np.repeat([0, 1], [360, 400]))
     assert model.w.shape == (2, 2)
@@ -804,7 +736,7 @@ def test_criterion_5_grid_runs_on_two_class_values(monkeypatch):
         return psi_raw(*args)
 
     monkeypatch.setattr(dyson, "_psi_raw", recorded)
-    curve = density_curve(_criterion_5_profile(), None, 0.05 * np.arange(61), eta=0.01,
+    curve = density_curve(criterion_5_profile(), None, 0.05 * np.arange(61), eta=0.01,
                           config=SolverConfig(tolerance=1e-9))
     assert curve.converged.all()
     assert set(sizes) == {2}
@@ -814,7 +746,7 @@ def test_criterion_5_grid_runs_on_two_class_values(monkeypatch):
 def test_refined_classes_follow_a_non_scalar_lambda_and_start():
     # A Lambda or a start that varies inside a class splits it, so the solve
     # equals the one on singleton classes.
-    prof = _criterion_5_profile()
+    prof = criterion_5_profile()
     lam_diag = np.full(760, 1.0 + 0.05j)
     lam_diag[:10] += 0.2
     lam = SpectralParameter(lam_diag)

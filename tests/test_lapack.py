@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dsytrf, dsytri, zhetrf, zhetri
 
 from deteq import _lapack
 from deteq.dyson import _hermitian_inverse_diagonal
+
+from reference import one_blas_thread, reference_trace  # noqa: F401
 
 
 def _f2py_reference(a: np.ndarray):
@@ -72,6 +74,47 @@ def test_a_singular_matrix_gives_nan_and_inertia_minus_one(a):
 def test_bunch_kaufman_refuses_what_is_not_a_square_matrix(a):
     with pytest.raises(ValueError, match="non-empty square"):
         _hermitian_inverse_diagonal(a)
+
+
+def _assert_same_trace(n: int, seed: int) -> None:
+    """The kernel's trace of lam - H, for a dense Hermitian H, is the reference's."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (a + a.conj().T) / 2.0  # entries as large as lam's: LU pivots
+    lam = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.01, 2.0))
+    shifted = np.asfortranarray(-h)
+    shifted.flat[::n + 1] += lam
+    trace = _lapack._inverse_trace(shifted, np.empty_like(shifted),
+                                   np.tri(n, k=-1, dtype=bool))
+    assert trace == reference_trace(h, lam)
+
+
+# the fixture pins OpenBLAS for the whole test, which holds for every example
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_lu_trace_matches_the_f2py_reference_bit_for_bit(one_blas_thread, n, seed):
+    _assert_same_trace(n, seed)
+
+
+@pytest.mark.parametrize("n", [100, 150])
+def test_the_lu_trace_factors_in_blocks_as_the_f2py_reference_does(one_blas_thread, n):
+    _assert_same_trace(n, n)
+
+
+def test_the_lu_trace_refuses_an_array_lapack_cannot_factor_in_place():
+    read_only = np.zeros((2, 2), dtype=np.complex128, order="F")
+    read_only.setflags(write=False)
+    lower = np.empty_like(read_only)
+    for a in (np.zeros((2, 2), dtype=np.complex128), read_only, np.zeros((2, 2), order="F")):
+        with pytest.raises(ValueError, match="^the trace kernel needs "):
+            _lapack._inverse_trace(a, lower, np.tri(2, k=-1, dtype=bool))
+
+
+def test_a_singular_matrix_has_no_lu_trace():
+    a = np.zeros((3, 3), dtype=np.complex128, order="F")
+    with pytest.raises(np.linalg.LinAlgError):
+        _lapack._inverse_trace(a, np.empty_like(a), np.tri(3, k=-1, dtype=bool))
 
 
 def test_a_missing_routine_is_named(monkeypatch):

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from deteq import dyson
 from deteq.density import density_curve
 from deteq.dilation import RectangularModel, RectangularSpikes, dilate_model
-from deteq.dyson import (SolverConfig, SpectralParameter, omega_square,
-                         solve_dyson)
+from deteq.dyson import SolverConfig, SpectralParameter, solve_dyson
 from deteq.outliers import (HermitianModel, OutlierCandidate, OutlierReport,
                             SpikeSet, _brent, beta_square, closed_form_outlier,
                             det_beta_curve, locate_outliers)
@@ -17,12 +16,10 @@ from deteq.profiles import (VarianceProfile, constant_profile,
                             doubly_stochastic_profile, normalize_profile,
                             piecewise_profile)
 
+from reference import criterion_5_profile, g_semicircle, random_profile, resolvent_side_det
+
 # Constant-profile outlier for theta = 2 at aspect ratio 0.9.
 _CONSTANT_ROOT = 2.4748737341529163
-
-
-def _g_semicircle(lam: complex) -> complex:
-    return (lam - np.sqrt(complex(lam - 2.0)) * np.sqrt(complex(lam + 2.0))) / 2.0
 
 
 def _flat_vector(n: int) -> np.ndarray:
@@ -40,15 +37,6 @@ def _dilated_constant_model(n: int, m: int, theta: float) -> HermitianModel:
     return HermitianModel.from_dilated(
         dilate_model(RectangularModel(profile=constant_profile(n, m, 1.0),
                                       spikes=spikes)))
-
-
-def _resolvent_side_det(prof: VarianceProfile, y: np.ndarray, spikes: SpikeSet,
-                        lam_value: complex) -> complex:
-    """det(I - U* (Omega(lambda I) - Y)^(-1) U Theta) with a dense solve."""
-    lam = SpectralParameter.scalar(lam_value, prof.rows)
-    omega = omega_square(prof, solve_dyson(prof, y, lam), lam)
-    core = spikes.u.conj().T @ np.linalg.solve(np.diag(omega) - y, spikes.u)
-    return complex(np.linalg.det(np.eye(spikes.k) - core * spikes.theta))
 
 
 def test_closed_form_constant_profile():
@@ -81,7 +69,7 @@ def test_beta_matches_semicircle_transform():
     spikes = SpikeSet(u=_flat_vector(200), theta=[2.0])
     lam = 2.5
     beta = beta_square(lam, spikes, prof)
-    oracle = 1.0 - 2.0 * _g_semicircle(complex(lam, 1e-3))
+    oracle = 1.0 - 2.0 * g_semicircle(complex(lam, 1e-3))
     assert abs(complex(beta[0, 0]) - oracle) <= 1e-9
     # the root of 1 - 2 g sits at 2.5, so the regularized value is small
     assert abs(complex(beta[0, 0])) <= 2e-3
@@ -104,8 +92,7 @@ def test_beta_is_frame_rotation_invariant_for_flat_profiles():
 def test_beta_and_beta_tilde_coincide_for_diagonal_y():
     rng = np.random.default_rng(23)
     n = 50
-    prof = VarianceProfile((lambda a: (a + a.T) / 2)(rng.random((n, n))),
-                           "hermitian")
+    prof = random_profile(n, rng)
     y = rng.uniform(-0.5, 0.5, n)
     q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
     spikes = SpikeSet(u=q, theta=[1.2, 0.6])
@@ -114,7 +101,7 @@ def test_beta_and_beta_tilde_coincide_for_diagonal_y():
         # a diagonal matrix is read as its diagonal
         assert np.linalg.det(beta_square(lam, spikes, prof, y=np.diag(y))) == a
         lam_c = complex(lam) if complex(lam).imag > 0.0 else complex(lam, 1e-3)
-        b = _resolvent_side_det(prof, np.diag(y), spikes, lam_c)
+        b = resolvent_side_det(prof, np.diag(y), spikes, lam_c)
         assert abs(a - b) <= 1e-10
 
 
@@ -252,8 +239,7 @@ def test_outlier_sweep_psi_evaluation_count(monkeypatch):
 
 
 def _criterion_5_grid():
-    prof = dilate_model(RectangularModel(profile=constant_profile(360, 400, 1.0))).profile
-    density_curve(prof, None, 0.05 * np.arange(61), eta=0.01,
+    density_curve(criterion_5_profile(), None, 0.05 * np.arange(61), eta=0.01,
                   config=SolverConfig(tolerance=1e-9))
 
 
@@ -404,8 +390,8 @@ def test_det_curve_tilde_matches_plain_on_dilated_models():
     lams = np.linspace(2.0, 3.0, 9)
     dets, conv = det_beta_curve(model, lams)
     assert conv.all()
-    ref = [_resolvent_side_det(model.profile, np.zeros((54, 54)), model.spikes,
-                               complex(t, 1e-3)) for t in lams]
+    ref = [resolvent_side_det(model.profile, np.zeros((54, 54)), model.spikes,
+                              complex(t, 1e-3)) for t in lams]
     assert np.max(np.abs(dets - np.array(ref))) <= 1e-9
 
 

@@ -1,4 +1,3 @@
-import ctypes
 import itertools
 import math
 import sys
@@ -11,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.linalg import lapack
 
 from deteq import _lapack, sampling
 from deteq.cli import main
 from deteq.dyson import SpectralParameter, _apply_r, solve_dyson
 from deteq.profiles import VarianceProfile, constant_profile
-from deteq.sampling import (SampleBatch, _empirical_trace, check_master_equality,
-                            empirical_spectrum, sample_gue_profile,
+from deteq.sampling import (SampleBatch, check_master_equality, sample_gue_profile,
                             sample_rect_gaussian, validate_concentration)
+
+from reference import one_blas_thread, random_profile, reference_trace  # noqa: F401
 
 
 def _reference_draw(profile: VarianceProfile, seed) -> np.ndarray:
@@ -37,11 +36,6 @@ def _reference_draw(profile: VarianceProfile, seed) -> np.ndarray:
     h = h + h.conj().T
     h[np.diag_indices(n)] = np.diag(gamma) * x_diag * scale
     return h
-
-
-def _symmetric_profile(n: int, seed: int) -> VarianceProfile:
-    a = np.random.default_rng(seed).random((n, n))
-    return VarianceProfile((a + a.T) / 2.0, "hermitian")
 
 
 def _sparse_profile(n: int, seed: int) -> VarianceProfile:
@@ -85,7 +79,7 @@ def test_rectangular_entry_variances():
 
 @pytest.mark.parametrize("profile", [
     constant_profile(400, 400, 1.0, hermitian=True),
-    _symmetric_profile(37, 8),
+    random_profile(37, 8),
     constant_profile(1, 1, 1.0, hermitian=True),
     constant_profile(9, 9, 0.0, hermitian=True),
 ], ids=["constant-400", "symmetric-37", "n-1", "zero"])
@@ -122,36 +116,20 @@ def test_batch_draws_are_reproducible_and_independent():
         SampleBatch(seed=9, count=0, n=12)
 
 
-def test_empirical_spectrum_known_matrix():
-    h = np.diag([1.0, 2.0]).astype(complex)
-    g, eigs = empirical_spectrum(h, 1j)
-    oracle = 0.5 * (1.0 / (1j - 1.0) + 1.0 / (1j - 2.0))
-    assert abs(g - oracle) <= 1e-15
-    assert np.array_equal(eigs, np.array([1.0, 2.0]))
-    assert abs(_empirical_trace(h, 1j) - oracle) <= 1e-15
-    near = np.diag([1.0, 2.0])
-    near[0, 1] = 1e-11  # within the 1e-10 Hermitian tolerance
-    for check in (empirical_spectrum, _empirical_trace):
-        check(near, 1j)
-        assert near[1, 0] == 0.0  # a real input is read, not changed
-        for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 2e-10], [0.0, 0.0]]),
-                    np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 3)), np.zeros((0, 0))):
-            with pytest.raises(ValueError):
-                check(bad, 1j)
-        with pytest.raises(ValueError):
-            check(h, 1.0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
        re=st.floats(-3.0, 3.0), im=st.floats(1e-2, 10.0))
 def test_lu_trace_is_the_eigenvalue_mean(n, seed, re, im):
     rng = np.random.default_rng(seed)
     a = (rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))) / np.sqrt(n)
-    h = sample_gue_profile(_symmetric_profile(n, seed), rng) + (a + a.conj().T) / 2.0
+    h = sample_gue_profile(random_profile(n, seed), rng) + (a + a.conj().T) / 2.0
     lam = complex(re, im)
     oracle = complex(np.mean(1.0 / (lam - np.linalg.eigvalsh(h))))
-    assert abs(_empirical_trace(h, lam) - oracle) <= 1e-12 * abs(oracle)
+    shifted = np.asfortranarray(-h)
+    shifted.flat[::n + 1] += lam
+    trace = _lapack._inverse_trace(shifted, np.empty_like(shifted),
+                                   np.tri(n, k=-1, dtype=bool))
+    assert abs(trace - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_concentration_factorizes_each_draw_once(monkeypatch):
@@ -175,48 +153,15 @@ def test_concentration_factorizes_each_draw_once(monkeypatch):
     assert calls == [(40, 40)] * 7
 
 
-def _reference_trace(h: np.ndarray, lam: complex) -> complex:
-    """The LU trace as first written: a factorization of a C-ordered copy and
-    a gather of U^(-1)'s rows by the pivot permutation."""
-    n = h.shape[0]
-    a = np.negative(h, dtype=np.complex128)
-    a.flat[::n + 1] += lam
-    lu, swaps, _ = lapack.zgetrf(a)
-    lu, _ = lapack.ztrtri(lu, lower=0)
-    lu, _ = lapack.ztrtri(lu, lower=1, unitdiag=1)
-    p = np.arange(n)
-    for k, j in enumerate(swaps):
-        p[k], p[j] = p[j], p[k]
-    u_inv = np.triu(lu)[p]
-    return complex((np.einsum("kj,jk->", u_inv, np.tril(lu, -1)) + u_inv.trace()) / n)
-
-
 def _dense_hermitian(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (2.0 * n)
     return a + a.conj().T
 
 
-@pytest.fixture
-def one_blas_thread():
-    """Runs the test on one OpenBLAS thread, as the concentration loop runs its
-    kernel: OpenBLAS's threaded LU factorization rounds otherwise, so a
-    reference computed on more threads can differ in the last bits.  Both
-    OpenBLAS libraries are pinned: deteq's, which is numpy's, and scipy's,
-    which the f2py reference calls."""
-    setters = [_lapack._lapack().set_blas_threads,
-               ctypes.CDLL(lapack._flapack.__file__).openblas_set_num_threads_local]
-    saved = [set_threads(1) for set_threads in setters]
-    try:
-        yield
-    finally:
-        for set_threads, threads in zip(setters, saved):
-            set_threads(threads)
-
-
 _LOOP_CASES = [
     (constant_profile(400, 400, 1.0, hermitian=True), None, 0.5j, 3),
-    (_symmetric_profile(37, 2), np.linspace(-1.0, 1.0, 37), 0.3 + 0.7j, 20),
+    (random_profile(37, 2), np.linspace(-1.0, 1.0, 37), 0.3 + 0.7j, 20),
     (constant_profile(12, 12, 1.0, hermitian=True), _dense_hermitian(12, 4), -0.2 + 0.9j, 20),
     (_sparse_profile(40, 6), np.linspace(-0.5, 0.5, 40), 0.2 + 0.8j, 20),
 ]
@@ -231,7 +176,7 @@ def test_loops_match_the_draw_by_draw_reference_bit_for_bit(monkeypatch, one_bla
     y_mat = 0.0 if y is None else np.diag(y) if y.ndim == 1 else y
     batch = SampleBatch(seed=12, count=draws, n=n)
     g_det = complex(solve_dyson(profile, y, SpectralParameter.scalar(lam, n)).g_square.diag.mean())
-    traces = [_reference_trace(sample_gue_profile(profile, child) + y_mat, lam)
+    traces = [reference_trace(sample_gue_profile(profile, child) + y_mat, lam)
               for child in batch.child_seeds()]
     seen = []
     inverse_trace = sampling._inverse_trace
@@ -247,20 +192,10 @@ def test_loops_match_the_draw_by_draw_reference_bit_for_bit(monkeypatch, one_bla
     # their draws in no fixed order
     assert Counter(seen) == Counter(traces)
     assert out["max_deviation"] == max(abs(t - g_det) for t in traces)
-    assert [_empirical_trace(sample_gue_profile(profile, child) + y_mat, lam)
-            for child in batch.child_seeds()] == traces
 
-    w = profile.entries / n
-    lam_mat = np.diag(np.full(n, lam))
-    lhs = np.zeros((n, n), dtype=np.complex128)
-    rhs = np.zeros((n, n), dtype=np.complex128)
-    for child in batch.child_seeds():
-        x = sample_gue_profile(profile, child)
-        resolvent = np.linalg.inv(lam_mat - x - y_mat)
-        lhs += x @ resolvent
-        rhs += _apply_r(w, resolvent.diagonal())[:, np.newaxis] * resolvent
-    assert check_master_equality(profile, y, SpectralParameter.scalar(lam, n), batch) == \
-        float(np.linalg.norm((lhs - rhs) / draws, 2))
+    lam = SpectralParameter.scalar(lam, n)
+    assert check_master_equality(profile, y, lam, batch) == \
+        float(np.linalg.norm(_reference_master(profile, y, lam, batch), 2))
 
 
 @pytest.mark.parametrize("y", [np.triu(np.full((8, 8), 0.1)), np.diag([np.nan] + [0.0] * 7)],
@@ -275,14 +210,19 @@ def test_concentration_checks_y_before_the_first_factorization(monkeypatch, y):
                                d=2.0, delta=0.5, draws=3, seed=1)
 
 
-def test_concentration_result_does_not_depend_on_the_worker_count(monkeypatch):
+def test_concentration_result_does_not_depend_on_the_worker_count(monkeypatch,
+                                                                  one_blas_thread):
     # n = 400: large enough that a threaded OpenBLAS factorization would round
     # otherwise than the one-thread one the loop runs, on any worker count
     profile = constant_profile(400, 400, 1.0, hermitian=True)
     y = np.linspace(-0.5, 0.5, 400)  # every worker reads Y while the others run
+    lam = 0.2 + 0.9j
+    # each draw's trace, on the one thread the fixture sets
+    expect = Counter(reference_trace(sample_gue_profile(profile, child) + np.diag(y), lam)
+                     for child in SampleBatch(seed=8, count=7, n=400).child_seeds())
 
     def run():
-        return validate_concentration(profile, y, 0.2 + 0.9j, d=2.0, delta=0.5, draws=7, seed=8)
+        return validate_concentration(profile, y, lam, d=2.0, delta=0.5, draws=7, seed=8)
 
     inverse_trace = sampling._inverse_trace
     seen = []  # each run's per-draw traces
@@ -308,7 +248,7 @@ def test_concentration_result_does_not_depend_on_the_worker_count(monkeypatch):
         sys.setswitchinterval(interval)
         set_threads(saved)
     assert outs[0] == outs[1] == outs[2]
-    assert Counter(seen[0]) == Counter(seen[1]) == Counter(seen[2])
+    assert [Counter(traces) for traces in seen] == [expect] * 3
 
     calls = itertools.count()  # next() is atomic, so exactly one call fails
 
@@ -353,32 +293,6 @@ def test_sample_batch_takes_numpy_integers():
     assert [c.entropy for c in batch.child_seeds()] == [5, 5]
 
 
-def test_empirical_trace_equals_the_loop_under_any_blas_setting(monkeypatch):
-    # n = 400: OpenBLAS's two-thread LU factorization rounds otherwise here
-    profile = constant_profile(400, 400, 1.0, hermitian=True)
-    lam = 0.1 + 0.6j
-    seen = []
-    inverse_trace = sampling._inverse_trace
-
-    def recorded(*args):
-        trace = inverse_trace(*args)
-        seen.append(trace)
-        return trace
-
-    monkeypatch.setattr(sampling, "_inverse_trace", recorded)
-    validate_concentration(profile, None, lam, d=2.0, delta=0.5, draws=3, seed=14)
-    monkeypatch.undo()
-    set_threads = _lapack._lapack().set_blas_threads
-    saved = set_threads(2)
-    try:
-        traces = [_empirical_trace(sample_gue_profile(profile, child), lam)
-                  for child in SampleBatch(seed=14, count=3, n=400).child_seeds()]
-        assert set_threads(2) == 2  # the setting is restored
-    finally:
-        set_threads(saved)
-    assert Counter(traces) == Counter(seen)
-
-
 def _reference_master(profile: VarianceProfile, y, lam: SpectralParameter,
                       batch: SampleBatch) -> np.ndarray:
     """The master check's (lhs - rhs) / count, one draw at a time."""
@@ -415,9 +329,9 @@ def _blocked_master(monkeypatch, profile, y, lam, batch, workers: int, block: in
 
 
 _MASTER_CASES = {
-    "diagonal-y": (_symmetric_profile(9, 3), np.linspace(-0.7, 0.7, 9), 0.4 + 0.8j),
+    "diagonal-y": (random_profile(9, 3), np.linspace(-0.7, 0.7, 9), 0.4 + 0.8j),
     "dense-y": (constant_profile(8, 8, 1.0, hermitian=True), _dense_hermitian(8, 5), -0.3 + 1.1j),
-    "non-scalar-lambda": (_symmetric_profile(7, 4), None, np.linspace(-1.0, 1.0, 7) + 0.7j),
+    "non-scalar-lambda": (random_profile(7, 4), None, np.linspace(-1.0, 1.0, 7) + 0.7j),
 }
 
 
@@ -448,7 +362,7 @@ def test_master_check_equals_the_draw_by_draw_reference_bit_for_bit(monkeypatch,
        form=st.sampled_from(["absent", "diagonal", "dense"]), scalar=st.booleans())
 def test_master_check_blocks_keep_every_bit(n, count, block, workers, seed, form, scalar):
     rng = np.random.default_rng(seed)
-    profile = _symmetric_profile(n, seed)
+    profile = random_profile(n, seed)
     y = {"absent": None, "diagonal": rng.uniform(-1.0, 1.0, n),
          "dense": _dense_hermitian(n, seed)}[form]
     diag = np.full(n, 0.2 + 0.9j) if scalar else rng.uniform(-1.0, 1.0, n) + 0.9j
