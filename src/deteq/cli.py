@@ -17,6 +17,7 @@ fails (the report is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -63,6 +64,12 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_record(path, command: str, cfg: dict, **fields) -> None:
+    """Write a command's JSON record: the resolved config and its hash, then ``fields``."""
+    _write_json(path, {"command": command, "config": cfg, "config_hash": _config_hash(cfg),
+                       **fields})
+
+
 def _diagnose(out: str, cfg: dict, command: str, what: str, **fields) -> int:
     """Write a failed solve's diagnostics next to ``out``, say where, and return 2."""
     path = out + ".diagnostics.json"
@@ -90,13 +97,6 @@ _RANGES = {
 def _check_range(field: str, value) -> None:
     if field in _RANGES and not _RANGES[field][0](value):
         raise ConfigError(f"{field}: {_RANGES[field][1]}")
-
-
-def _field_types(parser: argparse.ArgumentParser) -> dict:
-    """Each field of a subcommand and the type its flag takes: int, float,
-    bool for a switch, else str."""
-    return {action.dest: bool if action.const is True else action.type or str
-            for action in parser._actions if action.dest not in ("help", "config")}
 
 
 def _check_file_value(key: str, kind: type, value) -> None:
@@ -348,8 +348,7 @@ _PROFILE_OPTIONS = {"n": "n", "m": "m", "p": "p", "k": "k", "seed": "seed",
                     "hermitian": "hermitian"}
 
 
-def _cmd_profile(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_profile(cfg: dict) -> int:
     kind = str(_require(cfg, "kind"))
     out = _require(cfg, "out")
     opts = {key: cfg[field] for field, key in _PROFILE_OPTIONS.items()
@@ -359,22 +358,14 @@ def _cmd_profile(args) -> int:
         profile = normalize_profile(profile, float(cfg["normalize"]))
 
     write_profile_csv(profile, out)
-    _write_json(out + ".meta.json", {
-        "command": "profile",
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "rows": profile.rows,
-        "cols": profile.cols,
-        "mode": profile.mode,
-        "gamma_max_sq": profile.gamma_max_sq,
-        "mean_variance": profile.mean_variance(),
-    })
+    _write_record(out + ".meta.json", "profile", cfg, rows=profile.rows, cols=profile.cols,
+                  mode=profile.mode, gamma_max_sq=profile.gamma_max_sq,
+                  mean_variance=profile.mean_variance())
     print(f"wrote {out} ({profile.rows}x{profile.cols}, {profile.mode})")
     return 0
 
 
-def _cmd_density(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_density(cfg: dict) -> int:
     profile = _parse_profile_spec(str(_require(cfg, "profile")))
     out = _require(cfg, "out")
     eta = float(_get(cfg, "eta", 0.01))
@@ -400,17 +391,9 @@ def _cmd_density(args) -> int:
         curve = sv_density_correction(curve, profile.rows, profile.cols)
 
     write_density_csv(curve, out)
-    _write_json(out + ".meta.json", {
-        "command": "density",
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "dilated": dilated,
-        "rows": profile.rows,
-        "cols": profile.cols,
-        "eta": curve.eta,
-        "tolerance": curve.tolerance,
-        "converged": [bool(f) for f in curve.converged],
-    })
+    _write_record(out + ".meta.json", "density", cfg, dilated=dilated, rows=profile.rows,
+                  cols=profile.cols, eta=curve.eta, tolerance=curve.tolerance,
+                  converged=[bool(f) for f in curve.converged])
     failed = int(np.sum(~curve.converged))
     if failed:
         return _diagnose(out, cfg, "density",
@@ -422,8 +405,7 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _cmd_outliers(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_outliers(cfg: dict) -> int:
     profile = _parse_profile_spec(str(_require(cfg, "model")))
     out = _require(cfg, "out")
     try:
@@ -477,21 +459,15 @@ def _cmd_outliers(args) -> int:
         return _diagnose(out, cfg, "outliers", f"outlier search failed: {exc}",
                          error=str(exc), completed_thetas=thetas[: len(reports)])
 
-    payload = {
-        "command": "outliers",
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "dilated": rectangular,
-        "theta": thetas,
-        "reports": [r.to_json_dict() for r in reports],
-    }
-    _write_json(out, payload)
+    _write_record(out, "outliers", cfg, dilated=rectangular, theta=thetas,
+                  reports=[r.to_json_dict() for r in reports])
 
-    curve_path = out + ".curve.csv"
+    failed = []  # curve points whose solve did not converge
     if len(thetas) == 1:
         lo, hi = reports[0].window
         lams = np.linspace(lo, hi, max(scan_points, 200))
-        dets, _ = det_beta_curve(model, lams, config=solver, eta_eval=eta_eval)
+        dets, converged = det_beta_curve(model, lams, config=solver, eta_eval=eta_eval)
+        failed = [float(t) for t in lams[~converged]]
         lines = ["lambda,det_abs"]
         lines += [f"{t:.17g},{abs(d):.17g}" for t, d in zip(lams, dets)]
     else:
@@ -500,8 +476,14 @@ def _cmd_outliers(args) -> int:
             best = min(report.candidates, key=lambda c: c.det_abs)
             lines.append(f"{theta:.17g},{best.lam:.17g},"
                          f"{best.det_abs:.17g},{int(best.accepted)}")
-    with open(curve_path, "w", encoding="utf-8") as fh:
+    with open(out + ".curve.csv", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    if failed:
+        return _diagnose(out, cfg, "outliers",
+                         f"solver failed to converge at {len(failed)} curve points",
+                         failed_points=failed, failed_count=len(failed),
+                         tolerance=solver.tolerance,
+                         hint="raise max_iterations, loosen tolerance or increase eta_eval")
 
     n_accept = sum(len(r.accepted()) for r in reports)
     print(f"wrote {out} ({len(thetas)} spike strengths, "
@@ -509,8 +491,7 @@ def _cmd_outliers(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_sample(cfg: dict) -> int:
     profile = _parse_profile_spec(str(_require(cfg, "profile")))
     out = _require(cfg, "out")
     count = int(_get(cfg, "count", 1))
@@ -535,15 +516,9 @@ def _cmd_sample(args) -> int:
     flat = np.concatenate(values)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(_fmt(v) for v in flat) + "\n")
-    _write_json(out + ".meta.json", {
-        "command": "sample",
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "count": count,
-        "values_per_draw": values[0].size,
-        "mode": profile.mode,
-        "kind": "eigenvalues" if profile.mode == "hermitian" else "singular_values",
-    })
+    _write_record(out + ".meta.json", "sample", cfg, count=count,
+                  values_per_draw=values[0].size, mode=profile.mode,
+                  kind="eigenvalues" if profile.mode == "hermitian" else "singular_values")
     print(f"wrote {out} ({count} draws, {flat.size} values)")
     return 0
 
@@ -553,8 +528,7 @@ _VALIDATE_UNUSED = {"master": ("d", "delta", "min_pass_rate"),
                     "concentration": ("bound_factor",)}
 
 
-def _cmd_validate(args) -> int:
-    cfg = _merge_config(args)
+def _cmd_validate(cfg: dict) -> int:
     what = str(_require(cfg, "what"))
     if what not in _VALIDATE_UNUSED:
         raise ConfigError(f"what: unknown validation '{what}'")
@@ -599,16 +573,7 @@ def _cmd_validate(args) -> int:
         result["min_pass_rate"] = min_rate
         result["passed"] = bool(summary["pass_rate"] >= min_rate)
 
-    payload = {
-        "command": "validate",
-        "what": what,
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "n": n,
-        "samples": samples,
-        "result": result,
-    }
-    _write_json(out, payload)
+    _write_record(out, "validate", cfg, what=what, n=n, samples=samples, result=result)
     status = "PASS" if result["passed"] else "FAIL"
     print(f"{what}: {status} ({out})")
     return 0 if result["passed"] else 3
@@ -616,90 +581,88 @@ def _cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file with defaults for this command")
-    sub.add_argument("--out", help="output file path")
+_SPEC_HELP = "profile CSV path or kind:key=value,... spec"
+
+# field -> the keywords of its --flag, declared once for every command
+_FLAGS = {
+    "config": {"help": "JSON file with defaults for this command"},
+    "out": {"help": "output file path"},
+    "kind": {"choices": ["constant", "piecewise", "bernoulli", "doubly-stochastic"]},
+    "n": {"type": int},
+    "m": {"type": int},
+    "p": {"type": float, "help": "bernoulli survival probability"},
+    "k": {"type": int, "help": "permutation count (doubly-stochastic)"},
+    "seed": {"type": int},
+    "value": {"type": float, "help": "constant profile variance"},
+    "gamma_ratio": {"type": float, "help": "gamma2^2 / gamma1^2 for piecewise profiles"},
+    "hermitian": {"action": "store_const", "const": True},
+    "normalize": {"type": float, "help": "rescale to this average variance"},
+    "profile": {"help": _SPEC_HELP},
+    "model": {"help": _SPEC_HELP},
+    "y": {"help": "zero | diag:v1,... | csv:path"},
+    "grid": {"help": "min:max[:step], step defaults to eta/2; "
+                     "use --grid=-3:3:0.1 for negative minima"},
+    "eta": {"type": float},
+    "tolerance": {"type": float},
+    "max_iterations": {"type": int},
+    "theta_list": {"help": "comma-separated spike strengths"},
+    "vectors": {"help": "constant | e1 | csv:path"},
+    "threshold": {"type": float},
+    "window": {"help": "lo:hi search window"},
+    "scan_points": {"type": int},
+    "eta_eval": {"type": float},
+    "count": {"type": int},
+    "what": {"choices": ["master", "concentration"]},
+    "samples": {"type": int},
+    "d": {"type": float},
+    "delta": {"type": float},
+    "lambda_re": {"type": float},
+    "lambda_im": {"type": float},
+    "bound_factor": {"type": float},
+    "min_pass_rate": {"type": float},
+}
+
+# command -> (function, help, fields after --config and --out); the order of
+# the fields is the order of --help and of the range checks
+_COMMANDS = {
+    "profile": (_cmd_profile, "generate a variance profile CSV",
+                ("kind", "n", "m", "p", "k", "seed", "value", "gamma_ratio",
+                 "hermitian", "normalize")),
+    "density": (_cmd_density, "deterministic density curve CSV",
+                ("profile", "y", "grid", "eta", "tolerance", "max_iterations")),
+    "outliers": (_cmd_outliers, "locate spike-induced outliers",
+                 ("model", "y", "theta_list", "vectors", "threshold", "window",
+                  "scan_points", "eta_eval", "tolerance", "max_iterations")),
+    "sample": (_cmd_sample, "Monte Carlo eigen/singular values",
+               ("profile", "y", "count", "seed")),
+    "validate": (_cmd_validate, "Monte Carlo identity checks",
+                 ("what", "n", "samples", "d", "delta", "seed", "lambda_re",
+                  "lambda_im", "profile", "bound_factor", "min_pass_rate")),
+}
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser.  Each command's ``fields`` maps its fields but
+    config to the type their values take: bool for a switch, else the flag's type or str."""
     parser = _Parser(prog="deteq",
                      description="Deterministic equivalents for deformed "
                                  "Gaussian matrices with variance profiles")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("profile", help="generate a variance profile CSV")
-    _add_common(p)
-    p.add_argument("--kind", choices=["constant", "piecewise", "bernoulli",
-                                      "doubly-stochastic"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=float, help="bernoulli survival probability")
-    p.add_argument("--k", type=int, help="permutation count (doubly-stochastic)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--value", type=float, help="constant profile variance")
-    p.add_argument("--gamma-ratio", type=float,
-                   help="gamma2^2 / gamma1^2 for piecewise profiles")
-    p.add_argument("--hermitian", action="store_const", const=True)
-    p.add_argument("--normalize", type=float,
-                   help="rescale to this average variance")
-    p.set_defaults(func=_cmd_profile, fields=_field_types(p))
-
-    p = commands.add_parser("density", help="deterministic density curve CSV")
-    _add_common(p)
-    p.add_argument("--profile", help="profile CSV path or kind:key=value,... spec")
-    p.add_argument("--y", help="zero | diag:v1,... | csv:path")
-    p.add_argument("--grid", help="min:max[:step], step defaults to eta/2; "
-                                  "use --grid=-3:3:0.1 for negative minima")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--max-iterations", type=int)
-    p.set_defaults(func=_cmd_density, fields=_field_types(p))
-
-    p = commands.add_parser("outliers", help="locate spike-induced outliers")
-    _add_common(p)
-    p.add_argument("--model", help="profile CSV path or kind:key=value,... spec")
-    p.add_argument("--y", help="zero | diag:v1,... | csv:path")
-    p.add_argument("--theta-list", help="comma-separated spike strengths")
-    p.add_argument("--vectors", help="constant | e1 | csv:path")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--window", help="lo:hi search window")
-    p.add_argument("--scan-points", type=int)
-    p.add_argument("--eta-eval", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--max-iterations", type=int)
-    p.set_defaults(func=_cmd_outliers, fields=_field_types(p))
-
-    p = commands.add_parser("sample", help="Monte Carlo eigen/singular values")
-    _add_common(p)
-    p.add_argument("--profile", help="profile CSV path or kind:key=value,... spec")
-    p.add_argument("--y", help="zero | diag:v1,... | csv:path")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_sample, fields=_field_types(p))
-
-    p = commands.add_parser("validate", help="Monte Carlo identity checks")
-    _add_common(p)
-    p.add_argument("--what", choices=["master", "concentration"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--d", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lambda-re", type=float)
-    p.add_argument("--lambda-im", type=float)
-    p.add_argument("--profile")
-    p.add_argument("--bound-factor", type=float)
-    p.add_argument("--min-pass-rate", type=float)
-    p.set_defaults(func=_cmd_validate, fields=_field_types(p))
-
+    for command, (func, summary, names) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=summary)
+        for name in ("config", "out", *names):
+            sub.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
+        sub.set_defaults(func=func, fields={
+            name: bool if "const" in _FLAGS[name] else _FLAGS[name].get("type", str)
+            for name in ("out", *names)})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return args.func(_merge_config(args))
     except DysonDivergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2

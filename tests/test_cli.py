@@ -750,6 +750,25 @@ def test_an_outlier_search_with_no_converged_scan_point_writes_its_diagnostics(t
     assert not out.exists()
 
 
+def test_an_unconverged_curve_point_exits_two_after_writing_the_outputs(tmp_path, capsys):
+    # the root converges, but at a cap of 60 the curve's first point,
+    # lambda = 0.2 inside the bulk, does not
+    out = tmp_path / "o.json"
+    assert _run("outliers", "--model", "constant:n=16,m=20", "--theta-list", "2.0",
+                "--window", "0.2:4.0", "--max-iterations", "60", "--out", str(out)) == 2
+    accepted = [c["lambda"] for c in json.loads(out.read_text())["reports"][0]["candidates"]
+                if c["accepted"]]
+    assert len(accepted) == 1 and abs(accepted[0] - _ROOT_16_20) <= 1e-3
+    curve = (tmp_path / "o.json.curve.csv").read_text().strip().split("\n")
+    assert curve[0] == "lambda,det_abs" and float(curve[1].split(",")[0]) == 0.2
+    diag_path = tmp_path / "o.json.diagnostics.json"
+    diag = json.loads(diag_path.read_text())
+    assert diag["command"] == "outliers" and len(diag["config_hash"]) == 16
+    assert diag["failed_points"] == [0.2] and diag["failed_count"] == 1
+    assert capsys.readouterr().err.strip() == \
+        f"solver failed to converge at 1 curve points; diagnostics in {diag_path}"
+
+
 def test_rectangular_sample_adds_its_csv_deformation(tmp_path):
     y = np.arange(24.0).reshape(4, 6) / 7.0
     y_csv = tmp_path / "y.csv"
@@ -815,3 +834,56 @@ def test_each_branch_prints_its_outcome(tmp_path, monkeypatch, capsys, argv, mes
     printed = capsys.readouterr()
     assert (printed.err if failed else printed.out).strip().split("\n")[-1].startswith(message)
     assert (tmp_path / "out").exists() is not failed
+
+
+# each command's fields after --config, in flag order, with the type a value
+# takes; a dropped, reordered or retyped flag changes them
+_FIELDS = {
+    "profile": [("out", str), ("kind", str), ("n", int), ("m", int), ("p", float),
+                ("k", int), ("seed", int), ("value", float), ("gamma_ratio", float),
+                ("hermitian", bool), ("normalize", float)],
+    "density": [("out", str), ("profile", str), ("y", str), ("grid", str), ("eta", float),
+                ("tolerance", float), ("max_iterations", int)],
+    "outliers": [("out", str), ("model", str), ("y", str), ("theta_list", str),
+                 ("vectors", str), ("threshold", float), ("window", str),
+                 ("scan_points", int), ("eta_eval", float), ("tolerance", float),
+                 ("max_iterations", int)],
+    "sample": [("out", str), ("profile", str), ("y", str), ("count", int), ("seed", int)],
+    "validate": [("out", str), ("what", str), ("n", int), ("samples", int), ("d", float),
+                 ("delta", float), ("seed", int), ("lambda_re", float),
+                 ("lambda_im", float), ("profile", str), ("bound_factor", float),
+                 ("min_pass_rate", float)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FIELDS))
+def test_each_command_keeps_its_fields(command):
+    assert list(cli._parser().parse_args([command]).fields.items()) == _FIELDS[command]
+
+
+def test_main_builds_one_parser_per_process(tmp_path):
+    cli._parser.cache_clear()
+    assert _run("sample", "--profile", _HERM4, "--seed", "1", "--out", str(tmp_path / "a")) == 0
+    assert _run("validate", "--what", "unknown") == 1
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_each_command_rerun_in_one_process_writes_the_same_bytes(tmp_path, monkeypatch):
+    runs = [("profile", "--kind", "bernoulli", "--n", "8", "--m", "12", "--p", "0.5",
+             "--seed", "3", "--out", "p.csv"),
+            ("density", "--profile", "p.csv", "--grid", "0:2:0.25", "--eta", "0.1",
+             "--out", "d.csv"),
+            ("outliers", "--model", "constant:n=16,m=20", "--theta-list", "2.0",
+             "--window", "1.5:4.0", "--out", "o.json"),
+            ("sample", "--profile", _HERM4, "--count", "3", "--seed", "2", "--out", "s.txt"),
+            ("validate", "--what", "master", "--n", "8", "--samples", "20", "--seed", "5",
+             "--out", "m.json")]
+    files = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert [_run(*argv) for argv in runs] == [0] * len(runs)
+        files.append({path.name: path.read_bytes() for path in (tmp_path / name).iterdir()})
+    assert len(files[0]) == 9
+    assert files[0] == files[1]
