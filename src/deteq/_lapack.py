@@ -143,6 +143,11 @@ def _hermitian_inverse_diagonal(a: np.ndarray):
     positive = np.count_nonzero(lu.diagonal()[ipiv > 0].real > 0.0) \
         + np.count_nonzero(ipiv < 0) // 2
     tri(b"U", ref(size), data, ref(size), pivots, work.ctypes.data, ref(info))
-    # the inverse is in the upper triangle; mirror it into the lower one
-    inv = np.triu(lu) + np.triu(lu, 1).conj().T
+    # The inverse is in lu's upper triangle; mirror it into a C-ordered array
+    # (the order the Jacobian's products read), adding to each entry the zero
+    # that triu(lu) + triu(lu, 1)^H adds, so a real part -0.0 reads +0.0.
+    zero, lower = lu.dtype.type(0), np.tri(n, k=-1, dtype=bool)
+    inv = lu.T.conj()  # a view of lu when real
+    np.add(lu, zero.conjugate(), out=inv, where=~lower)
+    np.add(inv, zero, out=inv, where=lower)
     return inv.diagonal().real.copy(), positive, inv

@@ -435,22 +435,17 @@ def _cmd_outliers(cfg: dict) -> int:
     else:
         u = _spike_vector(vectors, n)
         v = _spike_vector(vectors, m) if rectangular else None
-    # strength theta spikes the Hermitian model by U diag(signs * theta) U*
-    signs = np.ones(1)
+    # one unit-strength model, prepared once, is scaled to every strength
     if rectangular:
-        dilated = dilate_model(RectangularModel(
-            profile=profile, y=y, spikes=RectangularSpikes(u=u, theta=[1.0], v=v)))
-        profile, y, u, signs = dilated.profile, dilated.y, dilated.w, dilated.theta_signed
-
-    # one prepared model serves every strength; only the spikes change
-    model = None
+        unit = HermitianModel.from_dilated(dilate_model(RectangularModel(
+            profile=profile, y=y, spikes=RectangularSpikes(u=u, theta=[1.0], v=v))))
+    else:
+        unit = HermitianModel(profile=profile, y=y, spikes=SpikeSet(u=u, theta=[1.0]))
     cache: dict = {}
     reports = []
     try:
         for theta in thetas:
-            spikes = SpikeSet(u=u, theta=signs * theta)
-            model = (HermitianModel(profile=profile, y=y, spikes=spikes) if model is None
-                     else model._with_spikes(spikes))
+            model = unit._scaled(theta)
             reports.append(locate_outliers(
                 model, window=window, config=solver,
                 threshold=threshold, scan_points=scan_points,

@@ -138,10 +138,10 @@ class DilatedModel:
 
 
 def hermitian_dilation(a: np.ndarray) -> np.ndarray:
-    """D(A) = [[0, A], [A*, 0]]; eigenvalues are +-singular values of A."""
+    """D(A) = [[0, A], [A*, 0]], real when A is; eigenvalues are +-singular values of A."""
     a = np.atleast_2d(np.asarray(a))
     n, m = a.shape
-    out = np.zeros((n + m, n + m), dtype=np.result_type(a.dtype, np.complex128))
+    out = np.zeros((n + m, n + m), dtype=np.result_type(a.dtype, np.float64))
     out[:n, n:] = a
     out[n:, :n] = a.conj().T
     return out
@@ -158,10 +158,9 @@ def dilate_model(model: RectangularModel) -> DilatedModel:
     """
     n, m = model.n, model.m
     size = n + m
-    entries = np.zeros((size, size))
-    np.multiply(model.profile.entries, size / m, out=entries[:n, n:])
-    entries[n:, :n] = entries[:n, n:].T
-    profile = VarianceProfile(entries, "hermitian")
+    gamma = hermitian_dilation(model.profile.entries)
+    gamma *= size / m
+    profile = VarianceProfile(gamma, "hermitian")
 
     y = None if model.y is None else hermitian_dilation(model.y)
 

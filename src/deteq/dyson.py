@@ -287,7 +287,7 @@ def _classify_deformation(y, n: int):
     object returned here.
     """
     if y is None:
-        return _DiagonalY(np.zeros(n), given=False)
+        return _DiagonalY(np.zeros(n))
     y = np.asarray(y)
     if not np.all(np.isfinite(y)):
         raise ValueError("deformation must be finite")
@@ -310,20 +310,19 @@ def _classify_deformation(y, n: int):
 class _DiagonalY:
     """Y = diag(values), one real value per row.
 
-    An absent Y is the zero diagonal, with ``given`` False: x - 0.0 is x in
-    IEEE arithmetic, signed zeros included, so every result is the one
-    computed without Y.  Each member answers a question that the solver,
-    ``outliers`` or ``sampling`` asks of Y; ``_DenseY`` answers the same ones.
+    An absent Y is the zero diagonal: x - 0.0 is x in IEEE arithmetic,
+    signed zeros included, so every result is the one computed without Y.
+    Each member answers a question that the solver, ``outliers`` or
+    ``sampling`` asks of Y; ``_DenseY`` answers the same ones.
     """
 
     values: np.ndarray
-    given: bool = True
     dense = False
 
     @property
     def array(self):
-        """Y as a model reports it: None when absent, else the diagonal."""
-        return self.values if self.given else None
+        """Y as a model reports it: the diagonal."""
+        return self.values
 
     @property
     def keys(self):
@@ -332,7 +331,7 @@ class _DiagonalY:
 
     def on_classes(self, first):
         """Y on the class values, each class read at its first row."""
-        return _DiagonalY(self.values[first], self.given)
+        return _DiagonalY(self.values[first])
 
     def psi(self, shift, inertia=False):
         """diag[(diag(shift) - Y)^(-1)].

@@ -72,11 +72,6 @@ class SpikeSet:
         return self.theta.size
 
 
-def _check_spike_dimension(spikes: SpikeSet, n: int) -> None:
-    if spikes.u.shape[0] != n:
-        raise ValueError("spike vectors do not match the profile dimension")
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianModel:
     """Hermitian ensemble (profile noise + deformation Y) with a spike set.
@@ -92,15 +87,16 @@ class HermitianModel:
 
     def __post_init__(self) -> None:
         prepared = _prepare(self.profile, self.y)
-        _check_spike_dimension(self.spikes, prepared.n)
-        object.__setattr__(self, "y", prepared.y.array)
+        if self.spikes.u.shape[0] != prepared.n:
+            raise ValueError("spike vectors do not match the profile dimension")
+        object.__setattr__(self, "y", None if self.y is None else prepared.y.array)
         object.__setattr__(self, "_prepared", prepared)
 
-    def _with_spikes(self, spikes: SpikeSet) -> "HermitianModel":
-        """This model with other spikes, sharing its prepared profile and Y."""
-        _check_spike_dimension(spikes, self._prepared.n)
+    def _scaled(self, theta: float) -> "HermitianModel":
+        """This model with each spike strength times theta, sharing its prepared profile and Y."""
         model = copy.copy(self)
-        object.__setattr__(model, "spikes", spikes)
+        object.__setattr__(model, "spikes", SpikeSet(u=self.spikes.u,
+                                                     theta=self.spikes.theta * theta))
         return model
 
     @classmethod
@@ -165,8 +161,7 @@ def beta_square(lam, spikes: SpikeSet, profile: VarianceProfile, y=None,
         raise ValueError("spectral arguments must satisfy Im lambda >= 0")
     if lam_c.imag == 0.0:
         lam_c = complex(lam_c.real, eta_eval)
-    model = _prepare(profile, y)
-    _check_spike_dimension(spikes, model.n)
+    model = HermitianModel(profile, y, spikes)._prepared
     sol = next(_solve_path(model, [SpectralParameter.scalar(lam_c, model.n)], config))
     if not sol.converged:
         raise RuntimeError(
@@ -244,6 +239,38 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float = 2e-12,
     raise RuntimeError(f"Brent's method did not converge after {maxiter} iterations")
 
 
+@dataclass(frozen=True, eq=False)
+class _CacheRecord:
+    """What the real G's of a ``locate_outliers`` cache depend on; the cache's
+    first key, mapped to None."""
+
+    profile: np.ndarray
+    y: np.ndarray
+    config: SolverConfig
+    eta_eval: float
+
+
+def _check_cache(cache: dict, model: _Prepared, config: SolverConfig, eta_eval: float) -> None:
+    """Record in an empty cache what its G's depend on; else raise ValueError
+    when this call differs from the record, naming what differs."""
+    record = _CacheRecord(model.entries, model.y.array, config, eta_eval)
+    if not cache:
+        cache[record] = None
+        return
+    first = next(iter(cache))
+    if not isinstance(first, _CacheRecord):
+        raise ValueError("cache was not filled by locate_outliers")
+    changed = [name for name, old, new in (("profile", first.profile, record.profile),
+                                           ("Y", first.y, record.y))
+               if not (old is new or np.array_equal(old, new))]
+    changed += [name for name in ("config", "eta_eval")
+                if getattr(first, name) != getattr(record, name)]
+    if changed:
+        raise ValueError(f"cache was filled for another {' and '.join(changed)}; share a "
+                         "cache only between calls that agree on the profile, Y, config "
+                         "and eta_eval")
+
+
 def locate_outliers(model: HermitianModel, window=None,
                     config: SolverConfig | None = None,
                     threshold: float = 1e-3, scan_points: int = 50,
@@ -279,10 +306,12 @@ def locate_outliers(model: HermitianModel, window=None,
     solve converges, and from which complex seed, depends on the profile,
     Y, ``config`` and ``eta_eval``, so a cache may be shared only between
     calls that agree on all four, such as a sweep over spike strengths.
-    Raises ValueError for a non-finite or empty window or a non-finite or
-    non-positive ``eta_eval``, and RuntimeError when no point of the walk
-    converges, when a solve between two converged points fails, or when a
-    complex seed does not converge within ``config.max_iterations``.
+    The first call records the four under the cache's first key, which
+    maps to None.  Raises ValueError for a non-finite or empty window, a
+    non-finite or non-positive ``eta_eval`` or a cache recorded for another
+    profile, Y, ``config`` or ``eta_eval``, and RuntimeError when no point
+    of the walk converges, when a solve between two converged points fails,
+    or when a complex seed does not converge within ``config.max_iterations``.
     """
     if config is None:
         config = SolverConfig()
@@ -293,6 +322,7 @@ def locate_outliers(model: HermitianModel, window=None,
     _check_eta_eval(eta_eval)
     prepared, spikes = model._prepared, model.spikes
     cache = cache if cache is not None else {}
+    _check_cache(cache, prepared, config, eta_eval)
     seed = config.initial
 
     def solve(lam: float, start):

@@ -79,8 +79,6 @@ def constant_profile(n: int, m: int, value: float = 1.0,
                      hermitian: bool = False) -> VarianceProfile:
     """Profile with gamma^2 identically equal to ``value``."""
     _check_shape(n, m)
-    if hermitian and n != m:
-        raise ValueError("hermitian profiles must be square")
     entries = np.full((n, m), float(value))
     return VarianceProfile(entries, "hermitian" if hermitian else "rectangular")
 
@@ -96,8 +94,6 @@ def piecewise_profile(n: int, m: int, gamma1_sq: float, gamma2_sq: float,
     _check_shape(n, m)
     if n % 4 != 0 or m % 4 != 0:
         raise ValueError("piecewise profiles need n and m divisible by 4")
-    if hermitian and n != m:
-        raise ValueError("hermitian profiles must be square")
     entries = np.full((n, m), float(gamma2_sq))
     entries[: n // 4, : m // 4] = gamma1_sq
     entries[n // 4:, m // 4:] = gamma1_sq

@@ -176,8 +176,12 @@ def test_outliers_sweep_writes_one_row_per_strength(tmp_path):
     assert by_theta[2.0] == 1
 
 
-def test_outliers_prepares_the_model_once_for_every_strength(tmp_path, monkeypatch):
-    spec, thetas = "bernoulli:n=180,m=200,p=0.3,seed=1", [0.8, 1.5, 3.0]
+@pytest.mark.parametrize("spec, vectors, thetas", [
+    ("bernoulli:n=180,m=200,p=0.3,seed=1", "constant", [0.8, 1.5, 3.0]),
+    ("constant:n=40,m=40,hermitian=true", "e1", [1.8, 2.5]),
+], ids=["rectangular", "hermitian"])
+def test_outliers_prepares_the_model_once_for_every_strength(tmp_path, monkeypatch, spec,
+                                                             vectors, thetas):
     calls = []
     prepare = outliers._prepare
 
@@ -187,20 +191,24 @@ def test_outliers_prepares_the_model_once_for_every_strength(tmp_path, monkeypat
 
     monkeypatch.setattr(outliers, "_prepare", counted)
     out = tmp_path / "sweep.json"
-    assert _run("outliers", "--model", spec, "--theta-list", ",".join(map(str, thetas)),
-                "--out", str(out)) == 0
+    assert _run("outliers", "--model", spec, "--vectors", vectors,
+                "--theta-list", ",".join(map(str, thetas)), "--out", str(out)) == 0
     assert len(calls) == 1
     monkeypatch.undo()
 
     # the reference prepares one model per strength, sharing one cache
     profile = _parse_profile_spec(spec)
-    dilated = dilate_model(RectangularModel(profile=profile, y=None, spikes=RectangularSpikes(
-        u=_spike_vector("constant", 180), theta=[1.0], v=_spike_vector("constant", 200))))
+    if profile.mode == "rectangular":
+        dilated = dilate_model(RectangularModel(profile=profile, y=None, spikes=RectangularSpikes(
+            u=_spike_vector(vectors, profile.rows), theta=[1.0],
+            v=_spike_vector(vectors, profile.cols))))
+        models = [HermitianModel(profile=dilated.profile, y=dilated.y, spikes=SpikeSet(
+            u=dilated.w, theta=dilated.theta_signed * theta)) for theta in thetas]
+    else:
+        models = [HermitianModel(profile=profile, y=None, spikes=SpikeSet(
+            u=_spike_vector(vectors, profile.rows), theta=[theta])) for theta in thetas]
     cache: dict = {}
-    reports = [locate_outliers(HermitianModel(
-        profile=dilated.profile, y=dilated.y,
-        spikes=SpikeSet(u=dilated.w, theta=dilated.theta_signed * theta)), cache=cache)
-        for theta in thetas]
+    reports = [locate_outliers(model, cache=cache) for model in models]
     payload = json.loads(out.read_text())
     payload["reports"] = [r.to_json_dict() for r in reports]
     _write_json(tmp_path / "reference.json", payload)

@@ -30,6 +30,19 @@ def test_dilation_spectrum_is_signed_singular_values():
     assert np.max(np.abs(eigs - expected)) <= 1e-10
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_dilation_of_a_real_matrix_is_real(real):
+    a = _random_rect(4, 6, seed=2)
+    a = a.real.copy() if real else a
+    d = hermitian_dilation(a)
+    assert d.dtype == (np.float64 if real else np.complex128)
+    # the entries of the complex build that a real matrix used to get, bit for bit
+    reference = np.zeros((10, 10), dtype=np.complex128)
+    reference[:4, 4:] = a
+    reference[4:, :4] = a.conj().T
+    assert d.tobytes() == (reference.real.tobytes() if real else reference.tobytes())
+
+
 def test_dilated_profile_matches_degree_map():
     """R of the dilated profile equals g -> D(Gamma) g / M."""
     rng = np.random.default_rng(3)

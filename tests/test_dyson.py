@@ -782,10 +782,9 @@ def test_each_deformation_form_answers_as_the_full_matrix(n, form, seed):
          "real": (a + a.T) / 2.0, "complex": (a + a.conj().T) / 2.0}[form]
     full = np.zeros((n, n)) if y is None else np.diag(y) if y.ndim == 1 else y
     deformation = dyson._classify_deformation(y, n)
-    assert (deformation.array is None) == (y is None)
-    if y is not None:  # a Y without off-diagonal part reads as its diagonal
-        diagonal = not np.any(full - np.diag(np.diag(full)))
-        assert np.array_equal(deformation.array, np.diag(full) if diagonal else full)
+    # a Y without off-diagonal part, an absent one included, reads as its diagonal
+    diagonal = not np.any(full - np.diag(np.diag(full)))
+    assert np.array_equal(deformation.array, np.diag(full) if diagonal else full)
     assert _close(deformation.norm, np.linalg.norm(full, 2))
 
     shift = rng.standard_normal(n) + 1j * rng.uniform(0.5, 2.0, n)

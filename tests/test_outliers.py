@@ -562,3 +562,31 @@ def test_outlier_report_serialization():
     assert data["candidates"][0] == {"lambda": 2.5, "det_abs": 1e-6,
                                      "accepted": True}
     assert [c.lam for c in report.accepted()] == [2.5]
+
+
+@pytest.mark.parametrize("name", ["profile", "Y", "config", "eta_eval"])
+def test_a_shared_cache_refuses_a_call_that_would_solve_otherwise(name):
+    """The first call records the profile, Y, config and eta_eval in the
+    cache; a later call that changes one of them raises before any solve."""
+    model = _dilated_constant_model(16, 20, 2.0)
+    kwargs = {"window": (1.5, 4.0), "scan_points": 9, "cache": {}}
+    locate_outliers(model, **kwargs)
+    solved = dict(kwargs["cache"])
+    if name == "profile":
+        model = HermitianModel(VarianceProfile(2.0 * model.profile.entries, "hermitian"),
+                               None, model.spikes)
+    elif name == "Y":
+        model = HermitianModel(model.profile, np.full(36, 0.1), model.spikes)
+    elif name == "config":
+        kwargs["config"] = SolverConfig(tolerance=1e-10)
+    else:
+        kwargs["eta_eval"] = 2e-3
+    with pytest.raises(ValueError, match=f"^cache was filled for another {name}; "):
+        locate_outliers(model, **kwargs)
+    assert kwargs["cache"] == solved
+
+
+def test_a_cache_that_locate_outliers_did_not_fill_is_refused():
+    with pytest.raises(ValueError, match="^cache was not filled by locate_outliers$"):
+        locate_outliers(_dilated_constant_model(16, 20, 2.0), window=(1.5, 4.0),
+                        cache={2.0: None})
