@@ -146,8 +146,19 @@ def _hermitian_inverse_diagonal(a: np.ndarray):
     # The inverse is in lu's upper triangle; mirror it into a C-ordered array
     # (the order the Jacobian's products read), adding to each entry the zero
     # that triu(lu) + triu(lu, 1)^H adds, so a real part -0.0 reads +0.0.
-    zero, lower = lu.dtype.type(0), np.tri(n, k=-1, dtype=bool)
+    zero, (lower, rest) = lu.dtype.type(0), _triangle_masks(n)
     inv = lu.T.conj()  # a view of lu when real
-    np.add(lu, zero.conjugate(), out=inv, where=~lower)
+    np.add(lu, zero.conjugate(), out=inv, where=rest)
     np.add(inv, zero, out=inv, where=lower)
     return inv.diagonal().real.copy(), positive, inv
+
+
+@functools.lru_cache(maxsize=4)
+def _triangle_masks(n: int):
+    """The n x n masks of the strict lower triangle and of the rest, read-only;
+    a dense-Y model inverts matrices of one size on every step."""
+    lower = np.tri(n, k=-1, dtype=bool)
+    rest = ~lower
+    lower.setflags(write=False)
+    rest.setflags(write=False)
+    return lower, rest

@@ -160,6 +160,7 @@ def dilate_model(model: RectangularModel) -> DilatedModel:
     size = n + m
     gamma = hermitian_dilation(model.profile.entries)
     gamma *= size / m
+    gamma.setflags(write=False)  # the profile takes it over without a copy
     profile = VarianceProfile(gamma, "hermitian")
 
     y = None if model.y is None else hermitian_dilation(model.y)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._lapack import _hermitian_inverse_diagonal
 from .profiles import VarianceProfile
@@ -570,31 +571,46 @@ def _real_steps(part: _Prepared, lam: float, g: np.ndarray, config: SolverConfig
 
 def _anderson_steps(part: _Prepared, lam: np.ndarray, g: np.ndarray, config: SolverConfig):
     """(g, residuals, converged) of the iteration that ``solve_dyson``
-    describes, at a complex Lambda from ``g``; g is the last iterate evaluated."""
+    describes, at a complex Lambda from ``g``; g is the last iterate evaluated.
+
+    The differences live in two r x ``_ANDERSON_DEPTH`` buffers allocated
+    once per solve, oldest column first, and the least squares is the
+    ``zgelsd`` solve of ``np.linalg.lstsq(a, b, rcond=None)``, called without
+    its wrapper: each step does the floating-point operations of the plain
+    loop in ``tests/reference.py``, in its order, so G keeps its bits.
+    """
+    w, class_y, tolerance, cap = part.w, part.class_y, config.tolerance, config.max_iterations
     # Class c stands for sizes[c] equal rows: weighting its least-squares
     # rows by sqrt(sizes[c]) makes the Anderson step the n-dimensional one.
     weight = np.sqrt(part.sizes)
+    row_weight, rows = weight[:, np.newaxis], weight.size
+    # lstsq's rcond=None cuts singular values off at eps max(rows, columns)
+    eps = np.finfo(np.float64).eps
     alpha = 1.0
     bound = 1.0 / lam.imag
     residuals = []
     increase_run = 0
     # The last accepted iterate, its image and its residual, and the
-    # differences between consecutive accepted iterates and residuals.
+    # differences between consecutive accepted iterates and residuals, the
+    # last ``depth`` of them in the first columns of d_g and d_f.
     g_base = psi_base = f_base = None
     res_base = math.inf
-    d_g, d_f = [], []
+    d_g = np.empty((rows, _ANDERSON_DEPTH), dtype=np.complex128)
+    d_f = np.empty_like(d_g)
+    depth = 0
     extrapolated = False
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
-            psi_g = _psi_raw(part.w, lam, g, part.class_y)
-            if not np.all(np.isfinite(psi_g)):
+            psi_g = _psi_raw(w, lam, g, class_y)
+            f = psi_g - g
+            res = float(np.abs(f).max())
+            # a non-finite psi(g) makes the residual non-finite
+            if not math.isfinite(res) and not np.isfinite(psi_g).all():
                 raise DysonDivergenceError(
                     f"fixed-point iterate became non-finite at iteration "
                     f"{len(residuals) + 1} (damping {alpha})")
-            f = psi_g - g
-            res = float(np.abs(f).max())
             residuals.append(res)
-            if res <= config.tolerance or len(residuals) >= config.max_iterations:
+            if res <= tolerance or len(residuals) >= cap:
                 break
             if res > res_base:
                 if extrapolated:
@@ -610,22 +626,28 @@ def _anderson_steps(part: _Prepared, lam: np.ndarray, g: np.ndarray, config: Sol
             else:
                 increase_run = 0
             if g_base is not None:
-                d_g.append(g - g_base)
-                d_f.append(f - f_base)
-                if len(d_g) > _ANDERSON_DEPTH:
-                    del d_g[0], d_f[0]
+                if depth == _ANDERSON_DEPTH:  # drop the oldest difference
+                    d_g[:, :-1] = d_g[:, 1:]
+                    d_f[:, :-1] = d_f[:, 1:]
+                else:
+                    depth += 1
+                np.subtract(g, g_base, out=d_g[:, depth - 1])
+                np.subtract(f, f_base, out=d_f[:, depth - 1])
             g_base, psi_base, f_base, res_base = g, psi_g, f, res
             extrapolated = False
-            if d_g:
-                dg, df = np.column_stack(d_g), np.column_stack(d_f)
-                gamma = np.linalg.lstsq(df * weight[:, np.newaxis], f * weight,
-                                        rcond=None)[0]
+            if depth:
+                dg, df = d_g[:, :depth], d_f[:, :depth]
+                gamma = _umath_linalg.lstsq(df * row_weight, (f * weight)[:, np.newaxis],
+                                            eps * max(rows, depth), signature="DDd->Ddid")[0][:, 0]
                 cand = g + alpha * f - (dg + alpha * df) @ gamma
                 # the guard: stay in the Stieltjes domain
-                extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
-                                    and np.all(np.abs(cand) <= bound))
+                extrapolated = bool(np.isfinite(cand).all() and (cand.imag <= 0.0).all()
+                                    and (np.abs(cand) <= bound).all())
+                if not extrapolated and np.isnan(gamma).any():
+                    # lstsq's contract: zgelsd's SVD did not converge
+                    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
             g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
-    return g, residuals, res <= config.tolerance
+    return g, residuals, res <= tolerance
 
 
 def omega_square(profile: VarianceProfile, solution: DysonSolution,

@@ -33,14 +33,19 @@ class VarianceProfile:
 
     ``mode`` is "hermitian" for square symmetric profiles attached to
     self-adjoint ensembles, "rectangular" otherwise.  ``entries`` is
-    read-only after construction.
+    read-only after construction.  A float64 array that owns its data and is
+    already read-only is taken over as it is, without a copy; any other
+    input, a read-only view included, is copied.
     """
 
     entries: np.ndarray
     mode: str = "rectangular"
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=np.float64, copy=True)
+        entries = self.entries
+        if not (type(entries) is np.ndarray and entries.dtype == np.float64
+                and entries.flags.owndata and not entries.flags.writeable):
+            entries = np.array(entries, dtype=np.float64, copy=True)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError("profile entries must form a non-empty 2-d array")
         if not np.all(np.isfinite(entries)):

@@ -8,6 +8,7 @@ row at a time.  pytest's default import mode puts this directory on
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from scipy.linalg import lapack
 
 from deteq import _lapack, dyson
 from deteq.dilation import RectangularModel, dilate_model
-from deteq.dyson import (OperatorStieltjes, SpectralParameter, _Prepared, omega_square,
+from deteq.dyson import (_ANDERSON_DEPTH, DysonDivergenceError, OperatorStieltjes,
+                         SolverConfig, SpectralParameter, _Prepared, _psi_raw, omega_square,
                          psi_step, solve_dyson)
 from deteq.outliers import SpikeSet
 from deteq.profiles import VarianceProfile, constant_profile
@@ -98,6 +100,70 @@ def row_by_row(w, y) -> _Prepared:
     y = (dyson._DenseY if y.ndim == 2 else dyson._DiagonalY)(y)
     return _Prepared(n, rows, rows, np.ones(n, dtype=np.int64), w, y,
                      float(w.max()) * n, w * n)
+
+
+def anderson_reference(part: _Prepared, lam: np.ndarray, g: np.ndarray, config: SolverConfig):
+    """The Anderson loop as first written, with the history in lists that
+    ``np.column_stack`` joins on every step and ``np.linalg.lstsq``'s own
+    wrapper: the reference that ``dyson._anderson_steps`` matches bit for bit.
+
+    (g, residuals, converged) of the iteration that ``solve_dyson``
+    describes, at a complex Lambda from ``g``; g is the last iterate evaluated."""
+    # Class c stands for sizes[c] equal rows: weighting its least-squares
+    # rows by sqrt(sizes[c]) makes the Anderson step the n-dimensional one.
+    weight = np.sqrt(part.sizes)
+    alpha = 1.0
+    bound = 1.0 / lam.imag
+    residuals = []
+    increase_run = 0
+    # The last accepted iterate, its image and its residual, and the
+    # differences between consecutive accepted iterates and residuals.
+    g_base = psi_base = f_base = None
+    res_base = math.inf
+    d_g, d_f = [], []
+    extrapolated = False
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            psi_g = _psi_raw(part.w, lam, g, part.class_y)
+            if not np.all(np.isfinite(psi_g)):
+                raise DysonDivergenceError(
+                    f"fixed-point iterate became non-finite at iteration "
+                    f"{len(residuals) + 1} (damping {alpha})")
+            f = psi_g - g
+            res = float(np.abs(f).max())
+            residuals.append(res)
+            if res <= config.tolerance or len(residuals) >= config.max_iterations:
+                break
+            if res > res_base:
+                if extrapolated:
+                    # The extrapolation overshot: take the damped step from the
+                    # iterate it started at instead.
+                    g = (1.0 - alpha) * g_base + alpha * psi_base
+                    extrapolated = False
+                    continue
+                increase_run += 1
+                if increase_run >= 5 and alpha > 1.0 / 16.0:
+                    alpha = max(alpha / 2.0, 1.0 / 16.0)
+                    increase_run = 0
+            else:
+                increase_run = 0
+            if g_base is not None:
+                d_g.append(g - g_base)
+                d_f.append(f - f_base)
+                if len(d_g) > _ANDERSON_DEPTH:
+                    del d_g[0], d_f[0]
+            g_base, psi_base, f_base, res_base = g, psi_g, f, res
+            extrapolated = False
+            if d_g:
+                dg, df = np.column_stack(d_g), np.column_stack(d_f)
+                gamma = np.linalg.lstsq(df * weight[:, np.newaxis], f * weight,
+                                        rcond=None)[0]
+                cand = g + alpha * f - (dg + alpha * df) @ gamma
+                # the guard: stay in the Stieltjes domain
+                extrapolated = bool(np.all(np.isfinite(cand)) and np.all(cand.imag <= 0.0)
+                                    and np.all(np.abs(cand) <= bound))
+            g = cand if extrapolated else (1.0 - alpha) * g + alpha * psi_g
+    return g, residuals, res <= config.tolerance
 
 
 def plain_real_solve(w, y, lam, g, cap, tolerance):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deteq.dilation import (DilatedModel, RectangularModel, RectangularSpikes,
                             dilate_model, hermitian_dilation)
 from deteq.dyson import r_map
-from deteq.profiles import VarianceProfile, constant_profile
+from deteq.profiles import VarianceProfile, bernoulli_profile, constant_profile
 
 
 def _random_rect(n: int, m: int, seed: int) -> np.ndarray:
@@ -123,3 +125,16 @@ def test_dilated_model_rejects_diagonal_block_deformation():
     with pytest.raises(ValueError):
         DilatedModel(profile=dil.profile, y=bad_y, w=dil.w,
                      theta_signed=dil.theta_signed, n=n, m=m)
+
+
+def test_dilate_model_holds_one_copy_of_the_dilated_profile():
+    model = RectangularModel(profile=bernoulli_profile(300, 400, 0.3, 1))
+    tracemalloc.start()
+    try:
+        profile = dilate_model(model).profile
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.entries.flags.owndata and not profile.entries.flags.writeable
+    # the dilated profile plus the validation's boolean temporaries
+    assert peak < 1.5 * profile.entries.nbytes

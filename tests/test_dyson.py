@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import inspect
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,8 +20,8 @@ from deteq.profiles import (VarianceProfile, bernoulli_profile, constant_profile
                             doubly_stochastic_profile, normalize_profile,
                             piecewise_profile)
 
-from reference import (averaged_fixed_point, criterion_5_profile, g_semicircle,
-                       plain_real_solve, random_profile, row_by_row)
+from reference import (anderson_reference, averaged_fixed_point, criterion_5_profile,
+                       g_semicircle, plain_real_solve, random_profile, row_by_row)
 
 
 def test_spectral_parameter_validation():
@@ -857,3 +859,92 @@ def test_class_solve_takes_the_steps_of_the_row_by_row_solve():
     live = by_row.residual_history > 1e-8
     assert np.allclose(by_class.residual_history[live], by_row.residual_history[live],
                        rtol=1e-9, atol=0.0)
+
+
+def _anderson_case(seed, r, form, log_eta, cap):
+    """The arguments of one Anderson solve: a profile on r classes of 1 to 4
+    rows each, so the least-squares weights differ, Y absent, diagonal on the
+    classes or dense, and a cold start at lambda = x + i 10^log_eta."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, r)
+    b = rng.uniform(0.0, 2.0, (r, r))
+    entries = np.repeat(np.repeat((b + b.T) / 2.0, sizes, axis=0), sizes, axis=1)
+    n = entries.shape[0]
+    if form == "absent":
+        y = None
+    elif form == "diagonal":
+        y = np.repeat(rng.standard_normal(r), sizes)
+    else:
+        a = rng.standard_normal((n, n))
+        y = (a + a.T) / (2.0 * np.sqrt(n))
+    model = _prepare(VarianceProfile(entries, "hermitian"), y)
+    x = rng.uniform(-2.5, 2.5) * np.sqrt(entries.sum(axis=1).max() / n)
+    lam = SpectralParameter.scalar(complex(x, 10.0 ** log_eta), n)
+    part = model.refined(lam.diag)
+    lam_c = lam.diag[part.first]
+    return part, lam_c, -1j / lam_c.imag, SolverConfig(max_iterations=cap)
+
+
+# Cases whose reference runs drop the oldest of 6 differences, drop an
+# overshooting extrapolation and halve the damping (the first two all three)
+_ANDERSON_EXAMPLES = [(18, 7, "diagonal", -3.0, 30), (530, 3, "absent", -3.0, 30),
+                      (0, 1, "dense", -3.0, 40)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 12),
+       form=st.sampled_from(["absent", "diagonal", "dense"]), log_eta=st.floats(-3.0, 0.0),
+       cap=st.integers(1, 80))
+@example(*_ANDERSON_EXAMPLES[0])
+@example(*_ANDERSON_EXAMPLES[1])
+@example(*_ANDERSON_EXAMPLES[2])
+def test_the_anderson_loop_takes_the_reference_steps_bit_for_bit(seed, r, form, log_eta, cap):
+    part, lam, g, config = _anderson_case(seed, r, form, log_eta, cap)
+    g_new, residuals, converged = dyson._anderson_steps(part, lam, g.copy(), config)
+    g_ref, ref_residuals, ref_converged = anderson_reference(part, lam, g.copy(), config)
+    assert g_new.dtype == g_ref.dtype and g_new.tobytes() == g_ref.tobytes()
+    assert residuals == ref_residuals
+    assert converged == ref_converged
+
+
+def _reference_lines_run(*args) -> set:
+    """The source lines of ``anderson_reference`` that one call of it runs."""
+    code, run = anderson_reference.__code__, set()
+    source = inspect.getsource(anderson_reference).splitlines()
+
+    def in_reference(frame, event, arg):
+        if event == "line":
+            run.add(source[frame.f_lineno - code.co_firstlineno].strip())
+        return in_reference
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_reference if frame.f_code is code else None)
+    try:
+        anderson_reference(*args)
+    finally:
+        sys.settrace(previous)
+    return run
+
+
+def test_the_anderson_examples_reach_every_branch_of_the_history():
+    run = set().union(*(_reference_lines_run(*_anderson_case(*case))
+                        for case in _ANDERSON_EXAMPLES))
+    assert "del d_g[0], d_f[0]" in run  # more than 6 differences
+    assert "g = (1.0 - alpha) * g_base + alpha * psi_base" in run  # an overshoot drop
+    assert "alpha = max(alpha / 2.0, 1.0 / 16.0)" in run  # a damping halving
+
+
+def test_a_failed_least_squares_raises_as_lstsq_does(monkeypatch):
+    # zgelsd's SVD did not converge: numpy's gufunc returns NaN and raises
+    # the invalid flag, which np.linalg.lstsq turns into LinAlgError
+    def failed(a, b, rcond, signature):
+        nan = np.multiply(np.full((a.shape[1], b.shape[1]), np.inf, dtype=complex), 0.0)
+        return nan, np.full(b.shape[1], np.nan), np.int32(-1), np.full(min(a.shape), np.nan)
+
+    monkeypatch.setattr(np.linalg._umath_linalg, "lstsq", failed)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        np.linalg.lstsq(np.eye(2, dtype=complex), np.ones(2, dtype=complex), rcond=None)
+    prof = constant_profile(4, 4, 1.0, hermitian=True)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        solve_dyson(prof, None, SpectralParameter.scalar(0.5 + 0.1j, 4))
+

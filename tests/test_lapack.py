@@ -76,6 +76,15 @@ def test_bunch_kaufman_refuses_what_is_not_a_square_matrix(a):
         _hermitian_inverse_diagonal(a)
 
 
+def test_the_mirror_masks_are_cached_read_only_per_size():
+    lower, rest = _lapack._triangle_masks(5)
+    assert _lapack._triangle_masks(5)[0] is lower
+    assert not lower.flags.writeable and not rest.flags.writeable
+    assert np.array_equal(lower, np.tri(5, k=-1, dtype=bool)) and np.array_equal(rest, ~lower)
+    # a second matrix of the size reuses them and still matches bit for bit
+    _assert_same_bits(np.diag([1.0, -2.0, 3.0, -4.0, 5.0]) + 0.5 * np.ones((5, 5)))
+
+
 def _assert_same_trace(n: int, seed: int) -> None:
     """The kernel's trace of lam - H, for a dense Hermitian H, is the reference's."""
     rng = np.random.default_rng(seed)

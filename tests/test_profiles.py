@@ -138,6 +138,23 @@ def test_profile_entries_are_read_only():
         prof.entries[0, 0] = 5.0
 
 
+def test_a_profile_takes_over_an_array_it_can_own_and_copies_any_other():
+    owned = np.ones((3, 3))
+    owned.setflags(write=False)
+    assert VarianceProfile(owned, "hermitian").entries is owned
+    # a read-only view of a writeable array, a writeable array and another
+    # dtype are copied, so a later write to what was given does not reach them
+    writeable = np.ones((3, 3))
+    view = writeable[:]
+    view.setflags(write=False)
+    single = np.ones((3, 3), dtype=np.float32)
+    single.setflags(write=False)
+    for given in (view, writeable, single):
+        entries = VarianceProfile(given, "hermitian").entries
+        assert entries.dtype == np.float64 and not entries.flags.writeable
+        assert not np.shares_memory(entries, given)
+
+
 def test_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(11)
     entries = rng.random((7, 9)) * 3.0
