@@ -76,7 +76,7 @@ def _one_blas_thread():
             set_threads(saved)
 
 
-def _inverse_trace(a: np.ndarray, lower: np.ndarray, strict_lower: np.ndarray) -> complex:
+def _inverse_trace(a: np.ndarray, lower: np.ndarray) -> complex:
     """(1/n) tr a^(-1) of a Fortran-ordered complex n x n ``a``, factored in place.
 
     With the partial-pivoting LU factorization P a = L U, the inverse is
@@ -85,8 +85,7 @@ def _inverse_trace(a: np.ndarray, lower: np.ndarray, strict_lower: np.ndarray) -
     LAPACK overwrites ``a`` with U^(-1) over L^(-1); L^(-1)'s strict lower
     triangle moves into ``lower`` (n x n complex, Fortran-ordered, zero
     elsewhere), and ``zlaswp`` applies the row interchanges to U^(-1), which
-    is the gather U^(-1)[p] done in place.  ``strict_lower`` is the n x n
-    mask of the strict lower triangle.  Both workspaces are overwritten.
+    is the gather U^(-1)[p] done in place.  Both workspaces are overwritten.
     The LAPACK calls release the interpreter lock.
     """
     n = a.shape[0]
@@ -105,6 +104,7 @@ def _inverse_trace(a: np.ndarray, lower: np.ndarray, strict_lower: np.ndarray) -
         lapack.ztrtri(b"L", b"U", ref(size), data, ref(size), ref(info))
     if info.value != 0:
         raise np.linalg.LinAlgError("lam - H is singular")
+    strict_lower = _triangle_masks(n)[0]
     lower.fill(0.0)
     np.copyto(lower, a, where=strict_lower)
     np.copyto(a, 0.0, where=strict_lower)

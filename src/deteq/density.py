@@ -71,8 +71,8 @@ def density_curve(profile: VarianceProfile, y, grid, eta: float = 0.01,
     if config is None:
         config = SolverConfig()
     grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("density grid must be a non-empty vector")
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError("grid must be a non-empty vector of finite points")
     if not (math.isfinite(eta) and eta > 0.0):
         raise ValueError("eta must be finite and > 0")
     model = _prepare(profile, y)

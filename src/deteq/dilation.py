@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import VarianceProfile
+from .profiles import VarianceProfile, _hold_array
 
 __all__ = [
     "RectangularSpikes",
@@ -27,8 +27,9 @@ __all__ = [
 _ORTHO_TOL = 1e-10
 
 
-def _check_frame(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
+def _hold_frame(owner, name: str, what: str) -> np.ndarray:
+    """Hold the field ``name`` of ``owner`` as a complex matrix with orthonormal columns."""
+    mat = _hold_array(owner, name, getattr(owner, name), np.complex128, ndmin=2)
     gram = mat.conj().T @ mat
     if not np.allclose(gram, np.eye(mat.shape[1]), atol=_ORTHO_TOL, rtol=0.0):
         raise ValueError(f"{what} columns must be orthonormal (tolerance {_ORTHO_TOL})")
@@ -44,18 +45,13 @@ class RectangularSpikes:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        u = _check_frame(self.u, "spike u")
-        v = _check_frame(self.v, "spike v")
-        theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
-        if u.shape[1] != theta.size or v.shape[1] != theta.size:
+        u = _hold_frame(self, "u", "spike u")
+        v = _hold_frame(self, "v", "spike v")
+        theta = _hold_array(self, "theta", self.theta, np.float64, ndmin=1)
+        if theta.shape != (u.shape[1],) or v.shape[1] != theta.size:
             raise ValueError("u, v and theta must agree on the spike count")
         if not np.all(np.isfinite(theta) & (theta > 0.0)):
             raise ValueError("rectangular spike strengths must be finite and > 0")
-        for arr in (u, theta, v):
-            arr.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "v", v)
 
     @property
     def k(self) -> int:
@@ -75,16 +71,14 @@ class RectangularModel:
             raise ValueError("rectangular models need a rectangular-mode profile")
         n, m = self.profile.rows, self.profile.cols
         if self.y is not None:
-            y = np.asarray(self.y, dtype=np.complex128)
+            y = _hold_array(self, "y", self.y, np.complex128)
             if y.shape != (n, m):
                 raise ValueError(f"deformation has shape {y.shape}, expected ({n}, {m})")
             if not np.all(np.isfinite(y)):
                 raise ValueError("deformation must be finite")
-            y.setflags(write=False)
-            object.__setattr__(self, "y", y)
-        if self.spikes is not None:
-            if self.spikes.u.shape[0] != n or self.spikes.v.shape[0] != m:
-                raise ValueError("spike vectors do not match the profile shape")
+        if self.spikes is not None and (self.spikes.u.shape[0] != n
+                                        or self.spikes.v.shape[0] != m):
+            raise ValueError("spike vectors do not match the profile shape")
 
     @property
     def n(self) -> int:
@@ -117,24 +111,17 @@ class DilatedModel:
         if self.profile.mode != "hermitian" or self.profile.rows != size:
             raise ValueError("dilated profile must be hermitian of dimension n + m")
         if self.y is not None:
-            y = np.asarray(self.y, dtype=np.complex128)
+            y = _hold_array(self, "y", self.y, np.complex128)
             if y.shape != (size, size):
                 raise ValueError("dilated deformation must be (n + m) square")
             if not np.allclose(y, y.conj().T, atol=1e-12, rtol=0.0):
                 raise ValueError("dilated deformation must be Hermitian")
             if np.any(y[: self.n, : self.n] != 0.0) or np.any(y[self.n:, self.n:] != 0.0):
                 raise ValueError("dilated deformation must have zero diagonal blocks")
-            y.setflags(write=False)
-            object.__setattr__(self, "y", y)
-        w = _check_frame(self.w, "dilated spikes") if self.w.size else \
-            np.zeros((size, 0), dtype=np.complex128)
-        theta = np.asarray(self.theta_signed, dtype=np.float64).reshape(-1)
-        if w.shape[0] != size or w.shape[1] != theta.size:
+        w = _hold_frame(self, "w", "dilated spikes")
+        theta = _hold_array(self, "theta_signed", self.theta_signed, np.float64, ndmin=1)
+        if w.shape[0] != size or theta.shape != (w.shape[1],):
             raise ValueError("dilated spike frame does not match theta_signed")
-        for arr in (w, theta):
-            arr.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "theta_signed", theta)
 
 
 def hermitian_dilation(a: np.ndarray) -> np.ndarray:
@@ -160,9 +147,6 @@ def dilate_model(model: RectangularModel) -> DilatedModel:
     size = n + m
     gamma = hermitian_dilation(model.profile.entries)
     gamma *= size / m
-    gamma.setflags(write=False)  # the profile takes it over without a copy
-    profile = VarianceProfile(gamma, "hermitian")
-
     y = None if model.y is None else hermitian_dilation(model.y)
 
     if model.spikes is not None:
@@ -178,6 +162,9 @@ def dilate_model(model: RectangularModel) -> DilatedModel:
     else:
         w = np.zeros((size, 0), dtype=np.complex128)
         theta_signed = np.zeros(0)
+    for built in (gamma, w, theta_signed) if y is None else (gamma, y, w, theta_signed):
+        built.setflags(write=False)  # the models take them over without a copy
 
-    return DilatedModel(profile=profile, y=y, w=w, theta_signed=theta_signed, n=n, m=m)
+    return DilatedModel(profile=VarianceProfile(gamma, "hermitian"), y=y, w=w,
+                        theta_signed=theta_signed, n=n, m=m)
 

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from ._lapack import _hermitian_inverse_diagonal
-from .profiles import VarianceProfile
+from .profiles import VarianceProfile, _hold_array
 
 __all__ = [
     "SpectralParameter",
@@ -62,15 +62,13 @@ class SpectralParameter:
     diag: np.ndarray
 
     def __post_init__(self) -> None:
-        diag = np.array(self.diag, dtype=np.complex128, copy=True)
+        diag = _hold_array(self, "diag", self.diag, np.complex128)
         if diag.ndim != 1 or diag.size == 0:
             raise ValueError("spectral parameter must be a non-empty vector")
         if not np.all(np.isfinite(diag)):
             raise ValueError("spectral parameter must be finite")
         if np.any(diag.imag <= 0.0):
             raise ValueError("spectral parameter needs Im > 0 in every entry")
-        diag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
 
     @classmethod
     def scalar(cls, lam: complex, n: int) -> "SpectralParameter":
@@ -93,15 +91,13 @@ class OperatorStieltjes:
     diag: np.ndarray
 
     def __post_init__(self) -> None:
-        diag = np.array(self.diag, dtype=np.complex128, copy=True)
+        diag = _hold_array(self, "diag", self.diag, np.complex128)
         if diag.ndim != 1 or diag.size == 0:
             raise ValueError("operator Stieltjes data must be a non-empty vector")
         if not np.all(np.isfinite(diag)):
             raise ValueError("operator Stieltjes data must be finite")
         if np.any(diag.imag > 0.0):
             raise ValueError("operator Stieltjes transforms have Im <= 0")
-        diag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
 
     @property
     def dim(self) -> int:
@@ -115,13 +111,14 @@ class SolverConfig:
     initial: OperatorStieltjes | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+        # True would read as a tolerance of 1.0 and as a cap of one step
+        if isinstance(self.tolerance, (bool, np.bool_)) or not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance: must be finite and > 0")
         try:
             cap = operator.index(self.max_iterations)
         except TypeError:
             cap = 0
-        if cap < 1:
+        if cap < 1 or isinstance(self.max_iterations, bool):
             raise ValueError("max_iterations: must be an integer >= 1")
 
 
@@ -297,13 +294,13 @@ def _classify_deformation(y, n: int):
             raise ValueError(f"diagonal deformation has length {y.shape[0]}, expected {n}")
         if np.iscomplexobj(y) and np.any(y.imag != 0.0):
             raise ValueError("diagonal deformation must be real")
-        return _DiagonalY(y.real.astype(np.float64))
+        return _DiagonalY(y.real)
     if y.shape != (n, n):
         raise ValueError(f"deformation has shape {y.shape}, expected ({n}, {n})")
     if not np.allclose(y, np.conj(y.T), rtol=0.0, atol=1e-12):
         raise ValueError("deformation matrix must be Hermitian")
     if not np.any(y - np.diag(np.diag(y))):
-        return _DiagonalY(np.diag(y).real.astype(np.float64))
+        return _DiagonalY(np.diag(y).real)
     return _DenseY(y)
 
 
@@ -319,6 +316,9 @@ class _DiagonalY:
 
     values: np.ndarray
     dense = False
+
+    def __post_init__(self) -> None:
+        _hold_array(self, "values", self.values, np.float64)
 
     @property
     def array(self):
@@ -377,6 +377,9 @@ class _DenseY:
 
     matrix: np.ndarray
     dense = True
+
+    def __post_init__(self) -> None:  # its dtype picks the real or complex kernel
+        _hold_array(self, "matrix", self.matrix, np.result_type(self.matrix, np.float64))
 
     @property
     def array(self):

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dilation import DilatedModel, _check_frame
+from .dilation import DilatedModel, _hold_frame
 from .dyson import SolverConfig, SpectralParameter, _prepare, _Prepared, _solve_path
-from .profiles import VarianceProfile
+from .profiles import VarianceProfile, _hold_array
 
 __all__ = [
     "SpikeSet",
@@ -52,9 +52,9 @@ class SpikeSet:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        u = _check_frame(self.u, "spike u")
-        theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
-        if u.shape[1] != theta.size:
+        u = _hold_frame(self, "u", "spike u")
+        theta = _hold_array(self, "theta", self.theta, np.float64, ndmin=1)
+        if theta.shape != (u.shape[1],):
             raise ValueError("u and theta must agree on the spike count")
         if theta.size == 0:
             raise ValueError("spike set must contain at least one spike")
@@ -62,10 +62,6 @@ class SpikeSet:
             raise ValueError("spike strengths must be finite")
         if np.any(theta == 0.0):
             raise ValueError("spike strengths must be nonzero")
-        u.setflags(write=False)
-        theta.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "theta", theta)
 
     @property
     def k(self) -> int:
@@ -77,7 +73,8 @@ class HermitianModel:
     """Hermitian ensemble (profile noise + deformation Y) with a spike set.
 
     ``y`` is stored classified: None, a real diagonal vector, or a dense
-    Hermitian matrix; the model is prepared for the solver once.
+    Hermitian matrix, read-only and taken in by ``profiles._hold_array``'s
+    rule; the model is prepared for the solver once.
     """
 
     profile: VarianceProfile
@@ -176,10 +173,13 @@ def det_beta_curve(model: HermitianModel, lambdas, config: SolverConfig | None =
 
     Each solve is warm-started from the previous grid point.  Returns
     (complex determinants, per-point convergence flags).  Raises ValueError
-    for a non-finite or non-positive ``eta_eval``.
+    for a non-finite point of ``lambdas`` or a non-finite or non-positive
+    ``eta_eval``.
     """
     _check_eta_eval(eta_eval)
     lams = [complex(lam, eta_eval) for lam in np.asarray(lambdas, dtype=np.float64)]
+    if not np.isfinite(lams).all():
+        raise ValueError("lambdas must be finite")
     dets = np.empty(len(lams), dtype=np.complex128)
     flags = np.empty(len(lams), dtype=bool)
     points = (SpectralParameter.scalar(lam, model.profile.rows) for lam in lams)

@@ -27,25 +27,37 @@ __all__ = [
 _MODES = ("hermitian", "rectangular")
 
 
+def _hold_array(owner, name: str, value, dtype, ndmin: int = 0) -> np.ndarray:
+    """Set the array field ``name`` of the frozen ``owner`` to ``value``, and return it.
+
+    Every value type of deteq takes in its arrays here.  An ndarray of ``dtype``, with at
+    least ``ndmin`` dimensions, that owns its data and is read-only is taken over as it is;
+    anything else, a read-only view included, is copied (``ndmin`` prepends axes as in
+    ``np.array``), so no later write by the caller reaches what the object checked.  The
+    stored array is read-only, and so is every array the object hands out.
+    """
+    if not (type(value) is np.ndarray and value.dtype == dtype and value.ndim >= ndmin
+            and value.flags.owndata and not value.flags.writeable):
+        value = np.array(value, dtype=dtype, ndmin=ndmin)
+        value.setflags(write=False)
+    object.__setattr__(owner, name, value)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class VarianceProfile:
     """Matrix of entrywise variances gamma^2(i, j), all finite and >= 0.
 
     ``mode`` is "hermitian" for square symmetric profiles attached to
-    self-adjoint ensembles, "rectangular" otherwise.  ``entries`` is
-    read-only after construction.  A float64 array that owns its data and is
-    already read-only is taken over as it is, without a copy; any other
-    input, a read-only view included, is copied.
+    self-adjoint ensembles, "rectangular" otherwise.  ``entries`` is a
+    read-only float64 array, taken in by ``_hold_array``'s rule.
     """
 
     entries: np.ndarray
     mode: str = "rectangular"
 
     def __post_init__(self) -> None:
-        entries = self.entries
-        if not (type(entries) is np.ndarray and entries.dtype == np.float64
-                and entries.flags.owndata and not entries.flags.writeable):
-            entries = np.array(entries, dtype=np.float64, copy=True)
+        entries = _hold_array(self, "entries", self.entries, np.float64)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError("profile entries must form a non-empty 2-d array")
         if not np.all(np.isfinite(entries)):
@@ -59,8 +71,6 @@ class VarianceProfile:
                 raise ValueError("hermitian profiles must be square")
             if not np.array_equal(entries, entries.T):
                 raise ValueError("hermitian profiles must be symmetric")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def rows(self) -> int:

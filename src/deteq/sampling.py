@@ -294,7 +294,6 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
     g_det = complex(sol.g_square.diag.mean())
 
     gamma = np.sqrt(profile.entries)
-    strict_lower = np.tri(n, k=-1, dtype=bool)
     children = batch.child_seeds()
     local = threading.local()  # each worker's workspaces
 
@@ -316,7 +315,7 @@ def validate_concentration(profile: VarianceProfile, y, lam: complex, d: float,
         np.negative(a.real, out=a.real)
         model.y.combine(a, np.subtract)
         a.T.flat[::n + 1] += lam
-        return abs(_inverse_trace(a, lower, strict_lower) - g_det)
+        return abs(_inverse_trace(a, lower) - g_det)
 
     deviations = []
     with _one_blas_thread():

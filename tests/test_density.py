@@ -88,6 +88,17 @@ def test_density_curve_rejects_non_finite_values(bad):
                      eta=0.1, converged=np.array([True, True]), tolerance=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_grid_point_is_rejected_before_any_solve(monkeypatch, bad):
+    def refused(*args, **kwargs):
+        raise AssertionError("a bad grid must be rejected before psi is evaluated")
+
+    monkeypatch.setattr(deteq.dyson, "_psi_raw", refused)
+    prof = constant_profile(4, 4, 1.0, hermitian=True)
+    with pytest.raises(ValueError, match="^grid must be a non-empty vector of finite points$"):
+        density_curve(prof, None, [0.0, 0.5, bad])
+
+
 def test_sv_correction_square_case_doubles():
     grid = np.linspace(0.0, 2.0, 11)
     raw = DensityCurve(grid=grid, values=np.full(11, 0.25), eta=0.01,

@@ -554,6 +554,15 @@ def test_solver_config_validation():
         SolverConfig(tolerance=float("inf"))
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_a_bool_is_neither_a_tolerance_nor_an_iteration_cap(flag):
+    # True would read as a tolerance of 1.0 and as a cap of one step
+    with pytest.raises(ValueError, match="^tolerance: must be finite and > 0$"):
+        SolverConfig(tolerance=flag)
+    with pytest.raises(ValueError, match="^max_iterations: must be an integer >= 1$"):
+        SolverConfig(max_iterations=flag)
+
+
 @pytest.mark.parametrize("cap", [2.5, 3.0, "3", None])
 def test_the_iteration_cap_must_be_an_integer(cap):
     # A fractional cap would never equal the iteration count, so the solve

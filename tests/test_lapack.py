@@ -93,8 +93,7 @@ def _assert_same_trace(n: int, seed: int) -> None:
     lam = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.01, 2.0))
     shifted = np.asfortranarray(-h)
     shifted.flat[::n + 1] += lam
-    trace = _lapack._inverse_trace(shifted, np.empty_like(shifted),
-                                   np.tri(n, k=-1, dtype=bool))
+    trace = _lapack._inverse_trace(shifted, np.empty_like(shifted))
     assert trace == reference_trace(h, lam)
 
 
@@ -117,13 +116,13 @@ def test_the_lu_trace_refuses_an_array_lapack_cannot_factor_in_place():
     lower = np.empty_like(read_only)
     for a in (np.zeros((2, 2), dtype=np.complex128), read_only, np.zeros((2, 2), order="F")):
         with pytest.raises(ValueError, match="^the trace kernel needs "):
-            _lapack._inverse_trace(a, lower, np.tri(2, k=-1, dtype=bool))
+            _lapack._inverse_trace(a, lower)
 
 
 def test_a_singular_matrix_has_no_lu_trace():
     a = np.zeros((3, 3), dtype=np.complex128, order="F")
     with pytest.raises(np.linalg.LinAlgError):
-        _lapack._inverse_trace(a, np.empty_like(a), np.tri(3, k=-1, dtype=bool))
+        _lapack._inverse_trace(a, np.empty_like(a))
 
 
 def test_a_missing_routine_is_named(monkeypatch):

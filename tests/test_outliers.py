@@ -345,6 +345,27 @@ def test_non_finite_strengths_and_thresholds_are_rejected():
             locate_outliers(model, window=(1.5, 3.0), threshold=threshold)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_lambda_is_rejected_before_any_solve(monkeypatch, bad):
+    def refused(*args, **kwargs):
+        raise AssertionError("a bad lambda must be rejected before psi is evaluated")
+
+    model = _dilated_constant_model(8, 12, 2.0)
+    monkeypatch.setattr(dyson, "_psi_raw", refused)
+    with pytest.raises(ValueError, match="^lambdas must be finite$"):
+        det_beta_curve(model, [2.0, 2.5, bad])
+
+
+def test_spike_strengths_form_a_vector():
+    # a single strength may be given as a scalar; a matrix of them is refused
+    assert SpikeSet(u=np.eye(4)[:, :1], theta=2.0).theta.shape == (1,)
+    assert RectangularSpikes(u=np.eye(4)[:, :1], theta=2.0, v=np.eye(6)[:, :1]).k == 1
+    with pytest.raises(ValueError, match="agree on the spike count"):
+        SpikeSet(u=np.eye(4)[:, :1], theta=[[2.0]])
+    with pytest.raises(ValueError, match="agree on the spike count"):
+        RectangularSpikes(u=np.eye(4)[:, :1], theta=[[2.0]], v=np.eye(6)[:, :1])
+
+
 @pytest.mark.parametrize("eta_eval", [np.nan, np.inf, 0.0, -1e-3])
 def test_eta_eval_is_checked_on_entry(eta_eval):
     model = _dilated_constant_model(8, 12, 2.0)

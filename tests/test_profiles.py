@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from deteq.dilation import DilatedModel, RectangularModel, RectangularSpikes, dilate_model
+from deteq.dyson import OperatorStieltjes, SpectralParameter
+from deteq.outliers import HermitianModel, SpikeSet
 from deteq.profiles import (VarianceProfile, bernoulli_profile, constant_profile,
                             doubly_stochastic_profile, normalize_profile,
                             piecewise_profile, read_profile_csv, write_profile_csv)
@@ -138,21 +143,88 @@ def test_profile_entries_are_read_only():
         prof.entries[0, 0] = 5.0
 
 
-def test_a_profile_takes_over_an_array_it_can_own_and_copies_any_other():
-    owned = np.ones((3, 3))
+def _hermitian_model(y):
+    return HermitianModel(constant_profile(4, 4, 1.0, hermitian=True), y,
+                          SpikeSet(u=np.eye(4)[:, :1], theta=[1.0]))
+
+
+def _dilated_model(**given):
+    # a 4 x 5 model; every entry below is exact in single precision
+    fields = dict(profile=dilate_model(RectangularModel(constant_profile(4, 5, 1.0))).profile,
+                  y=None, w=np.eye(9)[:, :2], theta_signed=[1.0, -1.0], n=4, m=5)
+    return DilatedModel(**(fields | given))
+
+
+_DILATED_Y = np.block([[np.zeros((4, 4)), np.full((4, 5), 0.5)],
+                       [np.full((5, 4), 0.5), np.zeros((5, 5))]])
+_DENSE_Y = np.diag([1.0, -1.0, 0.5, 0.0]) + 0.25
+
+# Each array field of a value type: its dtype, an array to give, the object
+# built from it and the field that holds it.
+_ARRAY_FIELDS = {
+    "VarianceProfile.entries": (np.float64, np.full((3, 3), 0.5),
+                                lambda a: VarianceProfile(a, "hermitian"), "entries"),
+    "SpectralParameter.diag": (np.complex128, np.full(3, 0.5 + 1j), SpectralParameter, "diag"),
+    "OperatorStieltjes.diag": (np.complex128, np.full(3, 0.5 - 1j), OperatorStieltjes, "diag"),
+    "SpikeSet.u": (np.complex128, np.eye(4)[:, :2],
+                   lambda a: SpikeSet(u=a, theta=[1.0, -2.0]), "u"),
+    "SpikeSet.theta": (np.float64, np.array([1.0, -2.0]),
+                       lambda a: SpikeSet(u=np.eye(4)[:, :2], theta=a), "theta"),
+    "RectangularSpikes.u": (np.complex128, np.eye(4)[:, :1],
+                            lambda a: RectangularSpikes(u=a, theta=[2.0], v=np.eye(5)[:, :1]),
+                            "u"),
+    "RectangularSpikes.v": (np.complex128, np.eye(5)[:, :1],
+                            lambda a: RectangularSpikes(u=np.eye(4)[:, :1], theta=[2.0], v=a),
+                            "v"),
+    "RectangularSpikes.theta": (np.float64, np.array([2.0]),
+                                lambda a: RectangularSpikes(u=np.eye(4)[:, :1], theta=a,
+                                                            v=np.eye(5)[:, :1]), "theta"),
+    "RectangularModel.y": (np.complex128, np.full((4, 5), 0.5 + 0.25j),
+                           lambda a: RectangularModel(constant_profile(4, 5, 1.0), a), "y"),
+    "DilatedModel.y": (np.complex128, _DILATED_Y + 0j, lambda a: _dilated_model(y=a), "y"),
+    "DilatedModel.w": (np.complex128, np.eye(9)[:, :2], lambda a: _dilated_model(w=a), "w"),
+    "DilatedModel.theta_signed": (np.float64, np.array([1.0, -1.0]),
+                                  lambda a: _dilated_model(theta_signed=a), "theta_signed"),
+    "HermitianModel.y-diagonal": (np.float64, np.array([1.0, -1.0, 0.5, 0.0]),
+                                  _hermitian_model, "y"),
+    "HermitianModel.y-dense-real": (np.float64, _DENSE_Y, _hermitian_model, "y"),
+    "HermitianModel.y-dense-complex": (np.complex128, _DENSE_Y + 0.25j * (np.eye(4, k=1)
+                                                                        - np.eye(4, k=-1)),
+                                       _hermitian_model, "y"),
+}
+
+
+def _handed_out(value):
+    """Every array that the public fields of a value type, nested ones included, hand out."""
+    for field in dataclasses.fields(value):
+        held = getattr(value, field.name)
+        if isinstance(held, np.ndarray):
+            yield held
+        elif dataclasses.is_dataclass(held) and not field.name.startswith("_"):
+            yield from _handed_out(held)
+
+
+@pytest.mark.parametrize("dtype,array,build,name", _ARRAY_FIELDS.values(), ids=_ARRAY_FIELDS)
+def test_every_value_type_takes_over_an_array_it_can_own_and_copies_any_other(dtype, array,
+                                                                             build, name):
+    owned = np.array(array, dtype=dtype)
     owned.setflags(write=False)
-    assert VarianceProfile(owned, "hermitian").entries is owned
-    # a read-only view of a writeable array, a writeable array and another
-    # dtype are copied, so a later write to what was given does not reach them
-    writeable = np.ones((3, 3))
-    view = writeable[:]
-    view.setflags(write=False)
-    single = np.ones((3, 3), dtype=np.float32)
-    single.setflags(write=False)
-    for given in (view, writeable, single):
-        entries = VarianceProfile(given, "hermitian").entries
-        assert entries.dtype == np.float64 and not entries.flags.writeable
-        assert not np.shares_memory(entries, given)
+    held = getattr(build(owned), name)
+    assert held is owned
+    # a writeable array, a read-only view of one and another dtype are
+    # copied, so a later write to what was given does not reach the object
+    low = np.complex64 if dtype == np.complex128 else np.float32
+    for kind in ("writeable", "read-only view", "other dtype"):
+        base = np.array(array, dtype=low if kind == "other dtype" else dtype)
+        given = base[:] if kind == "read-only view" else base
+        given.setflags(write=kind != "read-only view")
+        value = build(given)
+        held = getattr(value, name)
+        expect = held.copy()
+        base += 1.0
+        assert np.array_equal(held, expect) and not np.shares_memory(held, base)
+        assert held.dtype == dtype and given.flags.writeable == (kind != "read-only view")
+        assert all(not a.flags.writeable for a in _handed_out(value))
 
 
 def test_csv_roundtrip_is_exact(tmp_path):
